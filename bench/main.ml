@@ -1450,7 +1450,7 @@ let run_storage () =
   let st = Storage.create ~rotate_every:8 ~vfs () in
   let j = Journal.create ~fsync_every:1 ~storage:st () in
   let broker = mk () in
-  let fw = Failover.create ~make_standby:mk ~journal:j ~storage:st broker in
+  let fw = Failover.create ~make_standby:mk ~journal:j broker in
   let n_ops = max 36 (144 / scale) in
   let per_flow = ref [] and last_class = ref None in
   for i = 1 to n_ops do

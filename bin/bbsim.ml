@@ -434,13 +434,8 @@ let run_simulate setting cd scheme seed load duration journal_path store_dir out
   let cfg =
     { Dynamic.seed; setting; arrival_rate = load; mean_holding = 200.; duration; cd }
   in
-  let store =
-    Option.map (fun _ -> Storage.create ~vfs:(Vfs.create ~seed ()) ()) store_dir
-  in
   let journal =
-    if journal_path <> None || store <> None then
-      Some (Journal.create ?storage:store ())
-    else None
+    if journal_path <> None || store_dir <> None then Some (Journal.create ()) else None
   in
   let captured = ref None in
   let o =
@@ -463,8 +458,9 @@ let run_simulate setting cd scheme seed load duration journal_path store_dir out
       Fmt.pr "journal: %d records -> %s@." (Journal.records j) path;
       Fmt.pr "final mib digest: %s@." (Audit.mib_digest broker)
   | _ -> ());
-  match (store_dir, store, !captured) with
-  | Some dir, Some st, Some broker ->
+  match (store_dir, journal, !captured) with
+  | Some dir, Some j, Some broker ->
+      let st = Journal.storage j in
       Storage.seal_active st;
       export_store (Storage.vfs st) dir;
       Fmt.pr "store: %d file(s) -> %s@."

@@ -14,10 +14,10 @@ type t = {
   make_standby : unit -> Broker.t;
   time : Broker.time_hooks;
   journal : Journal.t option;
-  storage : Storage.t option;
+  store : Storage.t;
   mutable active : Broker.t;
   mutable up : bool;
-  mutable last : (float * string) option;
+  mutable last_at : float option;  (* when the last checkpoint was taken *)
   mutable checkpoints : int;
   mutable generation : int;
   mutable ticking : bool;
@@ -26,17 +26,20 @@ type t = {
   mutable last_recovery : storage_recovery option;
 }
 
-let create ~make_standby ?time ?journal ?storage primary =
+let create ~make_standby ?time ?journal primary =
   let time = Option.value ~default:Broker.immediate_time time in
   (match journal with None -> () | Some j -> Journal.attach j primary);
   {
     make_standby;
     time;
     journal;
-    storage;
+    store =
+      (match journal with
+      | Some j -> Journal.storage j
+      | None -> Storage.create ~vfs:(Bbr_util.Vfs.create ()) ());
     active = primary;
     up = true;
-    last = None;
+    last_at = None;
     checkpoints = 0;
     generation = 0;
     ticking = false;
@@ -55,40 +58,30 @@ let replay_warning t = t.replay_warning
 
 let last_recovery t = t.last_recovery
 
-let storage t = t.storage
+let storage t = t.store
 
 let checkpoint t =
   if t.up then begin
-    let body = Snapshot.save t.active in
-    let committed =
-      match t.storage with
-      | None -> true
-      | Some st ->
-          (* Shadow-write, verify, atomic rename; the previous generation
-             survives.  On failure the journal must NOT compact — its
-             records are the only durable copy of the uncovered tail. *)
-          let cover =
-            match t.journal with Some j -> Journal.appended_total j | None -> 0
-          in
-          (match Storage.checkpoint st ~cover body with
-          | Ok _gen -> true
-          | Error _ ->
-              if Obs_log.active () then
-                Obs_log.count "bb_failover_checkpoint_failures_total";
-              false)
+    let cover =
+      match t.journal with Some j -> Journal.appended_total j | None -> 0
     in
-    if committed then begin
-      t.last <- Some (t.time.Broker.now (), body);
-      t.checkpoints <- t.checkpoints + 1;
-      (* The checkpoint covers everything the journal rebuilt: the prefix
-         is redundant, so the checkpoint is the compaction point. *)
-      (match t.journal with None -> () | Some j -> Journal.compact j);
-      if Obs_log.active () then begin
-        Obs_log.count "bb_failover_checkpoints_total";
-        Obs_log.event ~at:(t.time.Broker.now ()) "bb.failover.checkpoint"
-          ~attrs:[ ("n", string_of_int t.checkpoints) ]
-      end
-    end
+    (* Shadow-write, verify, atomic rename; the previous generation
+       survives.  On failure the journal must NOT compact — its records
+       are the only durable copy of the uncovered tail. *)
+    match Storage.checkpoint t.store ~cover (Snapshot.save t.active) with
+    | Error _ ->
+        if Obs_log.active () then Obs_log.count "bb_failover_checkpoint_failures_total"
+    | Ok _gen ->
+        t.last_at <- Some (t.time.Broker.now ());
+        t.checkpoints <- t.checkpoints + 1;
+        (* The checkpoint covers everything the journal rebuilt: the prefix
+           is redundant, so the checkpoint is the compaction point. *)
+        (match t.journal with None -> () | Some j -> Journal.compact j);
+        if Obs_log.active () then begin
+          Obs_log.count "bb_failover_checkpoints_total";
+          Obs_log.event ~at:(t.time.Broker.now ()) "bb.failover.checkpoint"
+            ~attrs:[ ("n", string_of_int t.checkpoints) ]
+        end
   end
 
 let start_checkpoints t ~every =
@@ -126,14 +119,11 @@ let install t standby ~restored ~applied ~warning =
   | Some j ->
       Journal.compact j;
       Journal.attach j standby);
-  (* The promoted state is the new baseline.  In storage mode this also
-     seals the (possibly torn) pre-crash segment and writes a fresh
-     generation covering everything replayed, so the gap between the
-     disk's record chain and the in-memory sequence counter is bridged
-     by the new cover. *)
-  (match t.storage with
-  | None -> t.last <- Some (t.time.Broker.now (), Snapshot.save standby)
-  | Some _ -> checkpoint t);
+  (* The promoted state is the new baseline: this seals the (possibly
+     torn) pre-crash segment and writes a fresh generation covering
+     everything replayed, so the gap between the disk's record chain and
+     the writer's sequence counter is bridged by the new cover. *)
+  checkpoint t;
   if Obs_log.active () then begin
     Obs_log.count "bb_failover_promotions_total";
     Obs_log.event ~at:(t.time.Broker.now ()) "bb.failover.promote"
@@ -196,77 +186,17 @@ let recover_from ~make st =
   in
   go attempts
 
-let promote_from_storage t st =
-  match recover_from ~make:t.make_standby st with
-  | Error e -> Error e
-  | Ok (standby, restored, recovery) ->
-      t.last_recovery <- Some recovery;
-      let warning =
-        Option.map (fun w -> "storage: " ^ w) recovery.sr_truncated
-      in
-      install t standby ~restored ~applied:recovery.sr_replayed ~warning
-
 let promote t =
-  match t.storage with
-  | Some st -> promote_from_storage t st
-  | None ->
-  match (t.last, t.journal) with
-  | None, None -> Error "no checkpoint to promote from"
-  | last, journal -> (
-      let standby = t.make_standby () in
-      (* Checkpoint first (when one exists), then the journal tail on
-         top: records since the last checkpoint — the admissions PR 1's
-         snapshot-only failover lost.  With a journal but no checkpoint
-         yet, the journal covers the broker's whole life and replays
-         from empty. *)
-      let restored =
-        match last with
-        | None -> Ok 0
-        | Some (_, snapshot) -> Snapshot.restore standby snapshot
-      in
-      match restored with
-      | Error e -> Error e
-      | Ok restored -> (
-          let tail =
-            match journal with
-            | None -> Ok { Journal.applied = 0; warning = None }
-            | Some j -> (
-                match Journal.replay standby (Journal.text j) with
-                | Ok outcome -> Ok outcome
-                | Error e -> Error (Printf.sprintf "journal replay failed: %s" e))
-          in
-          match tail with
-          | Error e -> Error e
-          | Ok { Journal.applied; warning } ->
-              t.replay_warning <- warning;
-              Broker.clear_mutation_hook t.active;
-              t.active <- standby;
-              t.up <- true;
-              t.generation <- t.generation + 1;
-              (* The promoted state is the new baseline: checkpoint it and
-                 start journaling the standby's own mutations from here. *)
-              t.last <- Some (t.time.Broker.now (), Snapshot.save standby);
-              (match journal with
-              | None -> ()
-              | Some j ->
-                  Journal.compact j;
-                  Journal.attach j standby);
-              if Obs_log.active () then begin
-                Obs_log.count "bb_failover_promotions_total";
-                Obs_log.event ~at:(t.time.Broker.now ()) "bb.failover.promote"
-                  ~attrs:
-                    [
-                      ("generation", string_of_int t.generation);
-                      ("restored", string_of_int restored);
-                      ("replayed", string_of_int applied);
-                    ]
-              end;
-              Ok (restored + applied)))
+  if t.journal = None && t.last_at = None then Error "no checkpoint to promote from"
+  else
+    match recover_from ~make:t.make_standby t.store with
+    | Error e -> Error e
+    | Ok (standby, restored, recovery) ->
+        t.last_recovery <- Some recovery;
+        let warning = Option.map (fun w -> "storage: " ^ w) recovery.sr_truncated in
+        install t standby ~restored ~applied:recovery.sr_replayed ~warning
 
-let snapshot_age t =
-  match t.last with
-  | None -> None
-  | Some (at, _) -> Some (t.time.Broker.now () -. at)
+let snapshot_age t = Option.map (fun at -> t.time.Broker.now () -. at) t.last_at
 
 let checkpoints t = t.checkpoints
 

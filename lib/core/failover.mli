@@ -1,22 +1,26 @@
 (** Warm-standby broker failover.
 
     The replication scheme the paper's footnote 2 gestures at: because
-    every piece of QoS state lives in the broker's MIBs, a standby fed
-    periodic {!Snapshot} checkpoints can take over after a crash without
-    involving any core router.  This module keeps the latest checkpoint,
-    models the crash, and promotes a freshly built standby from that
-    checkpoint.
+    every piece of QoS state lives in the broker's MIBs, a standby can
+    take over after a crash from durable state alone, without involving
+    any core router.  All of that state goes through one {!Storage}: the
+    attached {!Journal}'s own store, or a private one on a fault-free
+    in-memory {!Bbr_util.Vfs} when there is no journal.  Checkpoints are
+    written there as verified dual-generation {!Snapshot}s, journal
+    records are written through as they are appended, and promotion
+    ({!recover_from}) reads nothing else.
 
     Recovery semantics without a journal: flows admitted after the last
     checkpoint are lost on promotion (their eventual DRQs are harmless
     no-ops thanks to idempotent teardown); everything checkpointed is
-    restored exactly, under its original flow id.  With a {!Journal}
-    attached, promotion additionally replays the journal tail — every
-    mutation since the last checkpoint — so nothing durably journaled is
-    lost at all: the recovered broker is decision-equivalent to the
-    crashed one (equal {!Audit.mib_digest}).  In-flight requests are not
-    the manager's problem — a reliable {!Cops} channel retransmits them
-    to the promoted broker once {!Cops.set_broker} repoints it. *)
+    restored exactly, under its original flow id and on its original
+    links.  With a journal, promotion also replays the intact record
+    suffix past the checkpoint, so nothing durably journaled is lost: the
+    recovered broker is decision-equivalent to the crashed one (equal
+    {!Audit.mib_digest}) up to what {!Storage.crash} tore away.  In-flight
+    requests are not the manager's problem — a reliable {!Cops} channel
+    retransmits them to the promoted broker once {!Cops.set_broker}
+    repoints it. *)
 
 type t
 
@@ -30,7 +34,7 @@ type storage_recovery = {
   sr_quarantined : int;  (** sealed segments quarantined during recovery *)
   sr_replayed : int;
 }
-(** What a storage-mode promotion actually recovered — the data-loss
+(** What a promotion actually recovered — the data-loss
     report callers surface (exit codes, scenario outcomes). *)
 
 val recovery_loss : storage_recovery -> bool
@@ -41,7 +45,6 @@ val create :
   make_standby:(unit -> Broker.t) ->
   ?time:Broker.time_hooks ->
   ?journal:Journal.t ->
-  ?storage:Storage.t ->
   Broker.t ->
   t
 (** [make_standby ()] must build a fresh broker over the same topology
@@ -49,18 +52,10 @@ val create :
     standby starts empty).  [time] defaults to {!Broker.immediate_time} —
     fine for manual {!checkpoint} calls, but see the warning on
     {!start_checkpoints}.  [journal], when given, is attached to the
-    primary immediately (every mutation from here on is journaled),
-    compacted at each {!checkpoint}, replayed and re-attached at
-    {!promote}.
-
-    [storage], when given, makes durability real: {!checkpoint} writes
-    dual-generation verified checkpoints through {!Storage.checkpoint}
-    (and skips compaction when the write fails — the journal is then the
-    only durable copy), and {!promote} reads {e only} the store — newest
-    verifiable generation plus longest intact record suffix, degrading
-    across generations rather than failing.  Pair it with a journal
-    created over the same store ([Journal.create ~storage]) so records
-    write through to the segmented log. *)
+    primary immediately (every mutation from here on is journaled), and
+    its store ({!Journal.storage}) becomes the failover's {!storage}:
+    {!checkpoint} writes there and then compacts the journal, and
+    {!promote} recovers from there and re-attaches the journal. *)
 
 val active : t -> Broker.t
 (** The broker currently holding the PDP role: the primary until a
@@ -69,9 +64,12 @@ val active : t -> Broker.t
 val is_up : t -> bool
 
 val checkpoint : t -> unit
-(** Snapshot the active broker now, replacing the previous checkpoint,
-    and compact the attached journal (the checkpoint covers everything
-    its records rebuilt).  Ignored while crashed. *)
+(** Snapshot the active broker now and write it through
+    {!Storage.checkpoint} (shadow file, fsync, read-back verification,
+    atomic rename over the older generation), covering every journal
+    record appended so far; then compact the attached journal.  When the
+    write fails the journal is not compacted — its records are the only
+    durable copy of the uncovered tail.  Ignored while crashed. *)
 
 val start_checkpoints : t -> every:float -> unit
 (** Checkpoint on a periodic timer.  Requires real (engine-driven) time
@@ -87,19 +85,20 @@ val stop : t -> unit
 
 val crash : t -> unit
 (** The active broker fails: checkpoints stop until promotion.  Pair with
-    {!Cops.set_pdp_up} to make the signaling channel see the outage. *)
+    {!Cops.set_pdp_up} to make the signaling channel see the outage, and
+    with {!Storage.crash} on {!storage} to lose what was never fsynced. *)
 
 val promote : t -> (int, string) result
-(** Build a standby with [make_standby], restore the latest checkpoint
-    into it, then replay the journal tail (when a journal is attached; a
-    journal with no checkpoint yet replays from empty).  On [Ok n] ([n] =
-    reservations restored + journal records applied) the standby is the
-    new {!active} and is up, a fresh checkpoint of it is taken, and the
-    journal — compacted and re-attached — resumes on the standby; repoint
-    signaling with {!Cops.set_broker}.  [Error] when there is nothing to
-    promote from or a restore/replay step fails — the previous active
-    broker is left in place (still down), untouched: replay happens on
-    the standby only. *)
+(** Build a standby with [make_standby] and recover it from {!storage}
+    alone through {!recover_from}: the newest verifiable checkpoint plus
+    the longest intact journal suffix, degrading across generations
+    rather than failing.  On [Ok n] ([n] = reservations restored +
+    journal records applied) the standby is the new {!active} and is up,
+    a fresh checkpoint of it is taken, and the journal — compacted and
+    re-attached — resumes on the standby; repoint signaling with
+    {!Cops.set_broker}.  [Error] when there is neither a journal nor a
+    checkpoint to promote from; the previous active broker is then left
+    in place (still down), untouched. *)
 
 val journal : t -> Journal.t option
 (** The write-ahead journal attached at {!create}, if any. *)
@@ -110,14 +109,13 @@ val replay_warning : t -> string option
     past the cut are lost, as after a real crash). *)
 
 val last_recovery : t -> storage_recovery option
-(** The data-loss report of the last storage-mode promotion; [None]
-    before any promotion or without [storage]. *)
+(** The data-loss report of the last promotion; [None] before any. *)
 
 val recover_from :
   make:(unit -> Broker.t) ->
   Storage.t ->
   (Broker.t * int * storage_recovery, string) result
-(** Cold recovery, the read-only core of storage-mode promotion: build a
+(** Cold recovery, the read-only core of {!promote}: build a
     broker with [make], restore the newest verifiable checkpoint
     generation, replay the longest intact record suffix; degrade across
     generations (and ultimately to an intact chain from sequence 0, or
@@ -126,12 +124,13 @@ val recover_from :
     checkpoint, and the degradation report.  Mutates nothing but the
     store's quarantine renames; never raises. *)
 
-val storage : t -> Storage.t option
-(** The segmented store given at {!create}, if any. *)
+val storage : t -> Storage.t
+(** The store checkpoints and journal records are written to. *)
 
 val snapshot_age : t -> float option
 (** Time since the last checkpoint — the window of admissions a crash
-    right now would lose.  [None] before the first checkpoint. *)
+    right now would lose without a journal.  [None] before the first
+    checkpoint. *)
 
 val checkpoints : t -> int
 (** Checkpoints taken so far. *)

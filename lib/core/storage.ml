@@ -6,6 +6,7 @@ type t = {
   vfs : Vfs.t;
   rotate_every : int;
   mutable active : int;  (* segment number currently appended to *)
+  mutable active_name : string;  (* [seg_name active], kept off the append path *)
   mutable active_records : int;  (* appends since the last rotation *)
   mutable next_gen : int;
   mutable write_errors : int;
@@ -97,11 +98,13 @@ let slots_present t =
 let create ?(rotate_every = 64) ~vfs () =
   if rotate_every < 1 then invalid_arg "Storage.create: rotate_every must be >= 1";
   let t =
-    { vfs; rotate_every; active = 0; active_records = 0; next_gen = 1;
-      write_errors = 0 }
+    { vfs; rotate_every; active = 0; active_name = seg_name 0; active_records = 0;
+      next_gen = 1; write_errors = 0 }
   in
   (match List.rev (segments t) with
-  | (n, _) :: _ -> t.active <- n + 1
+  | (n, _) :: _ ->
+      t.active <- n + 1;
+      t.active_name <- seg_name t.active
   | [] -> ());
   List.iter
     (fun (g, _, _) -> if g >= t.next_gen then t.next_gen <- g + 1)
@@ -116,7 +119,7 @@ let write_errors t = t.write_errors
 (* Append path *)
 
 let seal_active t =
-  let name = seg_name t.active in
+  let name = t.active_name in
   if Vfs.exists t.vfs ~name then begin
     (* A torn final line must not merge with the footer. *)
     (match Vfs.read t.vfs ~name with
@@ -142,11 +145,12 @@ let seal_active t =
         absorb t (Vfs.append t.vfs ~name footer);
         absorb t (Vfs.fsync t.vfs ~name));
     t.active <- t.active + 1;
+    t.active_name <- seg_name t.active;
     t.active_records <- 0
   end
 
 let put t line =
-  let name = seg_name t.active in
+  let name = t.active_name in
   if not (Vfs.exists t.vfs ~name) then
     absorb t (Vfs.append t.vfs ~name (Printf.sprintf "bbr-seg v1 %d\n" t.active));
   absorb t (Vfs.append t.vfs ~name (line ^ "\n"));
@@ -154,7 +158,7 @@ let put t line =
   if t.active_records >= t.rotate_every then seal_active t
 
 let sync t =
-  let name = seg_name t.active in
+  let name = t.active_name in
   if Vfs.exists t.vfs ~name then
     match Vfs.fsync t.vfs ~name with
     | Ok () -> ()

@@ -1,46 +1,30 @@
 module Crc32 = Bbr_util.Crc32
 
-(* Records are kept unencoded and serialized only when the log text is
-   materialized (group commit: a real WAL writer renders and flushes
-   them at durability boundaries, off the commit path).  Payload values
-   must therefore be immutable, so deferred encoding sees exactly the
-   committed state; the hook costs a cons per record on the commit
-   path. *)
-type 'a pending = { p_seq : int; p_at : float; p_v : 'a }
-
 type sink = { put : string -> unit; sync : unit -> unit }
 
 type 'a t = {
-  header : string;
   encode_payload : 'a -> string;
   fsync_every : int;
-  mutable recs : 'a pending list;  (* newest first *)
+  sink : sink;
   mutable records : int;  (* since the last compaction *)
-  mutable torn : string option;  (* half-record a crash left behind *)
   mutable seq : int;  (* records ever appended *)
   mutable record_hook : (int -> unit) option;
   mutable group_start : int option;  (* [records] when the open group began *)
   mutable synced_floor : int;  (* records made durable by a group commit *)
-  mutable sink : sink option;  (* eager write-through to a storage layer *)
 }
 
-let create ?(fsync_every = 1) ~header ~encode_payload () =
+let create ?(fsync_every = 1) ~encode_payload sink =
   if fsync_every < 1 then invalid_arg "Wal.create: fsync_every must be >= 1";
   {
-    header;
     encode_payload;
     fsync_every;
-    recs = [];
+    sink;
     records = 0;
-    torn = None;
     seq = 0;
     record_hook = None;
     group_start = None;
     synced_floor = 0;
-    sink = None;
   }
-
-let set_sink t sink = t.sink <- sink
 
 let records t = t.records
 
@@ -61,10 +45,6 @@ let encode_line ~seq ~at payload =
   let body = Printf.sprintf "%d %h %s" seq at payload in
   Crc32.to_hex (Crc32.string body) ^ " " ^ body
 
-let encode_pending t r = encode_line ~seq:r.p_seq ~at:r.p_at (t.encode_payload r.p_v)
-
-let sink_sync t = match t.sink with None -> () | Some s -> s.sync ()
-
 let group t f =
   match t.group_start with
   | Some _ -> f () (* nested: joins the outer group *)
@@ -80,76 +60,29 @@ let group t f =
       in
       t.group_start <- None;
       t.synced_floor <- t.records;
-      sink_sync t;
+      t.sink.sync ();
       out
 
 let on_record t f = t.record_hook <- Some f
 
 let append t ~at v =
-  let r = { p_seq = t.seq; p_at = at; p_v = v } in
-  t.recs <- r :: t.recs;
-  t.seq <- t.seq + 1;
+  let seq = t.seq in
+  t.seq <- seq + 1;
   t.records <- t.records + 1;
   (* Write-ahead to the sink before the record hook can observe the
      append: the disk (or its simulation) sees the record no later than
      any side effect keyed on it. *)
-  (match t.sink with
-  | None -> ()
-  | Some s ->
-      s.put (encode_pending t r);
-      if (not (in_group t)) && t.records mod t.fsync_every = 0 then s.sync ());
+  t.sink.put (encode_line ~seq ~at (t.encode_payload v));
+  if (not (in_group t)) && t.records mod t.fsync_every = 0 then t.sink.sync ();
   match t.record_hook with None -> () | Some f -> f t.seq
 
 let compact t =
-  t.recs <- [];
   t.records <- 0;
-  t.torn <- None;
   t.synced_floor <- 0;
   t.group_start <- Option.map (fun _ -> 0) t.group_start
 
-let text t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf t.header;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun r ->
-      Buffer.add_string buf (encode_pending t r);
-      Buffer.add_char buf '\n')
-    (List.rev t.recs);
-  (match t.torn with None -> () | Some frag -> Buffer.add_string buf frag);
-  Buffer.contents buf
-
-let entries t = List.rev_map (fun r -> (r.p_at, r.p_v)) t.recs
-
-let drop_tail ?(torn = false) t ~records:n =
-  let n = min n t.records in
-  if n > 0 then begin
-    (* [t.recs] is newest first, so the first [n] are the ones lost. *)
-    let rec take k acc rest =
-      if k = 0 then (acc, rest)
-      else
-        match rest with
-        | [] -> (acc, [])
-        | r :: rest -> take (k - 1) (r :: acc) rest
-    in
-    let dropped_oldest_first, kept = take n [] t.recs in
-    t.recs <- kept;
-    t.records <- t.records - n;
-    if t.synced_floor > t.records then t.synced_floor <- t.records;
-    t.torn <-
-      (if torn then
-         match dropped_oldest_first with
-         | oldest :: _ ->
-             let line = encode_pending t oldest in
-             Some (String.sub line 0 (String.length line / 2))
-         | [] -> None
-       else None)
-  end
-
-let crash_cut t =
-  let unsynced = t.records - synced_records t in
-  if unsynced > 0 then drop_tail ~torn:true t ~records:unsynced;
-  unsynced
+let text_of_lines ~header lines =
+  String.concat "" (List.map (fun l -> l ^ "\n") (header :: lines))
 
 (* --------------------------------------------------------------- *)
 (* Decoding.  All helpers return options; nothing here may raise.  *)

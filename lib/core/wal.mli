@@ -1,11 +1,11 @@
-(** Generic write-ahead-log machinery: the CRC'd, group-committing,
-    crash-modelled record writer PR 3 built for the broker journal,
-    factored out so other control-plane components (the inter-domain
-    federation coordinator, for one) can journal their own record kinds
-    through the exact same durability model.
+(** Generic write-ahead-log machinery: the CRC'd, group-committing
+    record writer PR 3 built for the broker journal, factored out so
+    other control-plane components (the inter-domain federation
+    coordinator, for one) can journal their own record kinds through the
+    exact same durability model.
 
-    A log is parameterized by its header line and a payload codec; the
-    framing is identical to {!Journal}:
+    A log is parameterized by a payload codec; the record framing is
+    identical to {!Journal}:
 
     {v <crc32-hex> <seq> <at> <payload> v}
 
@@ -14,40 +14,33 @@
     lossless [%h] notation; [payload] is whatever [encode_payload]
     produced (it must not contain newlines).
 
-    {b Durability model} — exactly {!Journal}'s: the in-memory writer
-    mirrors a file fsynced every [fsync_every] records, group commits
-    hold records back until the group's single boundary, and
-    {!crash_cut} loses everything past the last boundary, leaving the
-    first lost record as a torn half-record.  {!parse} tolerates a torn
-    or corrupt tail by truncating at the first bad record and warning —
-    it never raises. *)
+    {b Durability model.}  The writer holds no records: it encodes each
+    one and writes it through its {!sink} (the segmented {!Storage} over
+    a {!Bbr_util.Vfs}), calling [sync] every [fsync_every] records, or
+    once at the end of the outermost {!group}.  What survives a crash is
+    whatever the sink made durable; the writer only keeps the counters
+    that say where the boundaries are.  {!parse} tolerates a torn or
+    corrupt tail by truncating at the first bad record and warning — it
+    never raises. *)
 
 type 'a t
 
 type sink = { put : string -> unit; sync : unit -> unit }
-(** A write-through target for encoded record lines (the storage layer).
-    [put] receives each record line (no newline) at append time — before
-    the {!on_record} hook fires, preserving write-ahead ordering — and
+(** The write-through target for encoded record lines.  [put] receives
+    each record line (no newline) at append time — before the
+    {!on_record} hook fires, preserving write-ahead ordering — and
     [sync] is called at every durability boundary ([fsync_every] when no
     group is open; the end of the outermost {!group} otherwise). *)
 
 val create :
-  ?fsync_every:int ->
-  header:string ->
-  encode_payload:('a -> string) ->
-  unit ->
-  'a t
-(** A fresh, empty log.  [fsync_every] (default 1) is the number of
-    records between durability boundaries.  Raises [Invalid_argument]
-    when [< 1]. *)
-
-val set_sink : 'a t -> sink option -> unit
-(** Attach (or detach) a write-through sink.  The in-memory log keeps
-    working exactly as before — the sink is the durable shadow. *)
+  ?fsync_every:int -> encode_payload:('a -> string) -> sink -> 'a t
+(** A fresh log writing through [sink].  [fsync_every] (default 1) is
+    the number of records between durability boundaries.  Raises
+    [Invalid_argument] when [< 1]. *)
 
 val append : 'a t -> at:float -> 'a -> unit
-(** Append one record stamped [at]; fires the {!on_record} hook with the
-    new {!appended_total}. *)
+(** Encode and write one record stamped [at]; fires the {!on_record}
+    hook with the new {!appended_total}. *)
 
 val group : 'a t -> (unit -> 'b) -> 'b
 (** Group commit: records appended while [f] runs become durable
@@ -59,38 +52,23 @@ val in_group : 'a t -> bool
     to tell the outermost {!group} from a nested one). *)
 
 val records : 'a t -> int
-(** Records currently in the log (since the last {!compact}). *)
+(** Records appended since the last {!compact}. *)
 
 val appended_total : 'a t -> int
-(** Records ever appended, across compactions. *)
+(** Records ever appended, across compactions — the next record's
+    sequence number. *)
 
 val synced_records : 'a t -> int
-(** Records up to the last durability boundary — what a crash right now
-    is guaranteed to keep. *)
+(** Records since the last {!compact} up to the last durability
+    boundary — what a crash right now is guaranteed to keep. *)
 
 val on_record : 'a t -> (int -> unit) -> unit
 (** Install a callback fired after every append with {!appended_total}
     (the crash-point-injection hook). *)
 
 val compact : 'a t -> unit
-(** Drop all records (their state is covered by a newer checkpoint). *)
-
-val text : 'a t -> string
-(** Serialize: header, records oldest first, then the torn fragment (no
-    trailing newline) if a crash left one. *)
-
-val entries : 'a t -> (float * 'a) list
-(** The undamaged records currently held, oldest first, as
-    [(at, payload)] — what {!parse} of {!text} would decode, without the
-    round trip. *)
-
-val drop_tail : ?torn:bool -> 'a t -> records:int -> unit
-(** Lose the newest [records] records (clamped); with [~torn:true] the
-    oldest lost record survives as a half-written fragment. *)
-
-val crash_cut : 'a t -> int
-(** Truncate to the last fsync boundary, leaving the first unsynced
-    record torn; returns the number of records lost. *)
+(** Restart the record counters: a newer checkpoint covers everything
+    appended so far. *)
 
 val encode_line : seq:int -> at:float -> string -> string
 (** One record line (without the newline) for an already-encoded
@@ -101,12 +79,17 @@ val seq_of_line : string -> int option
     CRC-clean — how the storage layer reads record identity without
     knowing the payload codec.  Never raises. *)
 
+val text_of_lines : header:string -> string list -> string
+(** A parseable log text from raw record lines (as the storage layer
+    returns them): [header], then each line newline-terminated. *)
+
 val parse :
   header:string ->
   decode_payload:(string list -> 'a option) ->
   string ->
   ((float * 'a) list * string option, string) result
-(** Decode a log.  [Error] only for a missing/bad header; anything wrong
-    after that — CRC mismatch, sequence gap, torn or malformed record —
-    truncates at the first bad record and comes back as
-    [Ok (prefix, Some warning)].  Never raises. *)
+(** Decode a log text: [header], then one record per line.  [Error] only
+    for a missing/bad header; anything wrong after that — CRC mismatch,
+    sequence gap, torn or malformed record — truncates at the first bad
+    record and comes back as [Ok (prefix, Some warning)].  Never
+    raises. *)

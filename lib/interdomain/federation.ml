@@ -5,6 +5,7 @@ module Path_mib = Bbr_broker.Path_mib
 module Flow_mib = Bbr_broker.Flow_mib
 module Audit = Bbr_broker.Audit
 module Wal = Bbr_broker.Wal
+module Storage = Bbr_broker.Storage
 module Obs_log = Bbr_broker.Obs_log
 module Trace = Bbr_obs.Trace
 module Flight = Bbr_obs.Flight
@@ -169,6 +170,7 @@ type t = {
   config : config;
   mutable faults : faults;
   mutable journal : rec_ Wal.t;
+  mutable store : Storage.t;  (* the journal's disk *)
   mutable pump_at : float;  (* due time of the armed pump timer; inf = disarmed *)
   mutable epoch : int;  (* bumped on coordinator crash; stale timers check it *)
   tspans : (int, Trace.span) Hashtbl.t;  (* live [bb.fed.txn] root spans *)
@@ -257,8 +259,17 @@ let decode_rec fields : rec_ option =
 
 let metric ?(labels = []) name = if Obs_log.active () then Obs_log.count name ~labels
 
+(* A coordinator journal writing through its own store on a fresh
+   fault-free in-memory disk. *)
+let fresh_journal config =
+  let store = Storage.create ~vfs:(Bbr_util.Vfs.create ()) () in
+  ( Wal.create ~fsync_every:config.fsync_every ~encode_payload:encode_rec
+      (Storage.sink store),
+    store )
+
 let create ?(time = Broker.immediate_time) ?(config = default_config) () =
   if config.fsync_every < 1 then invalid_arg "Federation.create: fsync_every must be >= 1";
+  let journal, store = fresh_journal config in
   {
     domains = Hashtbl.create 16;
     peerings = [];
@@ -270,9 +281,8 @@ let create ?(time = Broker.immediate_time) ?(config = default_config) () =
     time;
     config;
     faults = no_faults;
-    journal =
-      Wal.create ~fsync_every:config.fsync_every ~header:fed_header
-        ~encode_payload:encode_rec ();
+    journal;
+    store;
     pump_at = infinity;
     epoch = 0;
     tspans = Hashtbl.create 16;
@@ -1188,12 +1198,17 @@ let decision_digest t =
   in
   Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare lines)))
 
-let journal_text t = Wal.text t.journal
+let journal_tail t = Storage.tail_from t.store ~cover:0
+
+let text_of_tail tail = Wal.text_of_lines ~header:fed_header tail.Storage.lines
+
+let journal_text t = text_of_tail (journal_tail t)
 
 let journal_records t = Wal.records t.journal
 
 let crash_coordinator t =
-  let lost = Wal.crash_cut t.journal in
+  Storage.crash t.store;
+  let lost = Wal.records t.journal - (journal_tail t).Storage.records in
   t.epoch <- t.epoch + 1;
   (* Spans owned by the lost coordinator state would otherwise dangle
      open forever: close them with the crash marked. *)
@@ -1242,9 +1257,13 @@ type rstate = {
 }
 
 let recover_coordinator t =
-  match Wal.parse ~header:fed_header ~decode_payload:decode_rec (Wal.text t.journal) with
+  let tail = journal_tail t in
+  match Wal.parse ~header:fed_header ~decode_payload:decode_rec (text_of_tail tail) with
   | Error e -> Error e
-  | Ok (entries, replay_warning) ->
+  | Ok (entries, warning) ->
+      let replay_warning =
+        match tail.Storage.truncated with Some _ as why -> why | None -> warning
+      in
       let states : (int, rstate) Hashtbl.t = Hashtbl.create 64 in
       let st txn =
         match Hashtbl.find_opt states txn with
@@ -1311,14 +1330,12 @@ let recover_coordinator t =
       let replayed_digest =
         Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare digest_lines)))
       in
-      (* Rebuild the journal fresh from the parsed records: drops the torn
-         fragment, then keeps appending. *)
-      let journal =
-        Wal.create ~fsync_every:t.config.fsync_every ~header:fed_header
-          ~encode_payload:encode_rec ()
-      in
+      (* Rebuild the journal on a fresh store from the parsed records:
+         drops the torn fragment, then keeps appending. *)
+      let journal, store = fresh_journal t.config in
       List.iter (fun (at, r) -> Wal.append journal ~at r) entries;
       t.journal <- journal;
+      t.store <- store;
       let recovered_flows = ref 0 in
       let recovery_aborts = ref 0 in
       let requeued = ref 0 in

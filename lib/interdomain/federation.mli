@@ -61,8 +61,9 @@
     [commit]/[abort] at it, per-domain [cack]/[rack] as commit
     notifications and compensations drain, [closed] when a transaction
     has no obligations left.  {!crash_coordinator} models a coordinator
-    crash (state wiped, journal truncated at the last fsync boundary
-    with a torn tail); {!recover_coordinator} replays the journal:
+    crash (state wiped, the journal's store crashed with
+    {!Bbr_broker.Storage.crash}, so it keeps its last fsync boundary
+    plus a torn half of the unsynced suffix); {!recover_coordinator} replays the journal:
     committed transactions come back with their SLA usage, undecided
     ones are resolved to compensation, and every unacknowledged
     obligation is re-queued.  With [fsync_every = 1] the recovered
@@ -307,7 +308,8 @@ val decision_digest : t -> string
     excluded. *)
 
 val journal_text : t -> string
-(** The coordinator's write-ahead journal, serialized. *)
+(** The coordinator's write-ahead journal, read back from its store:
+    the header, then the intact record chain. *)
 
 val journal_records : t -> int
 
@@ -326,9 +328,10 @@ type recovery = {
 
 val crash_coordinator : t -> int
 (** Model a coordinator crash: every in-flight transaction, flow record,
-    SLA usage figure and queued obligation is lost; the journal is
-    truncated at its last fsync boundary, the first lost record
-    surviving torn.  Returns the number of journal records lost.
+    SLA usage figure and queued obligation is lost; the journal's store
+    crashes ({!Bbr_broker.Storage.crash}).  Returns the number of
+    journal records lost: those appended minus those still intact in the
+    store.
     Undelivered [on_decision] callbacks are dropped (the requesting
     edge's own COPS timeout covers that).  Domain brokers are untouched. *)
 
@@ -338,7 +341,8 @@ val recover_coordinator : t -> (recovery, string) result
     undecided ones are resolved to compensation (journaled as such), and
     every unacknowledged obligation is re-queued and re-sent.  [Error]
     only for an unreadable journal (bad header).  The journal is
-    compacted to the replayed state and keeps appending. *)
+    rebuilt on a fresh store from the replayed records and keeps
+    appending. *)
 
 val pp_report : report Fmt.t
 

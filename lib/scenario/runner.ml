@@ -205,7 +205,7 @@ let run sc =
      plus a longer replay and the digest still matches. *)
   let store = Storage.create ~vfs:(Vfs.create ~seed:sc.Scenario.seed ()) () in
   let journal = Journal.create ~fsync_every:1 ~storage:store () in
-  let fw = Failover.create ~make_standby:make ~time ~journal ~storage:store (make ()) in
+  let fw = Failover.create ~make_standby:make ~time ~journal (make ()) in
   Failover.start_checkpoints fw ~every:(Float.max 5. (sc.Scenario.duration /. 50.));
   let ov =
     Ov.create ~config:sc.Scenario.pipeline

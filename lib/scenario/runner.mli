@@ -29,7 +29,7 @@ type outcome = {
   unresolved : int;
   promote_error : string option;
   checkpoint_fallback : bool;
-      (** a storage-mode promotion skipped a corrupt/unverifiable
+      (** a promotion skipped a corrupt/unverifiable
           checkpoint generation (expected under a
           {!Scenario.fault.Disk_fault}) *)
   storage_scrub_errors : int;

@@ -1,31 +1,26 @@
 (* Standard reflected CRC-32 (polynomial 0xEDB88320), one table lookup
    per byte.  Results match zlib's crc32 / POSIX cksum -o 3. *)
 
+(* Built at module initialisation, before any domain can be spawned: a
+   [lazy] table forced by two domains at once raises
+   [CamlinternalLazy.Undefined] in one of them. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
+(* Native ints (at least 63 bits) hold every 32-bit intermediate, so the
+   loop allocates nothing. *)
 let string s =
-  let table = Lazy.force table in
-  let crc = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
-    s;
-  let v = Int32.logxor !crc 0xFFFFFFFFl in
-  (* Back to a non-negative native int (OCaml ints are >= 63 bits). *)
-  Int32.to_int v land 0xFFFFFFFF
+  let crc = ref 0xFFFFFFFF in
+  for i = 0 to String.length s - 1 do
+    crc :=
+      table.((!crc lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
 
 let to_hex v = Printf.sprintf "%08x" (v land 0xFFFFFFFF)
 

@@ -35,7 +35,8 @@ type config = {
   journal : bool;
       (** write-ahead journal every broker mutation; promotion then
           replays the journal tail on top of the checkpoint, so a crash
-          loses only records past the last fsync boundary *)
+          loses only what {!Bbr_broker.Storage.crash} tears from the
+          journal's store past its last fsync boundary *)
   journal_fsync_every : int;
       (** journal durability boundary (records per fsync); 1 = every
           record survives a crash *)
@@ -43,17 +44,6 @@ type config = {
       (** crash the broker the instant the [n]-th journal record is
           appended — exact record-boundary crash-point injection (implies
           journaling even when [journal = false]) *)
-  storage : bool;
-      (** back the journal and checkpoints with a real (simulated) disk:
-          a seeded {!Bbr_util.Vfs} under a segmented
-          {!Bbr_broker.Storage}.  Implies journaling.  A crash then tears
-          the disk at its last fsync ({!Bbr_broker.Storage.crash}) and
-          promotion recovers from the store alone — newest verifiable
-          checkpoint generation plus longest intact record suffix *)
-  storage_rotate_every : int;  (** records per journal segment *)
-  corrupt_checkpoint : bool;
-      (** additionally rot one bit of the newest checkpoint generation at
-          crash time, forcing recovery through the prior generation *)
 }
 
 val default_config : config
@@ -79,7 +69,8 @@ type outcome = {
   journal_records_at_crash : int;
       (** journal tail length when the broker died (0 when not journaling) *)
   journal_records_lost : int;
-      (** records past the last fsync boundary, dropped by the crash *)
+      (** records appended since the last checkpoint minus those the
+          crashed store still holds intact *)
   digest_at_crash : string option;
       (** {!Bbr_broker.Audit.mib_digest} of the dying primary — the
           recovery oracle; [None] when not journaling *)
@@ -87,12 +78,12 @@ type outcome = {
       (** digest of the promoted standby; equals [digest_at_crash] iff
           recovery was exact (always, when [journal_fsync_every = 1]) *)
   storage_fallback : bool;
-      (** storage-mode recovery had to skip a corrupt/unverifiable
-          checkpoint generation *)
+      (** recovery had to skip a corrupt/unverifiable checkpoint
+          generation *)
   storage_truncated : string option;
-      (** why the storage-mode replay suffix stopped early, if it did *)
+      (** why the replayed record suffix stopped early, if it did *)
   storage_quarantined : int;
-      (** sealed segments quarantined during storage-mode recovery *)
+      (** sealed segments quarantined during recovery *)
 }
 
 val pp_outcome : outcome Fmt.t

@@ -6,7 +6,6 @@ module Trace = Bbr_obs.Trace
 module Trace_export = Bbr_obs.Trace_export
 module Flight = Bbr_obs.Flight
 module Exporter = Bbr_obs.Exporter
-module Sampler = Bbr_obs.Sampler
 module Json = Bbr_util.Json
 module Stats = Bbr_util.Stats
 module Static = Bbr_workload.Static
@@ -421,32 +420,6 @@ let test_flight_box_round_trip () =
                 [ "bb.e"; "bb.request"; "bb.flight.trigger" ]))
 
 (* ------------------------------------------------------------------ *)
-(* Sampler *)
-
-let test_sampler_series () =
-  let engine = Engine.create () in
-  let v = ref 0. in
-  let s =
-    Sampler.create ~interval:1.0
-      ~now:(fun () -> Engine.now engine)
-      ~schedule:(fun delay f -> Engine.schedule_after engine ~delay f)
-      ()
-  in
-  Sampler.add_series s ~name:"v" (fun () -> !v);
-  Sampler.start s;
-  Engine.schedule engine ~at:2.5 (fun () -> v := 10.);
-  Engine.schedule engine ~at:4.5 (fun () -> Sampler.stop s);
-  Engine.run ~until:10. engine;
-  match Sampler.series s with
-  | [ (name, _, points) ] ->
-      Alcotest.(check string) "series name" "v" name;
-      Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-        "sampled each second until stop"
-        [ (1., 0.); (2., 0.); (3., 10.); (4., 10.) ]
-        points
-  | _ -> Alcotest.fail "expected one series"
-
-(* ------------------------------------------------------------------ *)
 (* Integration: the instrumented control loop *)
 
 let test_fig8_fill_counters () =
@@ -662,7 +635,6 @@ let () =
           Alcotest.test_case "flight box round-trip" `Quick
             test_flight_box_round_trip;
         ] );
-      ("sampler", [ Alcotest.test_case "series" `Quick test_sampler_series ]);
       ( "integration",
         [
           Alcotest.test_case "fig8 fill counters" `Quick test_fig8_fill_counters;

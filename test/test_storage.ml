@@ -148,7 +148,7 @@ let fixture ?(seed = 42) ?(n = 42) ?(rotate_every = 5) () =
   let j = Journal.create ~fsync_every:1 ~storage:st () in
   let broker = mk_broker (two_path ()) in
   let fw =
-    Failover.create ~make_standby:fresh_replica ~journal:j ~storage:st broker
+    Failover.create ~make_standby:fresh_replica ~journal:j broker
   in
   let per_flow = ref [] in
   let last_class = ref None in
