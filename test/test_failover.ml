@@ -317,6 +317,40 @@ let test_snapshot_restore_atomic () =
   | Error _ -> ());
   Alcotest.(check int) "still untouched" 0 (Broker.per_flow_count target)
 
+(* Per-flow snapshot lines and [admit] journal records name their links
+   and are booked verbatim; links that do not run from the request's
+   ingress to its egress are refused, not booked. *)
+let test_restore_rejects_stray_links () =
+  let t = Topology.create () in
+  List.iter
+    (fun (src, dst) ->
+      ignore (Topology.add_link t ~src ~dst ~capacity:100_000. Topology.Rate_based))
+    [ ("A", "B"); ("B", "C"); ("X", "C") ];
+  let target = Broker.create t in
+  let flow links = Printf.sprintf "bbr-snapshot v1\nflow 0 1000. 8000. 9000. 1000. 1. A C 8000. 0. %s\n" links in
+  List.iter
+    (fun (what, links) ->
+      (match Snapshot.restore target (flow links) with
+      | Ok _ -> Alcotest.failf "%s must be rejected" what
+      | Error _ -> ());
+      let record =
+        Bbr_broker.Journal.encode ~seq:0 ~at:0.
+          (Broker.Admit
+             { flow = 0; request = req ~ingress:"A" ~egress:"C" ~dreq:1. ();
+               rate = 8000.; delay = 0.; links = List.map int_of_string (String.split_on_char ',' links) })
+      in
+      (match Bbr_broker.Journal.replay target (Bbr_broker.Journal.text_of_lines [ record ]) with
+      | Ok _ -> Alcotest.failf "journaled %s must be rejected" what
+      | Error _ -> ());
+      Alcotest.(check int) (what ^ ": target untouched") 0 (Broker.per_flow_count target))
+    [ ("a path ending short of the egress", "0");
+      ("a path leaving from another node", "2");
+      ("a disconnected path", "0,2") ];
+  match Snapshot.restore target (flow "0,1") with
+  | Ok 1 -> Alcotest.(check int) "the A-B-C path restores" 1 (Broker.per_flow_count target)
+  | Ok n -> Alcotest.failf "restored %d entries" n
+  | Error e -> Alcotest.failf "the A-B-C path was refused: %s" e
+
 let test_snapshot_preserves_flow_ids () =
   let topo = Fig8.topology `Rate_only in
   let primary = Broker.create topo in
@@ -658,6 +692,7 @@ let () =
         [
           Alcotest.test_case "restore is atomic" `Quick test_snapshot_restore_atomic;
           Alcotest.test_case "preserves flow ids" `Quick test_snapshot_preserves_flow_ids;
+          Alcotest.test_case "rejects stray links" `Quick test_restore_rejects_stray_links;
           QCheck_alcotest.to_alcotest prop_snapshot_round_trip_mixed;
         ] );
       ( "failover",
