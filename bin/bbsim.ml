@@ -840,92 +840,33 @@ let audit_cmd =
     Term.(
       const run_audit $ setting $ cd $ scheme $ seed $ load $ duration $ strict)
 
-(* --- overload --------------------------------------------------------- *)
+(* --- lease -------------------------------------------------------------- *)
 
-let overload_factor =
-  Arg.(
-    value
-    & opt float 10.
-    & info [ "overload" ] ~docv:"X"
-        ~doc:"Offered load as a multiple of the base arrival rate.")
-
-let flat =
-  Arg.(
-    value & flag
-    & info [ "flat" ]
-        ~doc:
-          "Disable the brownout controller: every decision pays the exact \
-           O(M) service time (the degradation baseline).")
-
-let partition =
-  Arg.(
-    value & flag
-    & info [ "partition" ]
-        ~doc:
-          "Run the lease-partition soak instead: an edge broker falls \
-           silent mid-run and its delegated quota must return to the \
-           shared pool within one lease period.")
-
-let overload_journal =
-  Arg.(
-    value & flag
-    & info [ "journal" ]
-        ~doc:
-          "Journal the run and verify that replaying the journal into a \
-           fresh broker reproduces the final MIB digest.")
-
-let overload_strict =
+let lease_strict =
   Arg.(
     value & flag
     & info [ "strict" ]
         ~doc:
-          "Exit non-zero unless the soak held its invariants: zero oracle \
-           violations, zero unresolved transactions, non-zero sheds, a \
-           clean audit (and, with $(b,--journal), a digest-exact replay); \
-           with $(b,--partition): reclaim within one lease period, zero \
-           stale leases, a clean audit.")
+          "Exit non-zero unless the soak held its invariants: reclaim \
+           within one lease period, zero stale leases, a clean audit.")
 
-let run_overload setting seed overload flat partition journal strict out format trace
-    flight =
-  let module Ovw = Bbr_workload.Overload in
-  if partition then begin
-    let o =
-      Ovw.run_partition { Ovw.default_partition_config with Ovw.p_seed = seed }
-    in
-    Fmt.pr "%a@." Ovw.pp_partition_outcome o;
-    let ok =
-      o.Ovw.reclaimed_within_period && o.Ovw.stale_leases = 0
-      && Audit.ok o.Ovw.p_audit
-    in
-    if strict && not ok then exit 1
-  end
-  else begin
-    let cfg =
-      { Ovw.default_config with Ovw.seed; setting; overload; brownout = not flat; journal }
-    in
-    let o = with_obs ~out ~format ~trace ~flight (fun () -> Ovw.run cfg) in
-    Fmt.pr "%a@." Ovw.pp_outcome o;
-    let shed = Bbr_broker.Overload.shed_total o.Ovw.pipeline in
-    let ok =
-      o.Ovw.oracle_violations = 0 && o.Ovw.unresolved = 0 && shed > 0
-      && Audit.ok o.Ovw.audit
-      && (match o.Ovw.journal_digest_match with Some false -> false | _ -> true)
-    in
-    if strict && not ok then exit 1
-  end
-
-let overload_cmd =
-  let doc =
-    "Push a sustained overload through the bounded admission pipeline \
-     (deadline shedding, brownout degradation, Server-busy backpressure), \
-     shadowed by the exact admission oracle; or, with $(b,--partition), \
-     run the lease-reclaim soak."
+let run_lease seed strict =
+  let module Lease_soak = Bbr_workload.Lease_soak in
+  let o = Lease_soak.run { Lease_soak.default_config with Lease_soak.seed } in
+  Fmt.pr "%a@." Lease_soak.pp_outcome o;
+  let ok =
+    o.Lease_soak.reclaimed_within_period && o.Lease_soak.stale_leases = 0
+    && Audit.ok o.Lease_soak.audit
   in
-  Cmd.v (Cmd.info "overload" ~doc)
-    Term.(
-      const run_overload $ setting $ seed $ overload_factor $ flat $ partition
-      $ overload_journal $ overload_strict $ metrics_out $ metrics_format
-      $ trace_out $ flight_out)
+  if strict && not ok then exit 1
+
+let lease_cmd =
+  let doc =
+    "Run the lease-partition soak: two edge brokers admit from leased \
+     quota, one falls silent mid-run, and its delegated quota must return \
+     to the shared pool within one lease period."
+  in
+  Cmd.v (Cmd.info "lease" ~doc) Term.(const run_lease $ seed $ lease_strict)
 
 (* --- federation ------------------------------------------------------- *)
 
@@ -1012,20 +953,17 @@ let federation_cmd =
 let scenario_list =
   Arg.(
     value & flag
-    & info [ "list" ] ~doc:"List the named scenarios in the matrix and exit.")
-
-let scenario_matrix =
-  Arg.(
-    value & flag
-    & info [ "matrix" ]
-        ~doc:"Run the whole scenario matrix (the default when no $(b,--name) is given).")
+    & info [ "list" ]
+        ~doc:"List the named scenarios (the matrix, then the Figure-10 ones) and exit.")
 
 let scenario_names =
   Arg.(
     value
     & opt_all string []
     & info [ "name" ] ~docv:"NAME"
-        ~doc:"Run one named scenario (repeatable).  See $(b,--list).")
+        ~doc:
+          "Run one named scenario (repeatable; without it, the seven-scenario \
+           matrix).  See $(b,--list).")
 
 let scenario_scale =
   Arg.(
@@ -1053,14 +991,14 @@ let scenario_strict =
            violations outside declared fault windows, every recovery SLO \
            met, clean final audit, no unresolved transactions.")
 
-let run_scenario list_ matrix names scale out_path strict out format trace flight =
+let run_scenario list_ names scale out_path strict out format trace flight =
   let module Sc = Bbr_scenario.Scenario in
   let module Matrix = Bbr_scenario.Matrix in
   let module Runner = Bbr_scenario.Runner in
   if list_ then
     List.iter
       (fun s -> Fmt.pr "%-26s %s@." s.Sc.name s.Sc.descr)
-      Matrix.scenarios
+      (Matrix.scenarios @ Matrix.fig10)
   else begin
     let scale =
       match scale with
@@ -1081,7 +1019,6 @@ let run_scenario list_ matrix names scale out_path strict out format trace fligh
         Fmt.epr "error: unknown scenario(s): %s (try --list)@."
           (String.concat ", " unknown);
         exit exit_parse);
-    ignore matrix;
     let outcomes =
       with_obs ~out ~format ~trace ~flight (fun () ->
           Matrix.run_all ~scale ~names ())
@@ -1106,14 +1043,15 @@ let scenario_cmd =
   let doc =
     "Execute composed chaos campaigns — diurnal and flash-crowd load, \
      regional link failures, broker crash + warm-standby promotion, \
-     partitions — over power-law ISP topologies, with a standing \
-     invariant monitor sampling MIB audit and admission-oracle health \
-     throughout and a recovery-SLO oracle judging every injected event's \
-     time-to-recovery."
+     partitions — over power-law ISP topologies, or the paper's Figure-10 \
+     churn under link failure, crash at a journal record and overload, \
+     with a standing invariant monitor sampling MIB audit and \
+     admission-oracle health throughout and a recovery-SLO oracle judging \
+     every injected event's time-to-recovery."
   in
   Cmd.v (Cmd.info "scenario" ~doc)
     Term.(
-      const run_scenario $ scenario_list $ scenario_matrix $ scenario_names
+      const run_scenario $ scenario_list $ scenario_names
       $ scenario_scale $ scenario_out $ scenario_strict $ metrics_out
       $ metrics_format $ trace_out $ flight_out)
 
@@ -1181,7 +1119,7 @@ let () =
             recover_cmd;
             scrub_cmd;
             audit_cmd;
-            overload_cmd;
+            lease_cmd;
             federation_cmd;
             scenario_cmd;
             trace_cmd;

@@ -17,7 +17,7 @@ type anomaly = { at : float; kind : kind; detail : string; expected : bool }
 
 type t = {
   now : unit -> float;
-  windows : (float * float) list;
+  mutable windows : (float * float) list;
   mutable anomalies : anomaly list;  (* newest first *)
   mutable sampling : bool;
   mutable samples : int;
@@ -26,10 +26,13 @@ type t = {
 let create ~now ~windows () =
   { now; windows; anomalies = []; sampling = false; samples = 0 }
 
+let add_window t w = t.windows <- w :: t.windows
+
 let note t kind detail =
   let at = t.now () in
-  (* A digest mismatch is never expected: with a lossless journal,
-     recovery must be digest-exact even inside a fault window. *)
+  (* A digest mismatch is never expected: the runner notes one only
+     under a lossless journal, where recovery must be digest-exact even
+     inside a fault window. *)
   let expected =
     kind <> Digest_mismatch && Scenario.in_windows t.windows at
   in

@@ -11,7 +11,9 @@
 type kind =
   | Audit_violation  (** MIB cross-check found a violation *)
   | Oracle_violation  (** pipeline admitted what the exact oracle rejects *)
-  | Digest_mismatch  (** recovered broker digest ≠ pre-crash digest *)
+  | Digest_mismatch
+      (** recovered broker digest ≠ pre-crash digest under a lossless
+          journal *)
   | Goodput_floor  (** goodput below floor outside any fault window *)
 
 val kind_label : kind -> string
@@ -27,6 +29,10 @@ type t
 
 val create :
   now:(unit -> float) -> windows:(float * float) list -> unit -> t
+
+val add_window : t -> float * float -> unit
+(** Declare one more expected-degradation window — for an event whose
+    instant is known only once it fires. *)
 
 val note : t -> kind -> string -> unit
 (** Record one violation observed now; fires {!Bbr_obs.Flight.trigger}

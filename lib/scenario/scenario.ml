@@ -2,7 +2,7 @@ module Ov = Bbr_broker.Overload
 module Fig8 = Bbr_workload.Fig8
 
 type topology_spec =
-  | Fig8 of Fig8.setting
+  | Fig8 of { setting : Fig8.setting; detour : bool }
   | Power_law of { nodes : int; m : int }
 
 type load_shape =
@@ -17,10 +17,13 @@ type load_shape =
       fall : float;
     }
 
+type crash_point = At of float | At_record of int
+
 type fault =
   | Regional_links of { at : float; duration : float; count : int }
+  | Links of { at : float; duration : float; ends : (string * string) list }
   | Partition of { at : float; duration : float; leaves : int }
-  | Broker_crash of { at : float; promote_after : float }
+  | Broker_crash of { at : crash_point; promote_after : float }
   | Disk_fault of { at : float; duration : float }
 
 type slo = {
@@ -43,7 +46,10 @@ type t = {
   duration : float;
   horizon : float;
   latency : float;
+  loss : float;
   pipeline : Ov.config;
+  checkpoint_every : float option;
+  journal : int option;
   faults : fault list;
   slo : slo;
 }
@@ -59,6 +65,7 @@ let default =
     duration = 600.;
     horizon = 900.;
     latency = 0.005;
+    loss = 0.;
     pipeline =
       {
         Ov.default_config with
@@ -70,6 +77,8 @@ let default =
         retry_after = 5.;
         batch_limit = 4;
       };
+    checkpoint_every = Some 12.;
+    journal = Some 1;
     faults = [];
     slo = default_slo;
   }
@@ -116,32 +125,43 @@ let rec flash_events = function
         healed_at = at +. rise +. hold +. fall }
       :: flash_events shape
 
+let crash_event ~at ~promote_after =
+  { label = "broker-crash"; injected_at = at; healed_at = at +. promote_after }
+
 let fault_event = function
   | Regional_links { at; duration; count } ->
-      { label = Printf.sprintf "regional-links-%d" count; injected_at = at;
-        healed_at = at +. duration }
+      Some
+        { label = Printf.sprintf "regional-links-%d" count; injected_at = at;
+          healed_at = at +. duration }
+  | Links { at; duration; ends } ->
+      Some
+        { label = Printf.sprintf "links-%d" (List.length ends); injected_at = at;
+          healed_at = at +. duration }
   | Partition { at; duration; leaves } ->
-      { label = Printf.sprintf "partition-%d" leaves; injected_at = at;
-        healed_at = at +. duration }
-  | Broker_crash { at; promote_after } ->
-      { label = "broker-crash"; injected_at = at; healed_at = at +. promote_after }
+      Some
+        { label = Printf.sprintf "partition-%d" leaves; injected_at = at;
+          healed_at = at +. duration }
+  | Broker_crash { at = At at; promote_after } -> Some (crash_event ~at ~promote_after)
+  | Broker_crash { at = At_record _; _ } -> None
   | Disk_fault { at; duration } ->
-      { label = "disk-fault"; injected_at = at; healed_at = at +. duration }
+      Some { label = "disk-fault"; injected_at = at; healed_at = at +. duration }
 
-let events t = flash_events t.load @ List.map fault_event t.faults
+let events t = flash_events t.load @ List.filter_map fault_event t.faults
 
 let grace slo =
   Float.max slo.recover_goodput (Float.max slo.clean_audit slo.brownout_exit)
 
-let windows t =
-  List.map (fun e -> (e.injected_at, e.healed_at +. grace t.slo)) (events t)
+let window slo e = (e.injected_at, e.healed_at +. grace slo)
+
+let windows t = List.map (window t.slo) (events t)
 
 let in_windows ws at = List.exists (fun (lo, hi) -> at >= lo && at <= hi) ws
 
 (* ------------------------------------------------------------------ *)
 (* Smoke-scale knob: shrink a scenario by [k] (durations, topology size,
    event instants) without changing its structure.  [k = 1.] is
-   identity. *)
+   identity.  The checkpoint period floors at 5 s so a smoke run does not
+   checkpoint every second. *)
 
 let scale k t =
   if k <= 0. then invalid_arg "Scenario.scale: factor must be positive";
@@ -160,10 +180,12 @@ let scale k t =
     let scale_fault = function
       | Regional_links { at; duration; count } ->
           Regional_links { at = f at; duration = f duration; count }
+      | Links { at; duration; ends } -> Links { at = f at; duration = f duration; ends }
       | Partition { at; duration; leaves } ->
           Partition { at = f at; duration = f duration; leaves }
-      | Broker_crash { at; promote_after } ->
-          Broker_crash { at = f at; promote_after }
+      | Broker_crash { at = At at; promote_after } ->
+          Broker_crash { at = At (f at); promote_after }
+      | Broker_crash { at = At_record _; _ } as crash -> crash
       | Disk_fault { at; duration } ->
           Disk_fault { at = f at; duration = f duration }
     in
@@ -171,13 +193,14 @@ let scale k t =
       t with
       topology =
         (match t.topology with
-        | Fig8 s -> Fig8 s
+        | Fig8 _ as fig8 -> fig8
         | Power_law { nodes; m } ->
             Power_law { nodes = Stdlib.max 16 (int_of_float (float_of_int nodes /. k)); m });
       load = scale_load t.load;
       mean_holding = f t.mean_holding;
       duration = f t.duration;
       horizon = f t.horizon;
+      checkpoint_every = Option.map (fun c -> Float.max 5. (f c)) t.checkpoint_every;
       faults = List.map scale_fault t.faults;
       slo =
         {
