@@ -86,7 +86,7 @@ let create ?policy ?(classes = []) ?(method_ = Aggregate.Feedback) ?time
   let policy = match policy with Some p -> p | None -> Policy.create () in
   let time = Option.value ~default:immediate_time time in
   let node_mib = Node_mib.create topology in
-  let path_mib = Path_mib.create topology node_mib in
+  let path_mib = Path_mib.create node_mib in
   let cache =
     if fast_path then Some (Admission_cache.create node_mib path_mib) else None
   in

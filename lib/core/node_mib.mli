@@ -37,7 +37,8 @@ val release : t -> link_id:int -> float -> unit
 
 val on_change : t -> (link_id:int -> unit) -> unit
 (** Register a hook invoked after every {!reserve}/{!release} — used by
-    {!Path_mib} to keep the per-path residual-bandwidth caches fresh. *)
+    {!Admission_cache} to bump the link's epoch so cached path states
+    revalidate lazily. *)
 
 val total_reserved : t -> float
 (** Sum over links (diagnostics). *)

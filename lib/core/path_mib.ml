@@ -10,46 +10,21 @@ type info = {
 }
 
 (* Arena layout: path ids are dense (allocated 0,1,2,... and never freed —
-   a registered path lives for the broker's lifetime), so the per-path
-   tables are plain arrays indexed by path id: [by_id] for the info
-   records, [cres] an unboxed float array for the cached min-residual.
-   [through] is indexed by link id (dense in the topology) and holds the
-   paths crossing each link, consulted on every reservation change.  Only
-   the by-links lookup stays a Hashtbl — its key is a link-id sequence. *)
+   a registered path lives for the broker's lifetime), so [by_id] is a
+   plain array indexed by path id.  Only the by-links lookup stays a
+   Hashtbl — its key is a link-id sequence.  No per-path residual is
+   stored: [residual] reads [C_res] from the node MIB on demand, so a
+   reservation change costs nothing here however many paths cross the
+   link. *)
 type t = {
   node_mib : Node_mib.t;
   mutable by_id : info option array;  (* path_id -> info *)
-  mutable cres : float array;  (* path_id -> cached min residual *)
-  mutable through : info list array;  (* link_id -> paths crossing it *)
   by_links : (int list, info) Hashtbl.t;
   mutable next_id : int;
 }
 
-let recompute t info =
-  let cres =
-    List.fold_left
-      (fun acc (l : Topology.link) ->
-        Float.min acc (Node_mib.residual t.node_mib ~link_id:l.Topology.link_id))
-      infinity info.links
-  in
-  t.cres.(info.path_id) <- cres
-
-let create topology node_mib =
-  ignore topology;
-  let t =
-    {
-      node_mib;
-      by_id = Array.make 16 None;
-      cres = Array.make 16 nan;
-      through = [||];
-      by_links = Hashtbl.create 16;
-      next_id = 0;
-    }
-  in
-  Node_mib.on_change node_mib (fun ~link_id ->
-      if link_id < Array.length t.through then
-        List.iter (recompute t) t.through.(link_id));
-  t
+let create node_mib =
+  { node_mib; by_id = Array.make 16 None; by_links = Hashtbl.create 16; next_id = 0 }
 
 let rec connected = function
   | [] | [ _ ] -> true
@@ -58,22 +33,9 @@ let rec connected = function
 
 let grow_paths t =
   let old = Array.length t.by_id in
-  let cap = 2 * old in
-  let infos = Array.make cap None in
+  let infos = Array.make (2 * old) None in
   Array.blit t.by_id 0 infos 0 old;
-  t.by_id <- infos;
-  let residuals = Array.make cap nan in
-  Array.blit t.cres 0 residuals 0 old;
-  t.cres <- residuals
-
-let grow_through t link_id =
-  let old = Array.length t.through in
-  if link_id >= old then begin
-    let cap = max 16 (max (2 * old) (link_id + 1)) in
-    let grown = Array.make cap [] in
-    Array.blit t.through 0 grown 0 old;
-    t.through <- grown
-  end
+  t.by_id <- infos
 
 let register_links t links =
   let key = List.map (fun (l : Topology.link) -> l.Topology.link_id) links in
@@ -94,13 +56,6 @@ let register_links t links =
       if info.path_id >= Array.length t.by_id then grow_paths t;
       t.by_id.(info.path_id) <- Some info;
       Hashtbl.replace t.by_links key info;
-      List.iter
-        (fun (l : Topology.link) ->
-          let id = l.Topology.link_id in
-          grow_through t id;
-          t.through.(id) <- info :: t.through.(id))
-        links;
-      recompute t info;
       info
 
 let register t links =
@@ -113,9 +68,12 @@ let register_segment t links =
   register_links t links
 
 let residual t info =
-  if info.path_id >= t.next_id then invalid_arg "Path_mib.residual: unregistered path";
-  let c = t.cres.(info.path_id) in
-  if Float.is_nan c then invalid_arg "Path_mib.residual: unregistered path" else c
+  if info.path_id < 0 || info.path_id >= t.next_id then
+    invalid_arg "Path_mib.residual: unregistered path";
+  List.fold_left
+    (fun acc (l : Topology.link) ->
+      Float.min acc (Node_mib.residual t.node_mib ~link_id:l.Topology.link_id))
+    infinity info.links
 
 let find t ~path_id =
   if path_id < 0 || path_id >= t.next_id then None else t.by_id.(path_id)

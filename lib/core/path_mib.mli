@@ -1,11 +1,14 @@
 (** Path QoS state information base (paper Section 2.2).
 
-    For every ingress→egress path in use, the broker caches the path-level
-    quantities that make the admissibility tests fast: hop counts, the sum
-    of error terms and propagation delays [D_tot], and the {e minimal
-    residual bandwidth along the path} [C_res] — updated incrementally
-    whenever a reservation changes on any link of the path, so the
-    rate-based admissibility test of Section 3.1 is O(1). *)
+    For every ingress→egress path in use, the broker keeps the static
+    path-level quantities that make the admissibility tests fast: hop
+    counts and the sum of error terms and propagation delays [D_tot].  The
+    {e minimal residual bandwidth along the path} [C_res] is not maintained
+    incrementally: it is read on demand as the min over the path's [h]
+    links of the node MIB's residual — O(h), independent of how many flows
+    and paths the broker holds, which is the paper's scalability axis.  A
+    reservation change therefore costs nothing here, however many paths
+    cross the link. *)
 
 type info = {
   path_id : int;
@@ -18,8 +21,8 @@ type info = {
 
 type t
 
-val create : Bbr_vtrs.Topology.t -> Node_mib.t -> t
-(** Registers the cache-maintenance hook with the node MIB. *)
+val create : Node_mib.t -> t
+(** An empty path MIB reading link residuals from the given node MIB. *)
 
 val register : t -> Bbr_vtrs.Topology.link list -> info
 (** Register (or look up) a path.  Paths are deduplicated by their link-id
@@ -35,7 +38,9 @@ val register_segment : t -> Bbr_vtrs.Topology.link list -> info
     empty link list. *)
 
 val residual : t -> info -> float
-(** Cached [C_res^P = min over links of (capacity - reserved)] — O(1). *)
+(** [C_res^P = min over links of (capacity - reserved)], read from the node
+    MIB — O(h).  Raises [Invalid_argument] for a path this MIB never
+    registered. *)
 
 val find : t -> path_id:int -> info option
 (** O(1) id lookup. *)

@@ -15,37 +15,45 @@ let create topology path_mib =
     seen_version = Topology.state_version topology;
   }
 
-(* Breadth-first search: minimum hop count over the links currently up;
-   neighbours are explored in link insertion order, so the first path found
-   is deterministic. *)
+(* Breadth-first search on dense node indices: minimum hop count over the
+   links currently up; neighbours are explored in link insertion order, so
+   the first path found is deterministic.  [parent.(v)] is the id of the
+   link that first reached node [v]; the path is read back from the
+   egress. *)
 let bfs topology ~ingress ~egress =
-  if not (Topology.mem_node topology ingress && Topology.mem_node topology egress)
-  then None
-  else if ingress = egress then None
-  else begin
-    let visited = Hashtbl.create 16 in
-    Hashtbl.replace visited ingress ();
-    let frontier = Queue.create () in
-    Queue.add (ingress, []) frontier;
-    let result = ref None in
-    while !result = None && not (Queue.is_empty frontier) do
-      let node, rev_path = Queue.take frontier in
-      List.iter
-        (fun (link : Topology.link) ->
-          if
-            !result = None
-            && Topology.link_is_up topology ~link_id:link.Topology.link_id
-            && not (Hashtbl.mem visited link.Topology.dst)
-          then begin
-            Hashtbl.replace visited link.Topology.dst ();
-            let rev_path' = link :: rev_path in
-            if link.Topology.dst = egress then result := Some (List.rev rev_path')
-            else Queue.add (link.Topology.dst, rev_path') frontier
-          end)
-        (Topology.out_links topology node)
-    done;
-    !result
-  end
+  match (Topology.node_ix topology ingress, Topology.node_ix topology egress) with
+  | exception Not_found -> None
+  | src, dst when src = dst -> None
+  | src, dst ->
+      let n = Topology.num_nodes topology in
+      let visited = Array.make n false in
+      let parent = Array.make n (-1) in
+      let queue = Array.make n src in
+      visited.(src) <- true;
+      let head = ref 0 and tail = ref 1 in
+      while (not visited.(dst)) && !head < !tail do
+        List.iter
+          (fun (link : Topology.link) ->
+            let next = link.Topology.dst_ix in
+            if
+              Topology.link_is_up topology ~link_id:link.Topology.link_id
+              && not visited.(next)
+            then begin
+              visited.(next) <- true;
+              parent.(next) <- link.Topology.link_id;
+              queue.(!tail) <- next;
+              incr tail
+            end)
+          (Topology.out_links_ix topology queue.(!head));
+        incr head
+      done;
+      let rec back v acc =
+        if v = src then acc
+        else
+          let link = Topology.link_by_id topology parent.(v) in
+          back link.Topology.src_ix (link :: acc)
+      in
+      if visited.(dst) then Some (back dst []) else None
 
 let shortest_path topology ~ingress ~egress = bfs topology ~ingress ~egress
 

@@ -30,7 +30,7 @@ let create ?(spawn = false) ?(journal_for = fun _ -> None)
      the path MIB / routing constructors.  All booking state lives on the
      shards. *)
   let node_mib = Node_mib.create topo in
-  let path_mib = Path_mib.create topo node_mib in
+  let path_mib = Path_mib.create node_mib in
   let routing = Routing.create topo path_mib in
   let shards =
     Array.init n (fun i ->

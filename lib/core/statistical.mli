@@ -25,7 +25,7 @@
 
     Statistical flows share links with deterministic reservations: the
     surcharge is booked in the same node MIB, so each service sees the
-    other's load and the path-residual caches stay consistent. *)
+    other's load and every path's residual reflects both. *)
 
 type t
 

@@ -165,10 +165,7 @@ let fault_links topo = function
       | hub :: _ ->
           (* [count] undirected adjacencies at the top hub, both
              directions each — a regional outage around a core. *)
-          let outgoing =
-            List.filter (fun (l : Topology.link) -> l.Topology.src = hub)
-              (Topology.links topo)
-          in
+          let outgoing = Topology.out_links topo hub in
           List.concat_map
             (fun (l : Topology.link) ->
               l.Topology.link_id

@@ -8,6 +8,8 @@ type link = {
   link_id : int;
   src : string;
   dst : string;
+  src_ix : int;
+  dst_ix : int;
   capacity : float;
   prop_delay : float;
   sched : sched_class;
@@ -16,33 +18,47 @@ type link = {
 
 type t = {
   mutable node_order : string list;  (* reversed insertion order *)
-  node_set : (string, unit) Hashtbl.t;
+  node_ix : (string, int) Hashtbl.t;  (* name -> dense index, insertion order *)
+  mutable out : link list array;  (* node index -> out-links, insertion order *)
   mutable link_order : link list;  (* reversed insertion order *)
   mutable by_id : link option array;  (* dense: index = link_id *)
   by_endpoints : (string * string, link) Hashtbl.t;
   mutable next_id : int;
-  down : (int, unit) Hashtbl.t;  (* link ids currently failed *)
+  mutable down : bool array;  (* link_id -> currently failed; sized as by_id *)
   mutable state_version : int;  (* bumped on every up/down transition *)
 }
 
 let create () =
   {
     node_order = [];
-    node_set = Hashtbl.create 16;
+    node_ix = Hashtbl.create 16;
+    out = Array.make 8 [];
     link_order = [];
     by_id = Array.make 8 None;
     by_endpoints = Hashtbl.create 16;
     next_id = 0;
-    down = Hashtbl.create 4;
+    down = Array.make 8 false;
     state_version = 0;
   }
 
-let mem_node t name = Hashtbl.mem t.node_set name
+(* Doubles a dense table, new cells set to [fill]. *)
+let grow a fill =
+  let g = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 g 0 (Array.length a);
+  g
+
+let mem_node t name = Hashtbl.mem t.node_ix name
+
+let num_nodes t = Hashtbl.length t.node_ix
+
+let node_ix t name = Hashtbl.find t.node_ix name
 
 let add_node t name =
   if not (mem_node t name) then begin
-    Hashtbl.replace t.node_set name ();
-    t.node_order <- name :: t.node_order
+    let ix = num_nodes t in
+    Hashtbl.replace t.node_ix name ix;
+    t.node_order <- name :: t.node_order;
+    if ix >= Array.length t.out then t.out <- grow t.out []
   end
 
 let mtu_bits = 12000.
@@ -54,15 +70,16 @@ let add_link t ~src ~dst ~capacity ?(prop_delay = 0.) ?psi sched =
   add_node t src;
   add_node t dst;
   let psi = match psi with Some p -> p | None -> mtu_bits /. capacity in
+  let src_ix = node_ix t src and dst_ix = node_ix t dst in
   let link =
-    { link_id = t.next_id; src; dst; capacity; prop_delay; sched; psi }
+    { link_id = t.next_id; src; dst; src_ix; dst_ix; capacity; prop_delay; sched; psi }
   in
   t.next_id <- t.next_id + 1;
   t.link_order <- link :: t.link_order;
+  t.out.(src_ix) <- t.out.(src_ix) @ [ link ];
   if link.link_id >= Array.length t.by_id then begin
-    let grown = Array.make (2 * Array.length t.by_id) None in
-    Array.blit t.by_id 0 grown 0 (Array.length t.by_id);
-    t.by_id <- grown
+    t.by_id <- grow t.by_id None;
+    t.down <- grow t.down false
   end;
   t.by_id.(link.link_id) <- Some link;
   Hashtbl.replace t.by_endpoints (src, dst) link;
@@ -80,16 +97,19 @@ let link_by_id t id =
 
 let find_link t ~src ~dst = Hashtbl.find_opt t.by_endpoints (src, dst)
 
-let out_links t name = List.filter (fun l -> l.src = name) (links t)
+let out_links_ix t ix = t.out.(ix)
 
-let link_is_up t ~link_id = not (Hashtbl.mem t.down link_id)
+let out_links t name =
+  match Hashtbl.find_opt t.node_ix name with Some ix -> t.out.(ix) | None -> []
+
+let link_is_up t ~link_id = not (link_id >= 0 && link_id < t.next_id && t.down.(link_id))
 
 let set_link_state t ~link_id ~up =
   if link_id < 0 || link_id >= t.next_id then
     invalid_arg (Printf.sprintf "Topology.set_link_state: unknown link id %d" link_id);
   let is_up = link_is_up t ~link_id in
   if is_up <> up then begin
-    if up then Hashtbl.remove t.down link_id else Hashtbl.replace t.down link_id ();
+    t.down.(link_id) <- not up;
     t.state_version <- t.state_version + 1
   end
 

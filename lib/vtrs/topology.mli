@@ -18,6 +18,8 @@ type link = {
   link_id : int;  (** dense index, unique within the domain *)
   src : string;  (** upstream router name *)
   dst : string;  (** downstream router name *)
+  src_ix : int;  (** {!node_ix} of [src] *)
+  dst_ix : int;  (** {!node_ix} of [dst] *)
   capacity : float;  (** bits/s *)
   prop_delay : float;  (** propagation delay to the next hop, seconds *)
   sched : sched_class;
@@ -68,9 +70,23 @@ val find_link : t -> src:string -> dst:string -> link option
 
 val out_links : t -> string -> link list
 (** Links leaving the given router, in insertion order (including links
-    currently marked down — the physical topology does not shrink). *)
+    currently marked down — the physical topology does not shrink).  A
+    lookup in a per-node adjacency index; [[]] for an unknown router. *)
 
 val mem_node : t -> string -> bool
+
+(** {1 Dense node indices}
+
+    Routers are numbered [0 .. num_nodes - 1] in insertion order, so path
+    searches can keep per-node state in arrays. *)
+
+val num_nodes : t -> int
+
+val node_ix : t -> string -> int
+(** Raises [Not_found] for an unknown router. *)
+
+val out_links_ix : t -> int -> link list
+(** {!out_links} by node index. *)
 
 val copy : t -> t
 (** A structurally independent replica: same nodes and links in the same

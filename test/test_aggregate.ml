@@ -29,7 +29,7 @@ let fixture ?(setting = `Rate_only) ?(classes = [ { Aggregate.class_id = 0; dreq
   let topo = Bbr_workload.Fig8.topology setting in
   let engine = Engine.create () in
   let node_mib = Node_mib.create topo in
-  let path_mib = Path_mib.create topo node_mib in
+  let path_mib = Path_mib.create node_mib in
   let path = Path_mib.register path_mib (Bbr_workload.Fig8.path1 topo) in
   let rate_events = ref [] in
   let agg =
@@ -52,7 +52,7 @@ let stats fx = Option.get (Aggregate.macroflow_stats fx.agg ~class_id:0 ~path_id
 let test_create_validation () =
   let topo = Bbr_workload.Fig8.topology `Rate_only in
   let node_mib = Node_mib.create topo in
-  let path_mib = Path_mib.create topo node_mib in
+  let path_mib = Path_mib.create node_mib in
   let hooks =
     {
       Aggregate.now = (fun () -> 0.);

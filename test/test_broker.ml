@@ -86,7 +86,7 @@ let test_node_mib_change_hook () =
 let test_path_mib_register_and_cache () =
   let t, short, _ = diamond () in
   let node_mib = Node_mib.create t in
-  let path_mib = Path_mib.create t node_mib in
+  let path_mib = Path_mib.create node_mib in
   let info = Path_mib.register path_mib short in
   Alcotest.(check int) "hops" 2 info.Path_mib.hops;
   check_float "cres full" 1e6 (Path_mib.residual path_mib info);
@@ -97,7 +97,7 @@ let test_path_mib_register_and_cache () =
 let test_path_mib_dedup () =
   let t, short, _ = diamond () in
   let node_mib = Node_mib.create t in
-  let path_mib = Path_mib.create t node_mib in
+  let path_mib = Path_mib.create node_mib in
   let a = Path_mib.register path_mib short in
   let b = Path_mib.register path_mib short in
   Alcotest.(check int) "same id" a.Path_mib.path_id b.Path_mib.path_id;
@@ -106,7 +106,7 @@ let test_path_mib_dedup () =
 let test_path_mib_rejects_garbage () =
   let t, short, long = diamond () in
   let node_mib = Node_mib.create t in
-  let path_mib = Path_mib.create t node_mib in
+  let path_mib = Path_mib.create node_mib in
   Alcotest.check_raises "empty" (Invalid_argument "Path_mib.register: empty path")
     (fun () -> ignore (Path_mib.register path_mib []));
   Alcotest.check_raises "disconnected"
@@ -120,12 +120,70 @@ let test_path_mib_shared_link () =
   let b = Topology.add_link t ~src:"B" ~dst:"M" ~capacity:1e6 Topology.Rate_based in
   let m = Topology.add_link t ~src:"M" ~dst:"Z" ~capacity:1e6 Topology.Rate_based in
   let node_mib = Node_mib.create t in
-  let path_mib = Path_mib.create t node_mib in
+  let path_mib = Path_mib.create node_mib in
   let p1 = Path_mib.register path_mib [ a; m ] in
   let p2 = Path_mib.register path_mib [ b; m ] in
   Node_mib.reserve node_mib ~link_id:m.Topology.link_id 900_000.;
   check_float "p1 sees it" 100_000. (Path_mib.residual path_mib p1);
   check_float "p2 sees it" 100_000. (Path_mib.residual path_mib p2)
+
+let test_path_mib_lazy_residual () =
+  (* C_res is read on demand: after a reserve/release storm over many
+     overlapping paths, every path's residual is the min over its links. *)
+  let prng = Bbr_util.Prng.create ~seed:16 in
+  let t = Bbr_workload.Topo_gen.random prng ~nodes:10 ~extra_links:8 () in
+  let node_mib = Node_mib.create t in
+  let path_mib = Path_mib.create node_mib in
+  let nodes = Topology.nodes t in
+  List.iter
+    (fun ingress ->
+      List.iter
+        (fun egress ->
+          Option.iter
+            (fun links -> ignore (Path_mib.register path_mib links))
+            (Routing.shortest_path t ~ingress ~egress))
+        nodes)
+    nodes;
+  let paths = Array.of_list (Path_mib.paths path_mib) in
+  let expected info =
+    List.fold_left
+      (fun acc (l : Topology.link) ->
+        Float.min acc (Node_mib.residual node_mib ~link_id:l.Topology.link_id))
+      infinity info.Path_mib.links
+  in
+  let live = ref [] in
+  for _ = 1 to 2_000 do
+    (match !live with
+    | (links, amount) :: rest when Bbr_util.Prng.float prng < 0.4 ->
+        List.iter
+          (fun (l : Topology.link) ->
+            Node_mib.release node_mib ~link_id:l.Topology.link_id amount)
+          links;
+        live := rest
+    | _ ->
+        let info = paths.(Bbr_util.Prng.int prng ~bound:(Array.length paths)) in
+        let amount = Bbr_util.Prng.float_range prng ~lo:1. ~hi:50_000. in
+        if Path_mib.residual path_mib info >= amount then begin
+          List.iter
+            (fun (l : Topology.link) ->
+              Node_mib.reserve node_mib ~link_id:l.Topology.link_id amount)
+            info.Path_mib.links;
+          live := (info.Path_mib.links, amount) :: !live
+        end);
+    let info = paths.(Bbr_util.Prng.int prng ~bound:(Array.length paths)) in
+    check_float "residual is the link min" (expected info)
+      (Path_mib.residual path_mib info)
+  done;
+  if !live = [] then Alcotest.fail "storm left nothing reserved";
+  Array.iter
+    (fun info ->
+      check_float "every path after the storm" (expected info)
+        (Path_mib.residual path_mib info))
+    paths;
+  let stranger = { (paths.(0)) with Path_mib.path_id = Array.length paths } in
+  Alcotest.check_raises "unregistered path id"
+    (Invalid_argument "Path_mib.residual: unregistered path") (fun () ->
+      ignore (Path_mib.residual path_mib stranger))
 
 (* ------------------------------------------------------------------ *)
 (* Flow_mib *)
@@ -133,7 +191,7 @@ let test_path_mib_shared_link () =
 let test_flow_mib_cycle () =
   let t, short, _ = diamond () in
   let node_mib = Node_mib.create t in
-  let path_mib = Path_mib.create t node_mib in
+  let path_mib = Path_mib.create node_mib in
   let info = Path_mib.register path_mib short in
   let mib = Flow_mib.create () in
   let id = Flow_mib.fresh_id mib in
@@ -159,7 +217,7 @@ let test_flow_mib_cycle () =
 let test_flow_mib_duplicate () =
   let t, short, _ = diamond () in
   let node_mib = Node_mib.create t in
-  let path_mib = Path_mib.create t node_mib in
+  let path_mib = Path_mib.create node_mib in
   let info = Path_mib.register path_mib short in
   let mib = Flow_mib.create () in
   let record =
@@ -219,7 +277,7 @@ let test_policy_delay_floor () =
 let test_routing_shortest () =
   let t, short, _ = diamond () in
   let node_mib = Node_mib.create t in
-  let path_mib = Path_mib.create t node_mib in
+  let path_mib = Path_mib.create node_mib in
   let r = Routing.create t path_mib in
   match Routing.path r ~ingress:"A" ~egress:"D" with
   | Some info ->
@@ -233,7 +291,7 @@ let test_routing_unreachable () =
   let t, _, _ = diamond () in
   ignore (Topology.add_link t ~src:"X" ~dst:"Y" ~capacity:1e6 Topology.Rate_based);
   let node_mib = Node_mib.create t in
-  let path_mib = Path_mib.create t node_mib in
+  let path_mib = Path_mib.create node_mib in
   let r = Routing.create t path_mib in
   Alcotest.(check bool) "no route" true (Routing.path r ~ingress:"A" ~egress:"X" = None);
   Alcotest.(check bool) "unknown node" true
@@ -243,7 +301,7 @@ let test_routing_unreachable () =
 let test_routing_memoized () =
   let t, _, _ = diamond () in
   let node_mib = Node_mib.create t in
-  let path_mib = Path_mib.create t node_mib in
+  let path_mib = Path_mib.create node_mib in
   let r = Routing.create t path_mib in
   let a = Routing.path r ~ingress:"A" ~egress:"D" in
   let b = Routing.path r ~ingress:"A" ~egress:"D" in
@@ -415,6 +473,7 @@ let () =
           Alcotest.test_case "dedup" `Quick test_path_mib_dedup;
           Alcotest.test_case "rejects garbage" `Quick test_path_mib_rejects_garbage;
           Alcotest.test_case "shared link" `Quick test_path_mib_shared_link;
+          Alcotest.test_case "lazy residual" `Quick test_path_mib_lazy_residual;
         ] );
       ( "flow_mib",
         [

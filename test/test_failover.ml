@@ -49,7 +49,7 @@ let test_routing_avoids_down_links () =
   ignore (Topology.add_link t ~src:"A" ~dst:"M" ~capacity:1e6 Topology.Rate_based);
   ignore (Topology.add_link t ~src:"M" ~dst:"B" ~capacity:1e6 Topology.Rate_based);
   let node_mib = Node_mib.create t in
-  let path_mib = Bbr_broker.Path_mib.create t node_mib in
+  let path_mib = Bbr_broker.Path_mib.create node_mib in
   let routing = Routing.create t path_mib in
   let hops () =
     match Routing.path routing ~ingress:"A" ~egress:"B" with

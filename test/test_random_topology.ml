@@ -165,6 +165,92 @@ let prop_snapshot_survives_storm =
           < 1e-3
           && Broker.per_flow_count broker = Broker.per_flow_count standby)
 
+(* Routing oracle: the breadth-first search as it stood before the
+   topology carried an adjacency index and node indices — string-keyed
+   visited set, per-node reversed paths, out-links found by filtering every
+   link.  The indexed search must pick exactly the same route. *)
+
+let reference_out_links topology name =
+  List.filter (fun (l : Topology.link) -> l.Topology.src = name) (Topology.links topology)
+
+let reference_bfs topology ~ingress ~egress =
+  if not (Topology.mem_node topology ingress && Topology.mem_node topology egress)
+  then None
+  else if ingress = egress then None
+  else begin
+    let visited = Hashtbl.create 16 in
+    Hashtbl.replace visited ingress ();
+    let frontier = Queue.create () in
+    Queue.add (ingress, []) frontier;
+    let result = ref None in
+    while !result = None && not (Queue.is_empty frontier) do
+      let node, rev_path = Queue.take frontier in
+      List.iter
+        (fun (link : Topology.link) ->
+          if
+            !result = None
+            && Topology.link_is_up topology ~link_id:link.Topology.link_id
+            && not (Hashtbl.mem visited link.Topology.dst)
+          then begin
+            Hashtbl.replace visited link.Topology.dst ();
+            let rev_path' = link :: rev_path in
+            if link.Topology.dst = egress then result := Some (List.rev rev_path')
+            else Queue.add (link.Topology.dst, rev_path') frontier
+          end)
+        (reference_out_links topology node)
+    done;
+    !result
+  end
+
+let link_ids = List.map (fun (l : Topology.link) -> l.Topology.link_id)
+
+let arb_routed_topology =
+  QCheck.make
+    ~print:(fun (seed, regional, nodes, extra, down) ->
+      Printf.sprintf "seed=%d regional=%b nodes=%d extra=%d down=%.2f" seed regional
+        nodes extra down)
+    QCheck.Gen.(
+      let* seed = int_range 1 1_000_000 in
+      let* regional = bool in
+      let* nodes = int_range 2 12 in
+      let* extra = int_range 0 10 in
+      let* down = float_range 0. 0.5 in
+      return (seed, regional, nodes, extra, down))
+
+let prop_routing_matches_reference =
+  QCheck.Test.make ~name:"indexed routing picks the reference route" ~count:100
+    arb_routed_topology (fun (seed, regional, nodes, extra, down) ->
+      let prng = Prng.create ~seed in
+      let topology =
+        if regional then
+          (* Two regions would ask the hub ring for the same link twice. *)
+          Topo_gen.regions prng
+            ~regions:[| 1; 3; 4 |].(nodes mod 3)
+            ~nodes_per_region:(max 2 (nodes / 2))
+            ~extra_links:extra ()
+        else Topo_gen.random prng ~nodes ~extra_links:extra ()
+      in
+      List.iter
+        (fun (l : Topology.link) ->
+          if Prng.float prng < down then
+            Topology.set_link_state topology ~link_id:l.Topology.link_id ~up:false)
+        (Topology.links topology);
+      let agrees t =
+        let nodes = Topology.nodes t in
+        List.for_all
+          (fun n -> link_ids (Topology.out_links t n) = link_ids (reference_out_links t n))
+          nodes
+        && List.for_all
+             (fun ingress ->
+               List.for_all
+                 (fun egress ->
+                   Option.map link_ids (Bbr_broker.Routing.shortest_path t ~ingress ~egress)
+                   = Option.map link_ids (reference_bfs t ~ingress ~egress))
+                 nodes)
+             nodes
+      in
+      agrees topology && agrees (Topology.copy topology))
+
 (* Deterministic generator sanity checks. *)
 
 let test_chain () =
@@ -252,6 +338,7 @@ let () =
         prop_edf_schedulable_after_storm;
         prop_teardown_all_restores_blank;
         prop_snapshot_survives_storm;
+        prop_routing_matches_reference;
       ]
   in
   Alcotest.run "random_topology"

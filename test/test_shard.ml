@@ -289,7 +289,7 @@ let test_regions_intra_region_paths_stay_local () =
     Topo_gen.regions prng ~regions:4 ~nodes_per_region:5 ~extra_links:4 ()
   in
   let node_mib = Node_mib.create topology in
-  let path_mib = Path_mib.create topology node_mib in
+  let path_mib = Path_mib.create node_mib in
   let routing = Routing.create topology path_mib in
   for r = 0 to 3 do
     for a = 0 to 4 do
