@@ -158,7 +158,23 @@ let send t op =
   if spawned t then Spsc.push t.inbox op
   else Queue.push (exec_tagged t op) t.pending
 
-let recv t = if spawned t then Spsc.pop t.outbox else Queue.pop t.pending
+(* Rounds of [Domain.cpu_relax] the router spends waiting for a reply
+   before it parks.  A reply is always on its way, and a shard's hop is a
+   few microseconds, so spinning beats a park/wake pair; the budget is
+   bounded so a slow op (a churn loop, a dump) still frees the core.  The
+   shard side parks almost at once ({!Spsc.pop}): an idle shard that
+   spun would take the router's core when domains outnumber cores. *)
+let reply_spins = 2000
+
+let rec await_reply t n =
+  match Spsc.try_pop t.outbox with
+  | Some r -> r
+  | None when n < reply_spins ->
+      Domain.cpu_relax ();
+      await_reply t (n + 1)
+  | None -> Spsc.pop t.outbox
+
+let recv t = if spawned t then await_reply t 0 else Queue.pop t.pending
 
 let rpc t op =
   send t op;

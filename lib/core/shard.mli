@@ -12,7 +12,10 @@
     the caller's domain — the deterministic mode used for differential
     testing and the default on one core) or {e spawned} on its own OCaml
     domain, fed through a bounded single-producer/single-consumer mailbox
-    ({!Bbr_util.Spsc}); the router is the only producer.  Telemetry is
+    ({!Bbr_util.Spsc}); the router is the only producer.  The two ends
+    wait differently: an idle shard parks on its inbox almost at once, so
+    it holds no core, while the router, awaiting a reply it knows is
+    coming, spins for a bounded budget before it parks too.  Telemetry is
     tagged with the shard id via {!Obs_log.set_shard}; a spawned domain
     has no metrics registry or tracer installed (both are domain-local)
     unless it installs its own. *)
@@ -104,7 +107,8 @@ val send : t -> op -> unit
     the router's — may call this. *)
 
 val recv : t -> reply
-(** The next pending reply, in op order (blocking pop when spawned). *)
+(** The next pending reply, in op order.  Spawned: spins briefly on the
+    reply ring, then parks until the shard answers. *)
 
 val rpc : t -> op -> reply
 (** [send] then [recv]. *)

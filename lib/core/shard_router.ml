@@ -8,6 +8,8 @@ type t = {
   path_mib : Path_mib.t;  (* router-side path registry (routing only) *)
   routing : Routing.t;
   policy : Policy.t;
+  owners : (Types.flow_id, int list) Hashtbl.t;
+      (* live flow -> the shards holding its bookings *)
   mutable next_flow : int;
   on_edge_config : flow:Types.flow_id -> Types.reservation -> unit;
 }
@@ -44,6 +46,7 @@ let create ?(spawn = false) ?(journal_for = fun _ -> None)
     path_mib;
     routing;
     policy = Policy.create ();
+    owners = Hashtbl.create 256;
     next_flow = 0;
     on_edge_config;
   }
@@ -140,7 +143,8 @@ let two_phase t ~flow (req : Types.request) (info : Path_mib.info) groups =
 
 (* The full pipeline under a pinned flow id, counter untouched: policy,
    routing (on the router's private topology — deterministic and identical
-   to every shard's), then single-shard dispatch or two-phase commit. *)
+   to every shard's), then single-shard dispatch or two-phase commit.  An
+   admission records the flow's owning shards for {!teardown}. *)
 let admit_pinned t ~flow req =
   match Policy.check t.policy req with
   | Error rule -> Error (Types.Policy_denied rule)
@@ -154,10 +158,13 @@ let admit_pinned t ~flow req =
           match links_by_shard t info with
           | [ (s, _) ] -> (
               match Shard.rpc t.shards.(s) (Shard.Admit { flow; request = req }) with
-              | Shard.Admitted r -> r
+              | Shard.Admitted r ->
+                  if Result.is_ok r then Hashtbl.replace t.owners flow [ s ];
+                  r
               | _ -> assert false)
           | groups ->
               let r = two_phase t ~flow req info groups in
+              if Result.is_ok r then Hashtbl.replace t.owners flow (List.map fst groups);
               (* Single-shard decisions are logged by the owning shard's
                  broker; the two-phase path decides here, so it logs
                  here. *)
@@ -180,10 +187,15 @@ let request t req =
   | Error e -> Error e
 
 let teardown t flow =
-  Array.iter (fun s -> Shard.send s (Shard.Teardown flow)) t.shards;
-  Array.iter
-    (fun s -> match Shard.recv s with Shard.Done -> () | _ -> assert false)
-    t.shards
+  match Hashtbl.find_opt t.owners flow with
+  | None -> ()
+  | Some owners ->
+      Hashtbl.remove t.owners flow;
+      List.iter (fun s -> Shard.send t.shards.(s) (Shard.Teardown flow)) owners;
+      List.iter
+        (fun s ->
+          match Shard.recv t.shards.(s) with Shard.Done -> () | _ -> assert false)
+        owners
 
 type recovery = {
   link_id : int;
@@ -202,8 +214,8 @@ let set_link t ~link_id ~up =
 (* Stop-the-world link-failure cascade, replicating the single broker's
    [fail_link] order exactly: mark the link down everywhere, collect the
    victims (only the owner shard holds bookings on the link, but a
-   multi-shard victim's other segments live elsewhere — teardown is
-   broadcast), tear all victims down in ascending flow-id order, then
+   multi-shard victim's other segments live elsewhere — teardown reaches
+   every owner), tear all victims down in ascending flow-id order, then
    re-admit each over the surviving topology in the same order under its
    pinned id. *)
 let fail_link t ~link_id =

@@ -58,7 +58,10 @@ val request :
     to {!Broker.request} on a single broker fed the same sequence. *)
 
 val teardown : t -> Types.flow_id -> unit
-(** Broadcast teardown; a no-op on shards not holding the flow. *)
+(** Tear the flow down on its owning shards only — the one shard of a
+    single-shard flow, or every shard holding a segment of a multi-shard
+    one — as recorded when it was admitted.  A no-op, sending nothing,
+    for an unknown or already-torn flow. *)
 
 type recovery = {
   link_id : int;
@@ -70,8 +73,8 @@ val fail_link : t -> link_id:int -> recovery
 (** Stop-the-world replica of {!Broker.fail_link} for per-flow service:
     the link goes down on the router and every shard (each journals the
     physical record), victims are collected from the owner shard, torn
-    down everywhere in ascending flow-id order, then re-admitted over the
-    surviving topology in the same order under their pinned ids. *)
+    down on their owners in ascending flow-id order, then re-admitted over
+    the surviving topology in the same order under their pinned ids. *)
 
 val restore_link : t -> link_id:int -> unit
 

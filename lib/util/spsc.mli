@@ -7,7 +7,12 @@
 
     The single-producer/single-consumer contract is the caller's
     responsibility: concurrent pushes (or concurrent pops) from two
-    domains race and corrupt the ring. *)
+    domains race and corrupt the ring.
+
+    The blocking {!push} and {!pop} spin a few rounds and then park the
+    calling domain on a condition variable until the peer's next
+    {!try_pop} or {!try_push} wakes it.  The non-blocking calls take the
+    ring's mutex only when the peer is parked. *)
 
 type 'a t
 
@@ -26,10 +31,12 @@ val try_push : 'a t -> 'a -> bool
 (** [false] when the ring is full. *)
 
 val push : 'a t -> 'a -> unit
-(** Blocking {!try_push}: spins briefly, then sleeps in 50 µs slices —
-    safe on a host with fewer cores than domains. *)
+(** Blocking {!try_push}: spins briefly, then parks until the consumer
+    frees a slot — a parked domain holds no core, so this is safe on a
+    host with fewer cores than domains. *)
 
 val try_pop : 'a t -> 'a option
 
 val pop : 'a t -> 'a
-(** Blocking {!try_pop}, same backoff as {!push}. *)
+(** Blocking {!try_pop}: spins briefly, then parks until the producer
+    publishes a message. *)

@@ -194,9 +194,10 @@ let regions prng ~regions:k ~nodes_per_region ?(extra_links = nodes_per_region)
      region's only gateway, so a simple path between two same-region
      nodes can never detour through another region (it would have to
      leave and re-enter through the same hub).  Rate-based and wide, so
-     cross-region admission is bounded by the regional links. *)
+     cross-region admission is bounded by the regional links.  Two
+     regions close the ring with a single pair. *)
   if k > 1 then
-    for r = 0 to k - 1 do
+    for r = 0 to (if k = 2 then 0 else k - 1) do
       let next = (r + 1) mod k in
       ignore
         (Topology.add_link t ~src:(name r 0) ~dst:(name next 0)

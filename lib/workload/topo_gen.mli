@@ -93,8 +93,9 @@ val regions :
 (** A domain of [regions] connected random regions (each a spanning tree
     plus [extra_links] extras, generated as in {!random}), joined in a
     ring of wide rate-based inter-region links between the regions' hub
-    nodes ["R<r>_N0"].  The hub is each region's only gateway, so minimum-
-    hop paths between two same-region nodes never leave the region — the
+    nodes ["R<r>_N0"] (two regions share a single pair).  The hub is
+    each region's only gateway, so minimum-hop paths between two
+    same-region nodes never leave the region — the
     property that makes regional traffic single-shard under a
     region-based partition ({!region_of_node}).  Nodes are named
     ["R<r>_N<i>"].  Deterministic in the generator state. *)

@@ -223,9 +223,8 @@ let prop_routing_matches_reference =
       let prng = Prng.create ~seed in
       let topology =
         if regional then
-          (* Two regions would ask the hub ring for the same link twice. *)
           Topo_gen.regions prng
-            ~regions:[| 1; 3; 4 |].(nodes mod 3)
+            ~regions:(1 + (nodes mod 4))
             ~nodes_per_region:(max 2 (nodes / 2))
             ~extra_links:extra ()
         else Topo_gen.random prng ~nodes ~extra_links:extra ()

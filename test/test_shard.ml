@@ -1,6 +1,7 @@
 (* The sharded multi-core broker: SPSC channel semantics, differential
    equivalence of the sharded broker against a single-threaded reference
-   (digest-exact in deterministic mode, id-blind under parallel churn),
+   (digest-exact through the synchronous router, inline or spawned;
+   id-blind under parallel churn),
    per-shard journal recovery, and the regions workload generator. *)
 
 module Topology = Bbr_vtrs.Topology
@@ -44,16 +45,32 @@ let test_spsc_wraparound () =
     Alcotest.(check (option int)) "pop" (Some (round + 1000)) (Spsc.try_pop q)
   done
 
-let test_spsc_cross_domain () =
-  let n = 20_000 in
-  let q = Spsc.create ~capacity:64 in
-  let producer = Domain.spawn (fun () -> for i = 1 to n do Spsc.push q i done) in
-  let sum = ref 0 in
-  for _ = 1 to n do
-    sum := !sum + Spsc.pop q
+(* A producer domain and a consumer domain pass 100 000 messages.  On a
+   one- or two-slot ring a push often finds the ring full and a pop often
+   finds it empty, and random pauses on both sides outlast the spin
+   budget, so each side parks again and again.  A lost wake-up hangs the
+   run; a torn publish breaks FIFO order. *)
+let test_spsc_cross_domain ~capacity () =
+  let n = 100_000 in
+  let q = Spsc.create ~capacity in
+  let pause prng =
+    if Prng.int prng ~bound:64 = 0 then Unix.sleepf (Prng.float prng *. 50e-6)
+  in
+  let producer =
+    Domain.spawn (fun () ->
+        let prng = Prng.create ~seed:capacity in
+        for i = 0 to n - 1 do
+          pause prng;
+          Spsc.push q i
+        done)
+  in
+  let prng = Prng.create ~seed:(capacity + 1000) in
+  for want = 0 to n - 1 do
+    pause prng;
+    let got = Spsc.pop q in
+    if got <> want then Alcotest.failf "FIFO broken: popped %d, expected %d" got want
   done;
   Domain.join producer;
-  Alcotest.(check int) "all items crossed" (n * (n + 1) / 2) !sum;
   Alcotest.(check bool) "ring drained" true (Spsc.is_empty q)
 
 (* ------------------------------------------------------------------ *)
@@ -183,6 +200,126 @@ let prop_sharded_digest_equals_single =
       if not (Audit.ok (Audit.check single)) then
         QCheck.Test.fail_reportf "single-broker audit dirty";
       true)
+
+(* ------------------------------------------------------------------ *)
+(* Differential storm: spawned router vs single broker *)
+
+(* Two regions of four nodes (partitioned one per shard), plus a leaf
+   R0_N4 hung off R0_N1 with a wide detour to R1_N1.  The flow
+   R0_N1 -> R0_N4 is single-shard on its direct link; with that link down
+   its only route is R0_N1 -> ... -> R1_N1 -> R0_N4, which spans both
+   shards. *)
+let detour_topology prng =
+  let t = Topo_gen.regions prng ~regions:2 ~nodes_per_region:4 ~extra_links:2 () in
+  let pair a b =
+    ignore (Topology.add_link t ~src:a ~dst:b ~capacity:1e8 Topology.Rate_based);
+    ignore (Topology.add_link t ~src:b ~dst:a ~capacity:1e8 Topology.Rate_based)
+  in
+  pair "R0_N1" "R0_N4";
+  pair "R1_N1" "R0_N4";
+  t
+
+let test_spawned_router_storm () =
+  let prng = Prng.create ~seed:2024 in
+  let topology = detour_topology prng in
+  let region n = Option.get (Topo_gen.region_of_node n) in
+  let nodes = Array.of_list (Topology.nodes topology) in
+  let in_region r = List.filter (fun n -> region n = r) (Array.to_list nodes) |> Array.of_list in
+  let single = Broker.create (Topology.copy topology) in
+  let sharded =
+    Shard_router.create ~spawn:true ~shards:2 ~partition:region topology
+  in
+  Fun.protect ~finally:(fun () -> Shard_router.stop sharded) @@ fun () ->
+  let live = Queue.create () and torn = ref [] in
+  let request r =
+    let a = Broker.request single r and b = Shard_router.request sharded r in
+    (match (a, b) with
+    | Ok (fa, ra), Ok (fb, rb) ->
+        Alcotest.(check int) "same flow id" fa fb;
+        Alcotest.(check bool) "same reservation" true (ra = rb)
+    | Error _, Error _ -> ()
+    | _ -> Alcotest.fail "decision diverged");
+    a
+  in
+  let teardown f =
+    Broker.teardown single f;
+    Shard_router.teardown sharded f
+  in
+  let owners f =
+    match List.find_opt (fun (g, _, _, _) -> g = f) (Shard_router.flows sharded) with
+    | None -> []
+    | Some (_, _, _, links) ->
+        List.sort_uniq compare
+          (List.map (fun link_id -> Shard_router.owner_of_link sharded ~link_id) links)
+  in
+  let storm ops =
+    for _ = 1 to ops do
+      let c = Prng.float prng in
+      if c < 0.15 && not (Queue.is_empty live) then begin
+        let f = Queue.pop live in
+        teardown f;
+        torn := f :: !torn
+      end
+      else if c < 0.20 && !torn <> [] then
+        teardown (List.nth !torn (Prng.int prng ~bound:(List.length !torn)))
+      else if c < 0.25 then teardown (1_000_000 + Prng.int prng ~bound:1000)
+      else begin
+        let ingress, egress =
+          if Prng.float prng < 0.3 then Topo_gen.random_endpoints prng topology
+          else
+            let rs = in_region (Prng.int prng ~bound:2) in
+            let a = Prng.int prng ~bound:(Array.length rs) in
+            let b = (a + 1 + Prng.int prng ~bound:(Array.length rs - 1)) mod Array.length rs in
+            (rs.(a), rs.(b))
+        in
+        let r =
+          req
+            ~profile:(Profiles.profile (Prng.int prng ~bound:4))
+            ~dreq:(Prng.float_range prng ~lo:0.5 ~hi:6.0)
+            ~ingress ~egress
+        in
+        match request r with
+        | Ok (f, _) ->
+            Queue.push f live;
+            if Queue.length live > 24 then begin
+              let old = Queue.pop live in
+              teardown old;
+              torn := old :: !torn
+            end
+        | Error _ -> ()
+      end
+    done
+  in
+  storm 300;
+  let flow =
+    match
+      request (req ~profile:(Profiles.profile 3) ~dreq:6.0 ~ingress:"R0_N1" ~egress:"R0_N4")
+    with
+    | Ok (f, _) -> f
+    | Error _ -> Alcotest.fail "detour flow rejected"
+  in
+  Alcotest.(check (list int)) "single-shard before the failure" [ 0 ] (owners flow);
+  let link_id =
+    (Option.get (Topology.find_link topology ~src:"R0_N1" ~dst:"R0_N4")).Topology.link_id
+  in
+  let ra = Broker.fail_link single ~link_id in
+  let rb = Shard_router.fail_link sharded ~link_id in
+  Alcotest.(check (list int)) "same rerouted" ra.Broker.perflow_rerouted rb.Shard_router.rerouted;
+  Alcotest.(check (list int)) "same dropped" ra.Broker.perflow_dropped rb.Shard_router.dropped;
+  Alcotest.(check bool) "detour flow rerouted" true (List.mem flow rb.Shard_router.rerouted);
+  Alcotest.(check (list int)) "multi-shard after the failure" [ 0; 1 ] (owners flow);
+  (* A dropped victim stays in [live]; its later teardown is a no-op on
+     both sides. *)
+  storm 300;
+  teardown flow;
+  Alcotest.(check (list int)) "detour flow torn on both shards" [] (owners flow);
+  teardown flow;
+  Broker.restore_link single ~link_id;
+  Shard_router.restore_link sharded ~link_id;
+  storm 100;
+  Alcotest.(check string) "digest equals the single broker"
+    (Audit.mib_digest single) (Shard_router.mib_digest sharded);
+  Alcotest.(check bool) "shard audits clean" true (Shard_router.audits_clean sharded)
 
 (* ------------------------------------------------------------------ *)
 (* Per-shard journal recovery *)
@@ -351,11 +488,17 @@ let () =
           Alcotest.test_case "fifo order, full and empty" `Quick test_spsc_order;
           Alcotest.test_case "wraparound" `Quick test_spsc_wraparound;
           Alcotest.test_case "cross-domain transfer" `Quick
-            test_spsc_cross_domain;
+            (test_spsc_cross_domain ~capacity:64);
+          Alcotest.test_case "park/wake, capacity 1" `Quick
+            (test_spsc_cross_domain ~capacity:1);
+          Alcotest.test_case "park/wake, capacity 2" `Quick
+            (test_spsc_cross_domain ~capacity:2);
         ] );
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_sharded_digest_equals_single;
+          Alcotest.test_case "spawned router storm" `Quick
+            test_spawned_router_storm;
         ] );
       ( "recovery",
         [
