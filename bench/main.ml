@@ -1429,9 +1429,7 @@ let run_storage () =
     | None -> 1
   in
   let classes = [ { Aggregate.class_id = 0; dreq = 3.; cd = 0.24 } ] in
-  (* Generous capacity: snapshot restore re-joins class members with
-     contingency in flight, so the peak transient demand exceeds the
-     steady state the live broker held. *)
+  (* Capacity well above what the fixture books. *)
   let two_path () =
     let t = Topology.create () in
     ignore (Topology.add_link t ~src:"A" ~dst:"M1" ~capacity:2e7 Topology.Rate_based);

@@ -341,7 +341,9 @@ let journal_out =
     & info [ "journal-out" ] ~docv:"PATH"
         ~doc:
           "Write-ahead journal every broker mutation during the run and \
-           write the journal to $(docv) afterwards (replayable with \
+           write the journal to $(docv) at the end of the arrival window \
+           (simulated time $(b,--duration)), while flows are still live, \
+           printing their count and the MIB digest (replayable with \
            $(b,recover)).")
 
 let store_out =
@@ -419,6 +421,11 @@ let run_sharded ~shards ~seed ~load ~duration ~journal_path =
   Shard_router.stop router;
   if not equivalent then exit 1
 
+let print_flows broker =
+  Fmt.pr "flows: %d per-flow, %d class members@."
+    (Broker.per_flow_count broker)
+    (Broker.class_flow_count broker)
+
 let run_simulate setting cd scheme seed load duration journal_path store_dir out
     format trace flight shards =
   if shards > 1 then run_sharded ~shards ~seed ~load ~duration ~journal_path
@@ -441,23 +448,27 @@ let run_simulate setting cd scheme seed load duration journal_path store_dir out
   let o =
     with_obs ~out ~format ~trace ~flight (fun () ->
         Dynamic.run
-          ~observe:(fun _engine broker ->
+          ~observe:(fun engine broker ->
             Telemetry.register_broker broker;
             Flight.set_digest (fun () -> Some (Audit.mib_digest broker));
             captured := Some broker;
-            Option.iter (fun j -> Journal.attach j broker) journal)
+            Option.iter (fun j -> Journal.attach j broker) journal;
+            (* After the arrival window every flow drains; a journal of
+               the drained broker would rebuild an empty one. *)
+            match (journal_path, journal) with
+            | Some path, Some j ->
+                Bbr_netsim.Engine.schedule engine ~at:duration (fun () ->
+                    write_file path (Journal.text j);
+                    Fmt.pr "journal: %d records -> %s@." (Journal.records j) path;
+                    print_flows broker;
+                    Fmt.pr "final mib digest: %s@." (Audit.mib_digest broker))
+            | _ -> ())
           cfg dyn_scheme)
   in
   Fmt.pr "scheme: %a@." Dynamic.pp_scheme dyn_scheme;
   Fmt.pr "offered %d, blocked %d, completed %d@." o.Dynamic.offered o.Dynamic.blocked
     o.Dynamic.completed;
   Fmt.pr "blocking rate: %.4f@." o.Dynamic.blocking_rate;
-  (match (journal_path, journal, !captured) with
-  | Some path, Some j, Some broker ->
-      write_file path (Journal.text j);
-      Fmt.pr "journal: %d records -> %s@." (Journal.records j) path;
-      Fmt.pr "final mib digest: %s@." (Audit.mib_digest broker)
-  | _ -> ());
   match (store_dir, journal, !captured) with
   | Some dir, Some j, Some broker ->
       let st = Journal.storage j in
@@ -687,9 +698,7 @@ let snapshot_file =
    the digest, and pick the exit code — 1 for a dirty audit, 4 for a
    clean recovery that lost data, 0 for a lossless one. *)
 let finish_recover broker ~lossy =
-  Fmt.pr "flows: %d per-flow, %d class members@."
-    (Broker.per_flow_count broker)
-    (Broker.class_flow_count broker);
+  print_flows broker;
   let report = Audit.check broker in
   Fmt.pr "%a@." Audit.pp_report report;
   Fmt.pr "final mib digest: %s@." (Audit.mib_digest broker);

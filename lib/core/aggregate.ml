@@ -30,6 +30,7 @@ type macro_stats = {
   class_id : int;
   path_id : int;
   members : int;
+  profile : Traffic.t option;
   base_rate : float;
   contingency : float;
   edge_bound : float;
@@ -131,7 +132,7 @@ let release_links t mf amount =
         Node_mib.release t.node_mib ~link_id:l.Topology.link_id amount)
       mf.path.Path_mib.links
 
-let steady_edge_bound mf =
+let steady_edge_bound (mf : macroflow) =
   match mf.profile with
   | None -> 0.
   | Some p -> Delay.edge_bound p ~rate:mf.base
@@ -176,33 +177,38 @@ let release_grant t mf gid =
       if Hashtbl.length mf.grants = 0 then mf.edge_bound <- steady_edge_bound mf;
       notify_rate t mf
 
-(* Grant [amount] of contingency bandwidth, already reserved on the links
-   by the caller.  Under [Bounding] a release timer is armed with the
-   period bound of eq. (17); under [Feedback] the grant waits for the
-   queue-empty signal. *)
+(* Register [amount] of contingency bandwidth, already reserved on the
+   links by the caller; returns the grant id. *)
+let register_grant t mf amount =
+  let gid = mf.next_grant in
+  mf.next_grant <- mf.next_grant + 1;
+  Hashtbl.replace mf.grants gid amount;
+  mf.conting <- mf.conting +. amount;
+  if Obs_log.active () then begin
+    Obs_log.count "bb_agg_contingency_grants_total"
+      ~labels:[ ("class", string_of_int mf.cls.class_id) ];
+    Obs_log.event ~at:(t.hooks.now ()) "bb.agg.contingency_grant"
+      ~attrs:
+        [
+          ("class", string_of_int mf.cls.class_id);
+          ("path", string_of_int mf.path.Path_mib.path_id);
+          ("amount", Printf.sprintf "%.6g" amount);
+        ]
+  end;
+  gid
+
+(* Under [Bounding] a release timer is armed with the period bound of
+   eq. (17); under [Feedback] the grant waits for the queue-empty
+   signal. *)
+let arm_release t (mf : macroflow) gid ~amount ~alloc_before =
+  match t.method_ with
+  | Feedback -> ()
+  | Bounding ->
+      let tau = mf.edge_bound *. alloc_before /. amount in
+      t.hooks.after (Float.max 0. tau) (fun () -> release_grant t mf gid)
+
 let add_grant t mf ~amount ~alloc_before =
-  if amount > 0. then begin
-    let gid = mf.next_grant in
-    mf.next_grant <- mf.next_grant + 1;
-    Hashtbl.replace mf.grants gid amount;
-    mf.conting <- mf.conting +. amount;
-    if Obs_log.active () then begin
-      Obs_log.count "bb_agg_contingency_grants_total"
-        ~labels:[ ("class", string_of_int mf.cls.class_id) ];
-      Obs_log.event ~at:(t.hooks.now ()) "bb.agg.contingency_grant"
-        ~attrs:
-          [
-            ("class", string_of_int mf.cls.class_id);
-            ("path", string_of_int mf.path.Path_mib.path_id);
-            ("amount", Printf.sprintf "%.6g" amount);
-          ]
-    end;
-    match t.method_ with
-    | Feedback -> ()
-    | Bounding ->
-        let tau = mf.edge_bound *. alloc_before /. amount in
-        t.hooks.after (Float.max 0. tau) (fun () -> release_grant t mf gid)
-  end
+  if amount > 0. then arm_release t mf (register_grant t mf amount) ~amount ~alloc_before
 
 (* Minimal aggregate reserved rate meeting the class end-to-end bound.
    [core_rate] is the rate used in the macroflow core bound (the smaller of
@@ -229,6 +235,19 @@ let min_class_rate mf profile ~core_rate =
       if budget <= 0. then None
       else Some ((numer_edge +. (float_of_int q *. Topology.mtu_bits)) /. budget)
 
+let empty_macro cls path =
+  {
+    cls;
+    path;
+    members = Hashtbl.create 16;
+    profile = None;
+    base = 0.;
+    conting = 0.;
+    grants = Hashtbl.create 8;
+    next_grant = 0;
+    edge_bound = 0.;
+  }
+
 let get_macro t ~class_id ~path =
   let key = (class_id, path.Path_mib.path_id) in
   match Hashtbl.find_opt t.macros key with
@@ -237,19 +256,7 @@ let get_macro t ~class_id ~path =
       match find_class t ~class_id with
       | None -> None
       | Some cls ->
-          let mf =
-            {
-              cls;
-              path;
-              members = Hashtbl.create 16;
-              profile = None;
-              base = 0.;
-              conting = 0.;
-              grants = Hashtbl.create 8;
-              next_grant = 0;
-              edge_bound = 0.;
-            }
-          in
+          let mf = empty_macro cls path in
           Hashtbl.replace t.macros key mf;
           Some mf)
 
@@ -383,28 +390,8 @@ let queue_empty t ~class_id ~path_id =
           List.iter (release_grant t mf) (List.sort compare gids))
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot / journal support: exact restoration of the contingency
-   pool, and anti-entropy repair of the membership tables.             *)
-
-let sweep_contingency t ~class_id ~path_id =
-  match Hashtbl.find_opt t.macros (class_id, path_id) with
-  | None -> ()
-  | Some mf ->
-      (* Unconditional (method-independent) release of every grant: used
-         by snapshot restore to clear the grants the member replay
-         created before re-establishing the saved contingency pool. *)
-      let gids = Hashtbl.fold (fun gid _ acc -> gid :: acc) mf.grants [] in
-      List.iter (release_grant t mf) (List.sort compare gids);
-      (* With no grants left the pool is definitionally empty; clear the
-         float residue the incremental subtractions can leave, so grants
-         re-established on top of it restore the pool bit-exactly. *)
-      if mf.conting <> 0. then begin
-        let old_total = total mf in
-        release_links t mf mf.conting;
-        mf.conting <- 0.;
-        edf_update t mf ~old_total ~new_total:(total mf);
-        notify_rate t mf
-      end
+(* Snapshot / journal support: verbatim booking of a saved macroflow,
+   and anti-entropy repair of the membership tables.                  *)
 
 let grant_amounts t ~class_id ~path_id =
   match Hashtbl.find_opt t.macros (class_id, path_id) with
@@ -413,29 +400,38 @@ let grant_amounts t ~class_id ~path_id =
       Hashtbl.fold (fun gid amount acc -> (gid, amount) :: acc) mf.grants []
       |> List.sort compare |> List.map snd
 
-let restore_grant t ~class_id ~path_id ~amount =
-  if amount <= 0. then Ok ()
-  else
-    match Hashtbl.find_opt t.macros (class_id, path_id) with
-    | None -> Error (Types.Policy_denied "unknown macroflow")
-    | Some mf ->
-        let cres = Path_mib.residual t.path_mib mf.path in
-        if not (Fp.leq amount cres) then Error Types.Insufficient_bandwidth
-        else if not (edf_can t mf ~old_total:(total mf) ~new_total:(total mf +. amount))
-        then Error Types.Not_schedulable
-        else begin
-          let alloc_before = total mf in
-          reserve_links t mf amount;
-          edf_update t mf ~old_total:alloc_before ~new_total:(alloc_before +. amount);
-          add_grant t mf ~amount ~alloc_before;
-          notify_rate t mf;
-          Ok ()
-        end
-
-let set_edge_bound t ~class_id ~path_id bound =
-  match Hashtbl.find_opt t.macros (class_id, path_id) with
-  | None -> ()
-  | Some mf -> mf.edge_bound <- bound
+let restore_macroflow t ~class_id ~path ~members ~profile ~base ~conting ~edge_bound
+    ~grants =
+  let fail what =
+    invalid_arg (Printf.sprintf "Aggregate.restore_macroflow: %s (class %d)" what class_id)
+  in
+  let cls = match find_class t ~class_id with Some c -> c | None -> fail "unknown class" in
+  let key = (class_id, path.Path_mib.path_id) in
+  if Hashtbl.mem t.macros key then fail "macroflow already exists";
+  let mf = { (empty_macro cls path) with profile; base; edge_bound } in
+  (* No admission test: these are the primary's bookings.  The links
+     still refuse to go over capacity. *)
+  reserve_links t mf (base +. conting);
+  edf_update t mf ~old_total:0. ~new_total:(base +. conting);
+  Hashtbl.replace t.macros key mf;
+  List.iter
+    (fun (flow, p) ->
+      Hashtbl.replace mf.members flow p;
+      Hashtbl.replace t.owners flow key)
+    members;
+  let gids = List.map (register_grant t mf) grants in
+  (* The saved pool, not the sum of its grants: release arithmetic can
+     leave a residue the primary still holds on its links. *)
+  mf.conting <- conting;
+  (* Release timers are armed only once the pool is whole, so a timer
+     that fires at once releases from consistent state. *)
+  ignore
+    (List.fold_left2
+       (fun alloc_before gid amount ->
+         arm_release t mf gid ~amount ~alloc_before;
+         alloc_before +. amount)
+       base gids grants);
+  notify_rate t mf
 
 let repair_membership t =
   let fixes = ref 0 in
@@ -485,6 +481,7 @@ let macroflow_stats t ~class_id ~path_id =
         class_id;
         path_id;
         members = Hashtbl.length mf.members;
+        profile = mf.profile;
         base_rate = mf.base;
         contingency = mf.conting;
         edge_bound = mf.edge_bound;

@@ -90,6 +90,7 @@ type macro_stats = {
   class_id : int;
   path_id : int;
   members : int;
+  profile : Bbr_vtrs.Traffic.t option;  (** aggregate of the members; [None] when empty *)
   base_rate : float;  (** reserved rate excluding contingency *)
   contingency : float;  (** currently held contingency bandwidth *)
   edge_bound : float;  (** current worst-case edge-delay bound *)
@@ -119,25 +120,28 @@ val owners_alist : t -> (Types.flow_id * (int * int)) list
 
 val grant_amounts : t -> class_id:int -> path_id:int -> float list
 (** The macroflow's live contingency grants, oldest first.  Their sum is
-    the macroflow's [contingency]. *)
+    the macroflow's [contingency] up to release rounding. *)
 
-val sweep_contingency : t -> class_id:int -> path_id:int -> unit
-(** Release every contingency grant of the macroflow immediately,
-    regardless of the contingency method.  Snapshot restore uses this to
-    clear the grants that replaying the member joins created, before
-    re-establishing the exact pool saved from the primary. *)
-
-val restore_grant :
-  t -> class_id:int -> path_id:int -> amount:float -> (unit, Types.reject_reason) result
-(** Re-establish one contingency grant on an existing macroflow: reserve
-    [amount] on the path links, update schedulability state and register
-    the grant (arming a release timer under {!Bounding}).  Errors when
-    the macroflow is unknown or the bandwidth no longer fits. *)
-
-val set_edge_bound : t -> class_id:int -> path_id:int -> float -> unit
-(** Overwrite the macroflow's current worst-case edge-delay bound (the
-    last auxiliary value a snapshot restores).  No-op when the macroflow
-    does not exist. *)
+val restore_macroflow :
+  t ->
+  class_id:int ->
+  path:Path_mib.info ->
+  members:(Types.flow_id * Bbr_vtrs.Traffic.t) list ->
+  profile:Bbr_vtrs.Traffic.t option ->
+  base:float ->
+  conting:float ->
+  edge_bound:float ->
+  grants:float list ->
+  unit
+(** Book a macroflow exactly as a {!Snapshot} recorded it, without
+    running admission: its members and owner entries, aggregate profile,
+    base rate, contingency pool and edge-delay bound take the given
+    values, and [base + conting] is reserved on the path links and at
+    their delay-based schedulers.  [grants] (oldest first) are
+    registered as live contingency grants; under {!Bounding} each gets a
+    fresh release timer from eq. (17).  Raises [Invalid_argument] when
+    the class is unknown, the macroflow already exists, or a link would
+    go over capacity. *)
 
 val repair_membership : t -> int
 (** Anti-entropy reconciliation of the owner ⇄ member tables: drop owner

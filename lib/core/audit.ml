@@ -391,10 +391,10 @@ let add_link_lines buf topo ~flow_sum ~macro_sum =
     (fun (l : Topology.link) ->
       let id = l.Topology.link_id in
       Buffer.add_string buf
-        (Printf.sprintf "link %d %s %s %.9g\n" id
+        (Printf.sprintf "link %d %s %s %s\n" id
            (if Topology.link_is_up topo ~link_id:id then "up" else "down")
            (pf (Option.value ~default:0. (Hashtbl.find_opt flow_sum id)))
-           (Option.value ~default:0. (Hashtbl.find_opt macro_sum id))))
+           (pf (Option.value ~default:0. (Hashtbl.find_opt macro_sum id)))))
     (Topology.links topo)
 
 let flow_tuple (r : Flow_mib.record) =
@@ -422,10 +422,11 @@ let mib_digest broker =
   List.iter
     (fun ((s : Aggregate.macro_stats), (info : Path_mib.info)) ->
       Buffer.add_string buf
-        (Printf.sprintf "macro %d %s n=%d base=%.9g conting=%.9g\n"
+        (Printf.sprintf "macro %d %s n=%d base=%h conting=%h edge=%h\n"
            s.Aggregate.class_id
            (link_ids info.Path_mib.links)
-           s.Aggregate.members s.Aggregate.base_rate s.Aggregate.contingency))
+           s.Aggregate.members s.Aggregate.base_rate s.Aggregate.contingency
+           s.Aggregate.edge_bound))
     macros;
   List.iter
     (fun (flow, (class_id, path_id)) ->
@@ -438,10 +439,8 @@ let mib_digest broker =
         (Printf.sprintf "member %d %d %s\n" flow class_id links))
     (Aggregate.owners_alist agg);
   (* Per-link reserved rate, recomputed in canonical order on both sides
-     of a comparison: flow contributions summed in flow-id order
-     (bit-exact, [%h]), aggregate contributions summed in macro order
-     (printed at [%.9g] — the aggregate base rate is itself recomputed on
-     restore and may differ in the last ulp). *)
+     of a comparison: flow contributions summed in flow-id order,
+     aggregate contributions summed in macro order. *)
   let topo = Broker.topology broker in
   let flow_sum = flow_rate_sums flow_tuples in
   let macro_sum = Hashtbl.create 32 in

@@ -93,11 +93,13 @@ val repair : ?eps:float -> ?now:float -> ?leases:Types.lease list -> Broker.t ->
 val mib_digest : Broker.t -> string
 (** Hex digest of the broker's logical reservation state: per-flow
     records (id, rate, delay, path links), class memberships, macroflow
-    aggregates, link up/down state and the per-link reserved rate
-    {e recomputed in canonical order} (so the digest is independent of
-    the floating-point summation order the broker's history happened to
-    use).  Two brokers are decision-equivalent replicas iff their digests
-    match and {!check} is clean on both. *)
+    aggregates (base rate, contingency pool, edge-delay bound), link
+    up/down state and the per-link reserved rate {e recomputed in
+    canonical order} (so the digest is independent of the floating-point
+    summation order the broker's history happened to use).  Every rate
+    and bound is printed exactly ([%h]).  Two brokers are
+    decision-equivalent replicas iff their digests match and {!check} is
+    clean on both. *)
 
 val digest_of_perflow :
   topology:Bbr_vtrs.Topology.t ->

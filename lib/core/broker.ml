@@ -286,7 +286,7 @@ let book_segment t ~flow ~request:(req : Types.request) ~links ~rate ~delay =
   | None -> ()
   | Some f -> f (Admit_segment { flow; request = req; rate; delay; links })
 
-(* The replay form of a whole-path [Admit] record or snapshot flow line:
+(* The replay form of a whole-path [Admit] record or snapshot admit line:
    booked verbatim like a segment, but the links must still run from the
    request's ingress to its egress, so a malformed or hand-edited record
    is refused rather than booked. *)

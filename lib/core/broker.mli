@@ -208,8 +208,7 @@ val book_segment :
   unit
 (** Book an already-decided reservation on an explicit set of links — the
     commit leg of the sharded broker's two-phase multi-shard admission,
-    and the replay form of [Admit]/[Admit_segment] journal records and of
-    {!Snapshot} flow lines.  No policy,
+    and the replay form of [Admit_segment] journal records.  No policy,
     routing or admissibility check runs: the coordinator owns the
     decision.  [links] need not form a connected path (a path alternating
     between shards leaves each owner a non-contiguous segment); they are
@@ -227,7 +226,7 @@ val book_path :
   delay:float ->
   unit
 (** Like {!book_segment}, for a whole path: the replay form of [Admit]
-    journal records and {!Snapshot} flow lines.  The links are booked
+    journal records and {!Snapshot} [admit] lines.  The links are booked
     verbatim, whatever their state now, but must form a connected path
     from the request's ingress to its egress.  Raises [Invalid_argument]
     when they do not, and [Not_found] on an unknown link id. *)

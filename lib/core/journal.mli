@@ -131,6 +131,15 @@ val replay : Broker.t -> string -> (replay_outcome, string) result
 val encode : seq:int -> at:float -> Broker.mutation -> string
 (** One record line (without the newline) — exposed for fuzzing. *)
 
+val payload : Broker.mutation -> string
+(** A record's payload: the mutation alone, without CRC, sequence number
+    or clock — also the form in which a {!Snapshot} saves a booked
+    per-flow reservation (an [Admit] payload). *)
+
+val decode_payload : string list -> Broker.mutation option
+(** Decode a payload split on single spaces; [None] when malformed.
+    Never raises. *)
+
 val text_of_lines : string list -> string
 (** A parseable journal text from raw record lines (as {!Storage.tail}
     returns them): the header line plus each line newline-terminated —

@@ -557,40 +557,90 @@ let test_snapshot_per_flow_round_trip () =
     (Broker.per_flow_count standby)
 
 let test_snapshot_class_round_trip () =
-  let classes = [ { Bbr_broker.Aggregate.class_id = 0; dreq = 2.44; cd = 0.1 } ] in
+  let module Aggregate = Bbr_broker.Aggregate in
+  let classes = [ { Aggregate.class_id = 0; dreq = 2.44; cd = 0.1 } ] in
+  (* Release timers are collected, not fired, so the Bounding grants are
+     still live when the snapshot is taken. *)
   let mk () =
-    Broker.create ~classes ~method_:Bbr_broker.Aggregate.Bounding
-      (Fig8.topology `Rate_only)
+    let timers = ref [] in
+    let time =
+      { Broker.now = (fun () -> 0.); after = (fun _ f -> timers := f :: !timers) }
+    in
+    (Broker.create ~classes ~method_:Aggregate.Bounding ~time (Fig8.topology `Rate_only), timers)
   in
-  let broker = mk () in
-  for _ = 1 to 7 do
-    match Broker.request_class broker (req ()) with
-    | Ok _ -> ()
-    | Error _ -> Alcotest.fail "fixture join failed"
-  done;
+  let broker, _ = mk () in
+  let flows =
+    List.init 7 (fun _ ->
+        match Broker.request_class broker (req ()) with
+        | Ok (flow, _) -> flow
+        | Error _ -> Alcotest.fail "fixture join failed")
+  in
+  (* A leave turns the rate decrement into one more grant. *)
+  Broker.teardown_class broker (List.nth flows 2);
   let snap = Snapshot.save broker in
-  let standby = mk () in
+  let standby, timers = mk () in
   (match Snapshot.restore standby snap with
-  | Ok n -> Alcotest.(check int) "restored all members" 7 n
+  | Ok n -> Alcotest.(check int) "restored all members" 6 n
   | Error e -> Alcotest.failf "restore failed: %s" e);
   Alcotest.(check int) "same membership" (Broker.class_flow_count broker)
     (Broker.class_flow_count standby);
-  (* Steady-state (post-contingency) allocations must match: replay joins
-     produce the same base rates. *)
-  let base b =
+  let macros b = Aggregate.all_macroflows (Broker.aggregate b) in
+  let exact f b = List.map (fun s -> Printf.sprintf "%h" (f s)) (macros b) in
+  let grants b =
     List.map
-      (fun (s : Bbr_broker.Aggregate.macro_stats) -> s.Bbr_broker.Aggregate.base_rate)
-      (Bbr_broker.Aggregate.all_macroflows (Broker.aggregate b))
+      (fun (s : Aggregate.macro_stats) ->
+        Aggregate.grant_amounts (Broker.aggregate b) ~class_id:s.Aggregate.class_id
+          ~path_id:s.Aggregate.path_id)
+      (macros b)
   in
-  Alcotest.(check (list (float 1e-6))) "same base rates" (base broker) (base standby)
+  Alcotest.(check bool) "contingency is held" true
+    (List.exists (fun (s : Aggregate.macro_stats) -> s.Aggregate.contingency > 0.) (macros broker));
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check (list string)) what (exact f broker) (exact f standby))
+    [
+      ("same base rates", fun (s : Aggregate.macro_stats) -> s.Aggregate.base_rate);
+      ("same contingency", fun s -> s.Aggregate.contingency);
+      ("same edge bounds", fun s -> s.Aggregate.edge_bound);
+    ];
+  Alcotest.(check (list (list (float 0.)))) "same grants" (grants broker) (grants standby);
+  (* Every restored grant has its own release timer; firing them all
+     returns the standby to its steady allocation. *)
+  Alcotest.(check int) "one timer per grant"
+    (List.length (List.concat (grants standby)))
+    (List.length !timers);
+  List.iter (fun f -> f ()) !timers;
+  Alcotest.(check (list (float 0.))) "contingency released" [ 0. ]
+    (List.map (fun (s : Aggregate.macro_stats) -> s.Aggregate.contingency) (macros standby));
+  Alcotest.(check bool) "audit clean after release" true
+    (Bbr_broker.Audit.ok (Bbr_broker.Audit.check standby));
+  (* On a standby whose timers fire at once, each grant is released as it
+     is restored, from consistent state. *)
+  let immediate =
+    Broker.create ~classes ~method_:Aggregate.Bounding (Fig8.topology `Rate_only)
+  in
+  (match Snapshot.restore immediate snap with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "restore failed: %s" e);
+  Alcotest.(check (list string)) "released at once" (exact (fun s -> s.Aggregate.contingency) standby)
+    (exact (fun s -> s.Aggregate.contingency) immediate);
+  Alcotest.(check bool) "audit clean when released at once" true
+    (Bbr_broker.Audit.ok (Bbr_broker.Audit.check immediate))
 
 let test_snapshot_rejects_garbage () =
   let standby = Broker.create (Fig8.topology `Rate_only) in
   (match Snapshot.restore standby "not a snapshot" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected header error");
-  match Snapshot.restore standby "bbr-snapshot v1\nflow oops" with
-  | Error _ -> ()
+  (* Checkpoints are read by the build that wrote them: an older format
+     version is refused at the header. *)
+  (match Snapshot.restore standby "bbr-snapshot v1\n" with
+  | Error e ->
+      Alcotest.(check string) "header error" {|bad snapshot header: "bbr-snapshot v1"|} e
+  | Ok _ -> Alcotest.fail "expected header error");
+  match Snapshot.restore standby "bbr-snapshot v2\nadmit oops" with
+  | Error e ->
+      Alcotest.(check string) "parse error" {|unparseable snapshot line: "admit oops"|} e
   | Ok _ -> Alcotest.fail "expected parse error"
 
 let test_snapshot_standby_keeps_admitting () =

@@ -292,6 +292,11 @@ let test_cops_drains_across_crash () =
 (* ------------------------------------------------------------------ *)
 (* Snapshot: atomicity and id preservation *)
 
+let is_infix ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec scan i = i + n <= m && (String.sub s i n = affix || scan (i + 1)) in
+  n = 0 || scan 0
+
 let test_snapshot_restore_atomic () =
   let mk () =
     let t = Topology.create () in
@@ -299,28 +304,33 @@ let test_snapshot_restore_atomic () =
     Broker.create t
   in
   let target = mk () in
-  (* Two 80 kb/s bookings cannot both fit a 100 kb/s link: the second line
-     must fail on the scratch broker, leaving the target untouched. *)
-  let overload =
-    "bbr-snapshot v1\n\
-     flow 0 1000. 80000. 90000. 1000. 1. A B 80000. 0.\n\
-     flow 1 1000. 80000. 90000. 1000. 1. A B 80000. 0.\n"
-  in
-  (match Snapshot.restore target overload with
+  (* Two 80 kb/s bookings cannot both fit a 100 kb/s link.  The first
+     line books on its own; the second must be refused for capacity on
+     the scratch broker, leaving the target untouched. *)
+  let line flow = Printf.sprintf "admit %d 1000. 80000. 90000. 1000. 1. A B 80000. 0. 0\n" flow in
+  (match Snapshot.restore (mk ()) ("bbr-snapshot v2\n" ^ line 0) with
+  | Ok 1 -> ()
+  | Ok n -> Alcotest.failf "first line restored %d entries" n
+  | Error e -> Alcotest.failf "first line must book: %s" e);
+  (match Snapshot.restore target ("bbr-snapshot v2\n" ^ line 0 ^ line 1) with
   | Ok _ -> Alcotest.fail "overloaded snapshot must be rejected"
-  | Error _ -> ());
+  | Error e ->
+      if not (is_infix ~affix:"flow 1" e && is_infix ~affix:"over capacity" e) then
+        Alcotest.failf "second line must be refused for capacity, got: %s" e);
   Alcotest.(check int) "target untouched" 0 (Broker.per_flow_count target);
   Alcotest.(check (float 1e-9)) "no bandwidth booked" 0.
     (Node_mib.total_reserved (Broker.node_mib target));
   (* Malformed numerics are a parse error, not an exception. *)
-  (match Snapshot.restore target "bbr-snapshot v1\nflow 0 oops 1 1 1 1 A B 1 0" with
+  (match Snapshot.restore target "bbr-snapshot v2\nadmit 0 oops 1 1 1 1 A B 1 0 0" with
   | Ok _ -> Alcotest.fail "malformed float must be rejected"
-  | Error _ -> ());
+  | Error e ->
+      Alcotest.(check bool) "a parse error" true
+        (is_infix ~affix:"unparseable" e));
   Alcotest.(check int) "still untouched" 0 (Broker.per_flow_count target)
 
-(* Per-flow snapshot lines and [admit] journal records name their links
-   and are booked verbatim; links that do not run from the request's
-   ingress to its egress are refused, not booked. *)
+(* Per-flow snapshot lines and [admit] journal records share one codec,
+   name their links and are booked verbatim; links that do not run from
+   the request's ingress to its egress are refused, not booked. *)
 let test_restore_rejects_stray_links () =
   let t = Topology.create () in
   List.iter
@@ -328,18 +338,18 @@ let test_restore_rejects_stray_links () =
       ignore (Topology.add_link t ~src ~dst ~capacity:100_000. Topology.Rate_based))
     [ ("A", "B"); ("B", "C"); ("X", "C") ];
   let target = Broker.create t in
-  let flow links = Printf.sprintf "bbr-snapshot v1\nflow 0 1000. 8000. 9000. 1000. 1. A C 8000. 0. %s\n" links in
+  let admit links =
+    Broker.Admit
+      { flow = 0; request = req ~ingress:"A" ~egress:"C" ~dreq:1. ();
+        rate = 8000.; delay = 0.; links = List.map int_of_string (String.split_on_char ',' links) }
+  in
+  let snapshot links = "bbr-snapshot v2\n" ^ Bbr_broker.Journal.payload (admit links) ^ "\n" in
   List.iter
     (fun (what, links) ->
-      (match Snapshot.restore target (flow links) with
+      (match Snapshot.restore target (snapshot links) with
       | Ok _ -> Alcotest.failf "%s must be rejected" what
       | Error _ -> ());
-      let record =
-        Bbr_broker.Journal.encode ~seq:0 ~at:0.
-          (Broker.Admit
-             { flow = 0; request = req ~ingress:"A" ~egress:"C" ~dreq:1. ();
-               rate = 8000.; delay = 0.; links = List.map int_of_string (String.split_on_char ',' links) })
-      in
+      let record = Bbr_broker.Journal.encode ~seq:0 ~at:0. (admit links) in
       (match Bbr_broker.Journal.replay target (Bbr_broker.Journal.text_of_lines [ record ]) with
       | Ok _ -> Alcotest.failf "journaled %s must be rejected" what
       | Error _ -> ());
@@ -347,7 +357,7 @@ let test_restore_rejects_stray_links () =
     [ ("a path ending short of the egress", "0");
       ("a path leaving from another node", "2");
       ("a disconnected path", "0,2") ];
-  match Snapshot.restore target (flow "0,1") with
+  match Snapshot.restore target (snapshot "0,1") with
   | Ok 1 -> Alcotest.(check int) "the A-B-C path restores" 1 (Broker.per_flow_count target)
   | Ok n -> Alcotest.failf "restored %d entries" n
   | Error e -> Alcotest.failf "the A-B-C path was refused: %s" e
@@ -378,73 +388,93 @@ let test_snapshot_preserves_flow_ids () =
         (List.for_all (fun f -> flow > f) flows)
   | Error e -> Alcotest.failf "unexpected: %a" Types.pp_reject_reason e
 
-let small_profile_gen =
+(* Mostly small flows, and some large enough that a few of them, with
+   their contingency, bring the 200 Mb/s link near capacity. *)
+let profile_gen =
   QCheck.Gen.(
-    let* rho = float_range 50_000. 200_000. in
+    let* big = frequency [ (3, return false); (1, return true) ] in
+    let* rho = if big then float_range 5e6 40e6 else float_range 50_000. 200_000. in
     let* lmax = float_range 500. 12_000. in
     let* burst = float_range 1. 4. in
     let* pm = float_range 1.5 4. in
     return (Traffic.make ~sigma:(lmax *. burst) ~rho ~peak:(rho *. pm) ~lmax))
 
+type load_op =
+  | Per_flow of Traffic.t
+  | Join of float * Traffic.t  (** class bound asked for, profile *)
+  | Leave of int  (** a live flow, by index modulo the live count *)
+  | Queue_empty  (** on every macroflow *)
+
+let pp_load_op ppf = function
+  | Per_flow p -> Fmt.pf ppf "flow %a" Traffic.pp p
+  | Join (dreq, p) -> Fmt.pf ppf "join %g %a" dreq Traffic.pp p
+  | Leave i -> Fmt.pf ppf "leave %d" i
+  | Queue_empty -> Fmt.string ppf "queue_empty"
+
 let arb_mixed_load =
   QCheck.make
-    ~print:(fun l ->
-      Fmt.str "%a" (Fmt.list (Fmt.pair Fmt.bool Traffic.pp)) l)
-    QCheck.Gen.(list_size (int_range 1 8) (pair bool small_profile_gen))
+    ~print:(Fmt.str "%a" (Fmt.list ~sep:Fmt.semi pp_load_op))
+    QCheck.Gen.(
+      list_size (int_range 1 30)
+        (frequency
+           [
+             (2, map (fun p -> Per_flow p) profile_gen);
+             (4, map2 (fun d p -> Join (d, p)) (oneofl [ 5.; 10. ]) profile_gen);
+             (2, map (fun i -> Leave i) (int_bound 1000));
+             (1, return Queue_empty);
+           ]))
 
 let prop_snapshot_round_trip_mixed =
-  (* A broker carrying per-flow bookings and class members with
-     contingency bandwidth in flight round-trips through save/restore —
-     same per_flow_count, class_flow_count, reservations, aggregate base
-     rates and (since the snapshot [aux] section) the exact contingency
-     pools. *)
+  (* A broker carrying per-flow bookings and class macroflows — members
+     joined and left, contingency pools part released by queue-empty
+     signals, some macroflows emptied, links near capacity — restores
+     from its snapshot digest-exact. *)
   QCheck.Test.make ~count:60 ~name:"snapshot round-trips mixed load" arb_mixed_load
-    (fun entries ->
+    (fun ops ->
       let mk () =
         let t = Topology.create () in
         ignore
           (Topology.add_link t ~src:"A" ~dst:"B" ~capacity:200e6 Topology.Rate_based);
-        Broker.create ~classes:[ { Aggregate.class_id = 0; dreq = 5.; cd = 0.24 } ] t
+        Broker.create
+          ~classes:
+            [
+              { Aggregate.class_id = 0; dreq = 5.; cd = 0.24 };
+              { Aggregate.class_id = 1; dreq = 10.; cd = 0.24 };
+            ]
+          t
       in
       let original = mk () in
+      let live = ref [] in
+      let admitted flow ~cls = live := (flow, cls) :: !live in
       List.iter
-        (fun (per_flow, profile) ->
-          let r = req ~profile ~dreq:5. () in
-          let ok =
-            if per_flow then
-              match Broker.request original r with Ok _ -> true | Error _ -> false
-            else
-              match Broker.request_class original r with
-              | Ok _ -> true
-              | Error _ -> false
-          in
-          QCheck.assume ok)
-        entries;
-      (* Under Feedback with no queue-empty signal every join's contingency
-         is still held — snapshot under contingency in flight. *)
+        (function
+          | Per_flow profile -> (
+              match Broker.request original (req ~profile ~dreq:5. ()) with
+              | Ok (flow, _) -> admitted flow ~cls:false
+              | Error _ -> ())
+          | Join (dreq, profile) -> (
+              match Broker.request_class original (req ~profile ~dreq ()) with
+              | Ok (flow, _) -> admitted flow ~cls:true
+              | Error _ -> ())
+          | Leave _ when !live = [] -> ()
+          | Leave i ->
+              let flow, cls = List.nth !live (i mod List.length !live) in
+              live := List.filter (fun (f, _) -> f <> flow) !live;
+              if cls then Broker.teardown_class original flow
+              else Broker.teardown original flow
+          | Queue_empty ->
+              List.iter
+                (fun (s : Aggregate.macro_stats) ->
+                  Broker.queue_empty original ~class_id:s.Aggregate.class_id
+                    ~path_id:s.Aggregate.path_id)
+                (Aggregate.all_macroflows (Broker.aggregate original)))
+        ops;
       let restored = mk () in
       (match Snapshot.restore restored (Snapshot.save original) with
       | Ok _ -> ()
       | Error e -> QCheck.Test.fail_reportf "restore failed: %s" e);
-      let reservations b =
-        Flow_mib.fold (Broker.flow_mib b) ~init:[] ~f:(fun acc r ->
-            (r.Flow_mib.flow, r.Flow_mib.reservation) :: acc)
-        |> List.sort compare
-      in
-      let base_rates b =
-        List.map
-          (fun (s : Aggregate.macro_stats) ->
-            ( s.Aggregate.class_id,
-              s.Aggregate.members,
-              s.Aggregate.base_rate,
-              s.Aggregate.contingency ))
-          (Aggregate.all_macroflows (Broker.aggregate b))
-        |> List.sort compare
-      in
-      Broker.per_flow_count restored = Broker.per_flow_count original
-      && Broker.class_flow_count restored = Broker.class_flow_count original
-      && reservations restored = reservations original
-      && base_rates restored = base_rates original)
+      Bbr_broker.Audit.ok (Bbr_broker.Audit.check restored)
+      && Bbr_broker.Audit.mib_digest restored = Bbr_broker.Audit.mib_digest original)
 
 (* ------------------------------------------------------------------ *)
 (* Failover manager *)
@@ -478,6 +508,69 @@ let test_failover_promote_cycle () =
   Alcotest.(check bool) "standby took over" true (Failover.active fw != primary);
   Alcotest.(check int) "standby holds the checkpointed flow" 1
     (Broker.per_flow_count (Failover.active fw))
+
+(* The class-aggregate benchmark's broker shape: the eight Table-1
+   classes under Feedback on a 5-hop 200 Mb/s VT-EDF chain, about 5 000
+   requests holding at most 3 000 members, every macroflow's queue
+   reported empty every 32 decisions.  Its checkpoint must restore as
+   booked, and recovery from the store — checkpoint plus a journal tail
+   of further joins and leaves — must be lossless and digest-exact. *)
+let test_checkpoint_near_capacity_classes () =
+  let make () =
+    let topo, _, _ =
+      Bbr_workload.Topo_gen.chain ~capacity:200e6 ~sched:Topology.Delay_based ~hops:5 ()
+    in
+    Broker.create
+      ~classes:(Bbr_workload.Dynamic.service_classes 0.24)
+      ~method_:Aggregate.Feedback topo
+  in
+  let primary = make () in
+  let fw =
+    Failover.create ~make_standby:make ~journal:(Bbr_broker.Journal.create ()) primary
+  in
+  let prng = Prng.create ~seed:1 in
+  let live = Queue.create () in
+  let decisions = ref 0 in
+  let macros () = Aggregate.all_macroflows (Broker.aggregate primary) in
+  let step () =
+    if !decisions mod 32 = 0 then
+      List.iter
+        (fun (s : Aggregate.macro_stats) ->
+          Broker.queue_empty primary ~class_id:s.Aggregate.class_id
+            ~path_id:s.Aggregate.path_id)
+        (macros ());
+    incr decisions;
+    let ty = Prng.int prng ~bound:4 in
+    let dreq = Profiles.bound ty (if Prng.bool prng then `Tight else `Loose) in
+    match
+      Broker.request_class primary
+        { Types.profile = Profiles.profile ty; dreq; ingress = "n0"; egress = "n5" }
+    with
+    | Ok (flow, _) ->
+        Queue.push flow live;
+        if Queue.length live > 3000 then Broker.teardown_class primary (Queue.pop live)
+    | Error _ -> ()
+  in
+  for _ = 1 to 5000 do
+    step ()
+  done;
+  Alcotest.(check bool) "contingency is held at the checkpoint" true
+    (List.exists (fun (s : Aggregate.macro_stats) -> s.Aggregate.contingency > 0.) (macros ()));
+  (match Snapshot.restore (make ()) (Snapshot.save primary) with
+  | Ok n -> Alcotest.(check int) "every member restored" (Broker.class_flow_count primary) n
+  | Error e -> Alcotest.failf "restore failed: %s" e);
+  Failover.checkpoint fw;
+  Alcotest.(check int) "checkpoint taken" 1 (Failover.checkpoints fw);
+  for _ = 1 to 50 do
+    step ()
+  done;
+  match Failover.recover_from ~make (Failover.storage fw) with
+  | Error e -> Alcotest.failf "recovery failed: %s" e
+  | Ok (standby, _, r) ->
+      Alcotest.(check bool) "recovery reports no loss" false (Failover.recovery_loss r);
+      Alcotest.(check string) "recovered digest equals the live one"
+        (Bbr_broker.Audit.mib_digest primary)
+        (Bbr_broker.Audit.mib_digest standby)
 
 let test_failover_periodic_checkpoints () =
   let engine = Engine.create () in
@@ -697,6 +790,8 @@ let () =
       ( "failover",
         [
           Alcotest.test_case "promote cycle" `Quick test_failover_promote_cycle;
+          Alcotest.test_case "near-capacity class checkpoint" `Quick
+            test_checkpoint_near_capacity_classes;
           Alcotest.test_case "periodic checkpoints" `Quick
             test_failover_periodic_checkpoints;
         ] );
