@@ -17,69 +17,35 @@ type link_cache = {
 
 type entry = {
   info : Path_mib.info;
-  link_ids : int array;  (* every link of the path *)
   lcaches : link_cache array;  (* delay-based links only, path order *)
   idx : int array;  (* merge cursors, one per lcache (scratch) *)
-  mutable stamps : int array;  (* link epochs at last path_state validation *)
-  mutable gstamp : int;  (* global epoch at last path_state validation *)
-  mutable vstamps : int array;  (* Vtedf versions at last merge *)
-  mutable ps : Admission.path_state;
+  vstamps : int array;  (* Vtedf versions at last merge *)
+  mutable ps : Admission.path_state;  (* static fields; [cres] as last read *)
   mutable mg : Admission.merged;
 }
 
-type stats = {
-  paths : int;
-  hits : int;
-  revalidations : int;
-  link_refreshes : int;
-  merges : int;
-}
+type stats = { paths : int; hits : int; link_refreshes : int; merges : int }
 
 type t = {
   node_mib : Node_mib.t;
   path_mib : Path_mib.t;
   entries : (int, entry) Hashtbl.t;  (* path_id -> entry *)
   links : (int, link_cache) Hashtbl.t;  (* link_id -> shared cache *)
-  mutable epochs : int array;  (* per link id, bumped by Node_mib.on_change *)
-  mutable global_epoch : int;
   mutable hits : int;
-  mutable revalidations : int;
   mutable link_refreshes : int;
   mutable merges : int;
 }
 
-let ensure_epochs t link_id =
-  let len = Array.length t.epochs in
-  if link_id >= len then begin
-    let bigger = Array.make (max (2 * len) (link_id + 1)) 0 in
-    Array.blit t.epochs 0 bigger 0 len;
-    t.epochs <- bigger
-  end
-
 let create node_mib path_mib =
-  let t =
-    {
-      node_mib;
-      path_mib;
-      entries = Hashtbl.create 64;
-      links = Hashtbl.create 64;
-      epochs = Array.make 64 0;
-      global_epoch = 0;
-      hits = 0;
-      revalidations = 0;
-      link_refreshes = 0;
-      merges = 0;
-    }
-  in
-  (* Reserve/release on a link invalidates the residual of every cached
-     path crossing it; Vtedf mutations carry their own version counters so
-     they need no hook (some callers probe schedulers without notifying). *)
-  Node_mib.on_change node_mib (fun ~link_id ->
-      ensure_epochs t link_id;
-      t.epochs.(link_id) <- t.epochs.(link_id) + 1);
-  t
-
-let invalidate_all t = t.global_epoch <- t.global_epoch + 1
+  {
+    node_mib;
+    path_mib;
+    entries = Hashtbl.create 64;
+    links = Hashtbl.create 64;
+    hits = 0;
+    link_refreshes = 0;
+    merges = 0;
+  }
 
 let link_cache_of t link_id edf =
   match Hashtbl.find_opt t.links link_id with
@@ -103,12 +69,6 @@ let entry_of t (info : Path_mib.info) =
   match Hashtbl.find_opt t.entries info.Path_mib.path_id with
   | Some e -> e
   | None ->
-      let ps = Admission.path_state t.node_mib t.path_mib info in
-      let link_ids =
-        Array.of_list
-          (List.map (fun (l : Topology.link) -> l.Topology.link_id) info.Path_mib.links)
-      in
-      Array.iter (fun id -> ensure_epochs t id) link_ids;
       let lcaches =
         Array.of_list
           (List.filter_map
@@ -122,52 +82,16 @@ let entry_of t (info : Path_mib.info) =
       let e =
         {
           info;
-          link_ids;
           lcaches;
           idx = Array.make (max 1 (Array.length lcaches)) 0;
-          (* stale stamps: the first query revalidates everything *)
-          stamps = Array.map (fun _ -> -1) link_ids;
-          gstamp = t.global_epoch - 1;
+          (* stale stamps: the first query merges *)
           vstamps = Array.map (fun _ -> -1) lcaches;
-          ps;
+          ps = Admission.path_state t.node_mib t.path_mib info;
           mg = { Admission.m = 0; md = [||]; ms = [||] };
         }
       in
       Hashtbl.replace t.entries info.Path_mib.path_id e;
       e
-
-(* ------------------------------------------------------------------ *)
-(* Lazy revalidation.  The path_state level (residual bandwidth) keys on
-   per-link reserve/release epochs; the merged-breakpoint level keys on
-   the schedulers' own version counters.  Both are checked at query time,
-   so a burst of mutations costs one rebuild per path at its next query,
-   not one per mutation. *)
-
-let ps_fresh t e =
-  e.gstamp = t.global_epoch
-  &&
-  let ok = ref true in
-  let k = Array.length e.link_ids in
-  let i = ref 0 in
-  while !ok && !i < k do
-    if e.stamps.(!i) <> t.epochs.(e.link_ids.(!i)) then ok := false;
-    incr i
-  done;
-  !ok
-
-let revalidate_ps t e =
-  t.revalidations <- t.revalidations + 1;
-  let cres = Path_mib.residual t.path_mib e.info in
-  if cres <> e.ps.Admission.cres then e.ps <- { e.ps with Admission.cres };
-  for i = 0 to Array.length e.link_ids - 1 do
-    e.stamps.(i) <- t.epochs.(e.link_ids.(i))
-  done;
-  e.gstamp <- t.global_epoch
-
-let path_state t info =
-  let e = entry_of t info in
-  if ps_fresh t e then t.hits <- t.hits + 1 else revalidate_ps t e;
-  e.ps
 
 let grow_f a n =
   let len = Array.length a in
@@ -251,24 +175,24 @@ let merged_fresh e =
   done;
   !ok
 
+(* The merged table keys on the schedulers' own version counters, checked
+   at query time, so a burst of mutations costs one re-merge per path at
+   its next query.  [C_res] is an O(h) min read on every query. *)
 let query t info =
   let e = entry_of t info in
-  let ps_ok = ps_fresh t e in
-  if not ps_ok then revalidate_ps t e;
-  if merged_fresh e then begin
-    if ps_ok then t.hits <- t.hits + 1
-  end
+  if merged_fresh e then t.hits <- t.hits + 1
   else begin
     Array.iter (refresh_link t) e.lcaches;
     remerge t e
   end;
+  let cres = Path_mib.residual t.path_mib e.info in
+  if cres <> e.ps.Admission.cres then e.ps <- { e.ps with Admission.cres };
   (e.ps, e.mg)
 
 let stats t =
   {
     paths = Hashtbl.length t.entries;
     hits = t.hits;
-    revalidations = t.revalidations;
     link_refreshes = t.link_refreshes;
     merges = t.merges;
   }

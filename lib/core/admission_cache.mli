@@ -2,25 +2,25 @@
 
     The paper's complexity claims — O(1) rate-based admission, O(M)
     mixed-path admission over the merged breakpoint table (Sections
-    3.1–3.2) — assume the per-path state is {e maintained}, not rebuilt per
-    request.  This cache keeps, for every registered path, a cached
-    {!Admission.path_state} and a merged breakpoint table
-    ({!Admission.merged}) kept consistent incrementally:
+    3.1–3.2) — assume the per-path breakpoint table is {e maintained}, not
+    rebuilt per request.  This cache keeps, for every registered path, the
+    static part of its {!Admission.path_state} (hops, [d_tot], scheduler
+    list) and a merged breakpoint table ({!Admission.merged}) kept
+    consistent incrementally:
 
     - one {b per-link} breakpoint cache shared by all paths crossing the
       link, refreshed through {!Bbr_vtrs.Vtedf.refresh_breakpoints} — a
       flow add/remove recomputes only the table suffix starting at the
       touched delay class;
     - one {b per-path} merged table, re-merged (allocation-free H-way merge
-      into reused buffers) only when a crossed scheduler's version counter
-      moved.
+      into reused buffers) only when a crossed scheduler's
+      {!Bbr_vtrs.Vtedf.version} moved.
 
-    Invalidation is by epochs with {e lazy} revalidation: reserve/release
-    bumps the link's epoch (via {!Node_mib.on_change}); scheduler mutations
-    bump the {!Bbr_vtrs.Vtedf.version} counter; link failure/restore and
-    snapshot/journal restore bump a global epoch through
-    {!invalidate_all}.  Nothing is recomputed at mutation time — a burst of
-    mutations costs one rebuild per path at its next query.
+    Versions are the only freshness key, and they are checked at query
+    time: a burst of mutations costs one re-merge per path at its next
+    query, and nothing needs invalidating — a restore books into the same
+    schedulers, which bump their own versions.  The residual [C_res] is not
+    cached: every query reads it through {!Path_mib.residual}, an O(h) min.
 
     The cache is digest-neutral by construction: the values handed out are
     element-wise identical to a fresh {!Admission.path_state} plus
@@ -30,30 +30,21 @@
 type t
 
 val create : Node_mib.t -> Path_mib.t -> t
-(** Registers a {!Node_mib.on_change} hook.  Create at most one cache per
+(** An empty cache over the given MIBs.  Create at most one cache per
     [Node_mib.t]: each cache assumes it is the single consumer of the
     schedulers' incremental refresh API. *)
 
-val path_state : t -> Path_mib.info -> Admission.path_state
-(** The path's current {!Admission.path_state}, revalidated lazily (only
-    the residual can change; the static fields and scheduler list are
-    stable).  Suitable for {!Admission.schedulable}-style checks that read
-    the schedulers directly. *)
-
 val query : t -> Path_mib.info -> Admission.path_state * Admission.merged
-(** {!path_state} plus the path's merged breakpoint table for
-    {!Admission.admit}'s [?bps].  The returned [merged] aliases internal
-    buffers: it is valid until the next [query] on the same path. *)
-
-val invalidate_all : t -> unit
-(** Bump the global epoch: every cached path revalidates at its next
-    query.  Called by the broker on link failure/restore and by state
-    restoration paths. *)
+(** The path's {!Admission.path_state}, with [cres] read now, and its
+    merged breakpoint table for {!Admission.admit}'s [?bps].  The returned
+    [merged] aliases internal buffers: it is valid until the next [query]
+    on the same path. *)
 
 type stats = {
   paths : int;  (** cached path entries *)
-  hits : int;  (** queries answered with no recomputation *)
-  revalidations : int;  (** path_state refreshes (residual re-read) *)
+  hits : int;
+      (** queries whose merged table was current (no link refresh, no
+          re-merge) *)
   link_refreshes : int;  (** per-link incremental breakpoint refreshes *)
   merges : int;  (** per-path H-way re-merges *)
 }

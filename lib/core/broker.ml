@@ -28,9 +28,7 @@ type decision_record = {
    link-state change — the teardowns, evacuations and re-admissions that
    {!fail_link} performs are each journaled as their own records, in
    execution order, so a replay reproduces the reroute exactly without
-   re-running the recovery procedure.  [Rate_changed] is informational
-   (the rate is a deterministic function of the admissions); replay
-   ignores it. *)
+   re-running the recovery procedure. *)
 type mutation =
   | Admit of {
       flow : Types.flow_id;
@@ -53,7 +51,6 @@ type mutation =
   | Evacuated of { class_id : int; links : int list }
   | Link_failed of int
   | Link_restored of int
-  | Rate_changed of { class_id : int; path_id : int; total_rate : float }
 
 type t = {
   topology : Topology.t;
@@ -71,12 +68,7 @@ type t = {
   mutable batch_wrap : ((unit -> unit) -> unit) option;
   on_edge_config : flow:Types.flow_id -> Types.reservation -> unit;
   mutable on_decision : (decision_record -> unit) list;
-  (* A ref cell (not a mutable field) so the aggregate's [rate_changed]
-     closure, built before this record exists, can share it.  The
-     mutation value is only constructed inside the [Some] branch at each
-     emission site: with no hook installed the hot path costs one load
-     and one branch, and allocates nothing. *)
-  on_mutation : (mutation -> unit) option ref;
+  mutable on_mutation : (mutation -> unit) option;
 }
 
 let create ?policy ?(classes = []) ?(method_ = Aggregate.Feedback) ?time
@@ -90,20 +82,9 @@ let create ?policy ?(classes = []) ?(method_ = Aggregate.Feedback) ?time
   let cache =
     if fast_path then Some (Admission_cache.create node_mib path_mib) else None
   in
-  let on_mutation = ref None in
   let aggregate =
     Aggregate.create node_mib path_mib ~classes ~method_
-      ~hooks:
-        {
-          Aggregate.now = time.now;
-          after = time.after;
-          rate_changed =
-            (fun ~class_id ~path_id ~total_rate ->
-              (match !on_mutation with
-              | None -> ()
-              | Some f -> f (Rate_changed { class_id; path_id; total_rate }));
-              on_class_rate ~class_id ~path_id ~total_rate);
-        }
+      ~hooks:{ Aggregate.now = time.now; after = time.after; rate_changed = on_class_rate }
   in
   {
     topology;
@@ -118,14 +99,14 @@ let create ?policy ?(classes = []) ?(method_ = Aggregate.Feedback) ?time
     batch_wrap = None;
     on_edge_config;
     on_decision = Option.to_list decision_hook;
-    on_mutation;
+    on_mutation = None;
   }
 
 let add_decision_hook t f = t.on_decision <- t.on_decision @ [ f ]
 
-let set_mutation_hook t f = t.on_mutation := Some f
+let set_mutation_hook t f = t.on_mutation <- Some f
 
-let clear_mutation_hook t = t.on_mutation := None
+let clear_mutation_hook t = t.on_mutation <- None
 
 let now t = t.time.now ()
 
@@ -218,8 +199,7 @@ let push_edge t ~flow res =
   stage t s_cops_push (fun () -> t.on_edge_config ~flow res)
 
 (* The admissibility stage, cached or from scratch.  The conservative test
-   never walks the merged table, so it only needs the (cheaper)
-   [path_state] level of the cache. *)
+   never walks the merged table, so it reads the path state directly. *)
 let admissibility t path ~admission (req : Types.request) =
   let dreq = req.Types.dreq in
   match (admission, t.cache) with
@@ -229,10 +209,7 @@ let admissibility t path ~admission (req : Types.request) =
   | `Exact, None ->
       Admission.admit (Admission.path_state t.node_mib t.path_mib path)
         req.Types.profile ~dreq
-  | `Conservative, Some cache ->
-      Admission.conservative (Admission_cache.path_state cache path)
-        req.Types.profile ~dreq
-  | `Conservative, None ->
+  | `Conservative, _ ->
       Admission.conservative (Admission.path_state t.node_mib t.path_mib path)
         req.Types.profile ~dreq
 
@@ -253,7 +230,7 @@ let request_full t ?flow ?(admission = `Exact) req =
               stage t s_bookkeeping (fun () -> book_per_flow t ?flow req path res)
             in
             (* Journal before the decision leaves the broker (WAL). *)
-            (match !(t.on_mutation) with
+            (match t.on_mutation with
             | None -> ()
             | Some f -> f (admit_record ~flow req path res));
             push_edge t ~flow res;
@@ -282,7 +259,7 @@ let book_segment t ~flow ~request:(req : Types.request) ~links ~rate ~delay =
     Path_mib.register_segment t.path_mib (List.map (Topology.link_by_id t.topology) links)
   in
   book_links t ~flow req seg ~rate ~delay;
-  match !(t.on_mutation) with
+  match t.on_mutation with
   | None -> ()
   | Some f -> f (Admit_segment { flow; request = req; rate; delay; links })
 
@@ -300,7 +277,7 @@ let book_path t ~flow ~request:(req : Types.request) ~links ~rate ~delay =
   | _ -> invalid_arg "Broker.book_path: links do not run from ingress to egress");
   let path = Path_mib.register t.path_mib ls in
   book_links t ~flow req path ~rate ~delay;
-  match !(t.on_mutation) with
+  match t.on_mutation with
   | None -> ()
   | Some f -> f (Admit { flow; request = req; rate; delay; links })
 
@@ -342,11 +319,7 @@ let request_fixed t ?flow req ~rate ?delay () =
         else begin
           let admissible =
             stage t s_admissibility (fun () ->
-                let ps =
-                  match t.cache with
-                  | Some cache -> Admission_cache.path_state cache path
-                  | None -> Admission.path_state t.node_mib t.path_mib path
-                in
+                let ps = Admission.path_state t.node_mib t.path_mib path in
                 let delay =
                   match (delay, ps.Admission.delay_hops) with
                   | Some d, _ -> d
@@ -372,7 +345,7 @@ let request_fixed t ?flow req ~rate ?delay () =
               let flow =
                 stage t s_bookkeeping (fun () -> book_per_flow t ?flow req path res)
               in
-              (match !(t.on_mutation) with
+              (match t.on_mutation with
               | None -> ()
               | Some f -> f (admit_record ~flow req path res));
               push_edge t ~flow res;
@@ -390,7 +363,7 @@ let teardown t flow =
   match Flow_mib.remove t.flow_mib flow with
   | None -> ()
   | Some record ->
-      (match !(t.on_mutation) with
+      (match t.on_mutation with
       | None -> ()
       | Some f -> f (Teardown flow));
       Obs_log.count "bb_teardowns_total" ~labels:[ ("service", "perflow") ];
@@ -443,7 +416,7 @@ let request_class t ?class_id ?flow req =
                     ~flow req.Types.profile)
             with
             | Ok () ->
-                (match !(t.on_mutation) with
+                (match t.on_mutation with
                 | None -> ()
                 | Some f ->
                     f (Admit_class { flow; class_id = cls.Aggregate.class_id; request = req }));
@@ -457,7 +430,7 @@ let request_class t ?class_id ?flow req =
 (* Idempotent for the same reason as {!teardown}. *)
 let teardown_class t flow =
   if Aggregate.owner t.aggregate ~flow <> None then begin
-    (match !(t.on_mutation) with
+    (match t.on_mutation with
     | None -> ()
     | Some f -> f (Teardown_class flow));
     Obs_log.count "bb_teardowns_total" ~labels:[ ("service", "class") ];
@@ -468,7 +441,7 @@ let link_ids_of (info : Path_mib.info) =
   List.map (fun (l : Topology.link) -> l.Topology.link_id) info.Path_mib.links
 
 let queue_empty t ~class_id ~path_id =
-  (match !(t.on_mutation) with
+  (match t.on_mutation with
   | None -> ()
   | Some f ->
       (* Journal only signals that land on a live macroflow; the path is
@@ -495,18 +468,17 @@ let recovered_count r = List.length r.perflow_rerouted + List.length r.class_rer
 
 let dropped_count r = List.length r.perflow_dropped + List.length r.class_dropped
 
-(* The physical half of a link transition: journal the record, flip the
-   topology state, drop the admission cache.  [fail_link] / [restore_link]
+(* The physical half of a link transition: journal the record and flip the
+   topology state.  [fail_link] / [restore_link]
    run this and then their recovery cascade; the sharded broker's router
    calls it directly on each shard so the cascade (which spans shards) can
    run once, centrally. *)
 let set_link_admin t ~link_id ~up =
   ignore (Topology.link_by_id t.topology link_id);
-  (match !(t.on_mutation) with
+  (match t.on_mutation with
   | None -> ()
   | Some f -> f (if up then Link_restored link_id else Link_failed link_id));
-  Topology.set_link_state t.topology ~link_id ~up;
-  Option.iter Admission_cache.invalidate_all t.cache
+  Topology.set_link_state t.topology ~link_id ~up
 
 let fail_link t ~link_id =
   set_link_admin t ~link_id ~up:false;
@@ -531,7 +503,7 @@ let fail_link t ~link_id =
               Aggregate.path_endpoints t.aggregate ~class_id:s.Aggregate.class_id
                 ~path_id:s.Aggregate.path_id
             in
-            (match !(t.on_mutation) with
+            (match t.on_mutation with
             | None -> ()
             | Some f ->
                 f
@@ -576,7 +548,7 @@ let fail_link t ~link_id =
                              must journal its own record.  The class is
                              pinned; [dreq = infinity] replays through
                              any class bound. *)
-                          (match !(t.on_mutation) with
+                          (match t.on_mutation with
                           | None -> ()
                           | Some f ->
                               f
@@ -634,8 +606,6 @@ let flow_mib t = t.flow_mib
 let routing t = t.routing
 
 let aggregate t = t.aggregate
-
-let invalidate_cache t = Option.iter Admission_cache.invalidate_all t.cache
 
 let fast_path_stats t = Option.map Admission_cache.stats t.cache
 

@@ -54,10 +54,11 @@ val create :
   t
 (** [method_] defaults to {!Aggregate.Feedback}; [classes] to none;
     [policy] to allow-all; [time] to {!immediate_time}.  [fast_path]
-    (default [true]) backs admission with the incremental
-    {!Admission_cache}; it is digest-neutral — decisions and MIB digests
-    are identical either way — so [false] exists for benchmarking the
-    uncached path and for differential testing. *)
+    (default [true]) backs the exact admission test with the incremental
+    breakpoint tables of {!Admission_cache}; it is digest-neutral —
+    decisions and MIB digests are identical either way — so [false] is the
+    reference the differential tests compare against, and the uncached
+    baseline for benchmarking. *)
 
 val add_decision_hook : t -> (decision_record -> unit) -> unit
 (** Subscribe to admission decisions after creation.  Hooks run in
@@ -66,19 +67,18 @@ val add_decision_hook : t -> (decision_record -> unit) -> unit
 (** {1 State-mutation hook (write-ahead journaling)}
 
     Every mutation of the broker's durable state — admissions, teardowns,
-    contingency releases, macroflow evacuations, link state changes,
-    aggregate rate changes — is announced through a single optional hook,
-    in commit order.  {!Journal} installs itself here to build its
+    contingency releases, macroflow evacuations, link state changes — is
+    announced through a single optional hook, in commit order.  {!Journal} installs itself here to build its
     write-ahead log; {!Journal.replay} applies the same mutations to a
     fresh broker to reconstruct the state.
 
     [Link_failed] and [Link_restored] are {e physical} records: on replay
     they change only the link state, because the teardown / evacuation /
     re-admission cascade {!fail_link} performs is journaled record by
-    record in execution order.  [Rate_changed] documents every aggregate
-    rate adjustment (including contingency draws and releases) and is
-    ignored on replay — the rate is a deterministic function of the
-    admissions.
+    record in execution order.  Aggregate rate changes are not mutations:
+    the rate is a deterministic function of the admissions, so they reach
+    only the [on_class_rate] hook, the [bb_agg_rate_changes_total] counter
+    and the [bb.agg.rate_change] trace event.
 
     When no hook is installed the emission sites cost one load and one
     branch and allocate nothing. *)
@@ -116,8 +116,6 @@ type mutation =
       (** a whole macroflow was hard-released by {!fail_link} *)
   | Link_failed of int  (** link marked down (physical record) *)
   | Link_restored of int  (** link marked up (physical record) *)
-  | Rate_changed of { class_id : int; path_id : int; total_rate : float }
-      (** informational: an aggregate rate (base + contingency) changed *)
 
 val set_mutation_hook : t -> (mutation -> unit) -> unit
 (** Install the (single) mutation hook, replacing any previous one. *)
@@ -286,9 +284,8 @@ val restore_link : t -> link_id:int -> unit
 
 val set_link_admin : t -> link_id:int -> up:bool -> unit
 (** The physical half of {!fail_link} / {!restore_link}: journal the
-    [Link_failed] / [Link_restored] record, flip the topology state and
-    invalidate the admission cache — {e without} running any recovery
-    cascade.  The sharded broker's router calls this on every shard so the
+    [Link_failed] / [Link_restored] record and flip the topology state —
+    {e without} running any recovery cascade.  The sharded broker's router calls this on every shard so the
     teardown/re-admission cascade, which spans shards, runs once,
     centrally.  Raises [Invalid_argument] for an unknown link id. *)
 
@@ -316,12 +313,6 @@ val aggregate : t -> Aggregate.t
 
 val route_of : t -> Types.request -> Path_mib.info option
 (** The path the broker would select for this request. *)
-
-val invalidate_cache : t -> unit
-(** Force every cached path to revalidate at its next query (no-op without
-    the fast path).  The broker already does this on {!fail_link} /
-    {!restore_link}; state-restoration code paths that bypass the normal
-    request surface should call it after rebuilding MIB state. *)
 
 val fast_path_stats : t -> Admission_cache.stats option
 (** Cache effectiveness counters; [None] when created with

@@ -18,7 +18,6 @@ let kind_label : Broker.mutation -> string = function
   | Broker.Evacuated _ -> "evacuate"
   | Broker.Link_failed _ -> "link_failed"
   | Broker.Link_restored _ -> "link_restored"
-  | Broker.Rate_changed _ -> "rate_change"
 
 let payload (m : Broker.mutation) =
   match m with
@@ -45,8 +44,6 @@ let payload (m : Broker.mutation) =
       Printf.sprintf "evac %d %s" class_id (links_str links)
   | Broker.Link_failed link_id -> Printf.sprintf "linkdown %d" link_id
   | Broker.Link_restored link_id -> Printf.sprintf "linkup %d" link_id
-  | Broker.Rate_changed { class_id; path_id; total_rate } ->
-      Printf.sprintf "rate %d %d %h" class_id path_id total_rate
 
 let encode ~seq ~at m = Wal.encode_line ~seq ~at (payload m)
 
@@ -139,14 +136,6 @@ let decode_payload fields : Broker.mutation option =
           (links_of_str links)
     | [ "linkdown"; link_id ] -> Some (Broker.Link_failed (int_of_string link_id))
     | [ "linkup"; link_id ] -> Some (Broker.Link_restored (int_of_string link_id))
-    | [ "rate"; class_id; path_id; total ] ->
-        Some
-          (Broker.Rate_changed
-             {
-               class_id = int_of_string class_id;
-               path_id = int_of_string path_id;
-               total_rate = fl total;
-             })
     | _ -> None
   with
   | exception _ -> None
@@ -210,7 +199,6 @@ let apply broker (m : Broker.mutation) =
   | Broker.Link_restored link_id ->
       Topology.set_link_state (Broker.topology broker) ~link_id ~up:true;
       Ok ()
-  | Broker.Rate_changed _ -> Ok () (* informational; rates follow from the admissions *)
 
 let replay broker text =
   match parse text with

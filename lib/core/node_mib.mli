@@ -36,9 +36,10 @@ val release : t -> link_id:int -> float -> unit
     [Invalid_argument] if more than reserved would be released. *)
 
 val on_change : t -> (link_id:int -> unit) -> unit
-(** Register a hook invoked after every {!reserve}/{!release} — used by
-    {!Admission_cache} to bump the link's epoch so cached path states
-    revalidate lazily. *)
+(** Register a hook invoked after every {!reserve}/{!release}.  No
+    product module subscribes: [C_res] is read on demand
+    ({!Path_mib.residual}), so the hook serves only external probes that
+    count link changes. *)
 
 val total_reserved : t -> float
 (** Sum over links (diagnostics). *)

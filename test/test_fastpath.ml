@@ -1,6 +1,6 @@
 (* Fast-path admission engine: flat VT-EDF regressions, incremental
-   breakpoint refresh, cached/uncached differential equivalence, batched
-   requests and group commit. *)
+   breakpoint refresh, cached/uncached differential equivalence,
+   per-decision cost counts, batched requests and group commit. *)
 
 module Topology = Bbr_vtrs.Topology
 module Vtedf = Bbr_vtrs.Vtedf
@@ -266,16 +266,113 @@ let test_cache_hits () =
       | Error _ -> ()
   in
   saturate 10_000;
+  let stats () =
+    match Broker.fast_path_stats broker with
+    | None -> Alcotest.fail "fast path should be on by default"
+    | Some s -> s
+  in
   ignore (Broker.request broker req);
+  let before = stats () in
   ignore (Broker.request broker req);
-  match Broker.fast_path_stats broker with
-  | None -> Alcotest.fail "fast path should be on by default"
-  | Some s ->
-      Alcotest.(check bool) "paths cached" true (s.Admission_cache.paths > 0);
-      Alcotest.(check bool)
-        "mixed path exercised the merge" true
-        (s.Admission_cache.merges > 0);
-      Alcotest.(check bool) "unchanged re-query hits" true (s.Admission_cache.hits > 0)
+  let s = stats () in
+  Alcotest.(check bool) "paths cached" true (s.Admission_cache.paths > 0);
+  Alcotest.(check bool)
+    "mixed path exercised the merge" true
+    (s.Admission_cache.merges > 0);
+  (* A hit is a query whose merged table was current: the rejected
+     request booked nothing, so the repeat neither refreshes nor merges. *)
+  Alcotest.(check int) "unchanged re-query hits" (before.Admission_cache.hits + 1)
+    s.Admission_cache.hits;
+  Alcotest.(check int) "no re-merge on a hit" before.Admission_cache.merges
+    s.Admission_cache.merges;
+  (* A teardown on the path, with no query in between: the next query
+     hands out the residual as it is now.  The cache here is the only one
+     over an uncached broker's MIBs. *)
+  let plain = Broker.create ~fast_path:false (Fig8.topology `Mixed) in
+  let cache = Admission_cache.create (Broker.node_mib plain) (Broker.path_mib plain) in
+  let flows = List.init 6 (fun _ -> fst (Result.get_ok (Broker.request plain req))) in
+  let path = Option.get (Broker.route_of plain req) in
+  ignore (Admission_cache.query cache path);
+  let before = Admission_cache.stats cache in
+  Broker.teardown plain (List.hd flows);
+  let ps, _ = Admission_cache.query cache path in
+  let s = Admission_cache.stats cache in
+  Alcotest.(check (float 0.)) "cres read on the query"
+    (Path_mib.residual (Broker.path_mib plain) path)
+    ps.Bbr_broker.Admission.cres;
+  Alcotest.(check int) "teardown moved the table: no hit" before.Admission_cache.hits
+    s.Admission_cache.hits;
+  Alcotest.(check int) "one re-merge" (before.Admission_cache.merges + 1)
+    s.Admission_cache.merges
+
+(* ------------------------------------------------------------------ *)
+(* The paper's cost model, pinned by counts (Sections 3.1-3.2): a cached
+   per-flow decision allocates the same, and does the same cache work,
+   whether 250 or 4 000 flows are live on its path.  Counts repeat
+   exactly, so unlike timings they can gate.  [dreq] comes from Table 1's
+   bounds: a continuous draw would open one delay class per flow, so M
+   would grow with N and the test would see the O(M) scan. *)
+
+let churn_cost sched ~live =
+  let topology, ingress, egress = Topo_gen.chain ~capacity:1e9 ~sched ~hops:5 () in
+  let broker = Broker.create topology in
+  let req i =
+    let ty = i mod 4 in
+    {
+      Types.profile = Profiles.profile ty;
+      dreq = Profiles.bound ty (if i / 4 mod 2 = 0 then `Loose else `Tight);
+      ingress;
+      egress;
+    }
+  in
+  let flows = Queue.create () in
+  let admit i =
+    match Broker.request broker (req i) with
+    | Ok (flow, _) -> Queue.push flow flows
+    | Error e -> Alcotest.failf "request %d rejected: %a" i Types.pp_reject_reason e
+  in
+  let step i =
+    Broker.teardown broker (Queue.pop flows);
+    admit i
+  in
+  for i = 0 to live - 1 do
+    admit i
+  done;
+  for i = live to live + 199 do
+    step i
+  done;
+  let steps = 2_000 in
+  let s0 = Option.get (Broker.fast_path_stats broker) in
+  let w0 = Gc.minor_words () in
+  for i = live + 200 to live + 200 + steps - 1 do
+    step i
+  done;
+  let w1 = Gc.minor_words () in
+  let s1 = Option.get (Broker.fast_path_stats broker) in
+  let per n = float_of_int n /. float_of_int steps in
+  ( (w1 -. w0) /. float_of_int steps,
+    per (s1.Admission_cache.merges - s0.Admission_cache.merges),
+    per (s1.Admission_cache.link_refreshes - s0.Admission_cache.link_refreshes) )
+
+let test_decision_cost_flat () =
+  List.iter
+    (fun (name, sched, delay_hops) ->
+      let costs = List.map (fun live -> (live, churn_cost sched ~live)) [ 250; 4_000 ] in
+      let _, (w_small, _, _) = List.hd costs in
+      List.iter
+        (fun (live, (words, merges, refreshes)) ->
+          let at what = Printf.sprintf "%s, %d live: %s" name live what in
+          Alcotest.(check bool)
+            (at (Printf.sprintf "%.1f words/step within 2%% of %.1f" words w_small))
+            true
+            (Float.abs (words -. w_small) <= 0.02 *. w_small);
+          Alcotest.(check bool) (at "at most 1 merge/decision") true (merges <= 1.);
+          Alcotest.(check bool)
+            (at (Printf.sprintf "at most %d link refreshes/decision" delay_hops))
+            true
+            (refreshes <= float_of_int delay_hops))
+        costs)
+    [ ("rate-based", Topology.Rate_based, 0); ("VT-EDF", Topology.Delay_based, 5) ]
 
 (* ------------------------------------------------------------------ *)
 (* Batched requests and journal group commit *)
@@ -413,7 +510,11 @@ let () =
             test_breakpoints_into_matches_list;
         ] );
       ( "cache",
-        [ Alcotest.test_case "hit counters move" `Quick test_cache_hits ] );
+        [
+          Alcotest.test_case "hit counters move" `Quick test_cache_hits;
+          Alcotest.test_case "decision cost flat in live flows" `Quick
+            test_decision_cost_flat;
+        ] );
       ( "batch",
         [
           Alcotest.test_case "batch = sequential" `Quick
