@@ -23,15 +23,8 @@
      admission_throughput
                   fast-path admission req/s, cached vs uncached, with
                   allocation per request (writes
-                  BENCH_admission_throughput.json, including the
-                  admission_scaling shards-vs-throughput curves;
-                  BBR_BENCH_SCALE=k divides the request budgets for
-                  smoke runs)
-     admission_scaling
-                  the sharded-broker sweep alone, as a pass/fail gate:
-                  every shard count must match the single-broker
-                  reference and sharding must not degrade throughput
-                  on a multi-core machine
+                  BENCH_admission_throughput.json; BBR_BENCH_SCALE=k
+                  divides the request budgets for smoke runs)
      scenarios    chaos scenario matrix: composed fault campaigns with
                   recovery-SLO oracles and a standing invariant monitor
                   (writes BENCH_scenarios.json; BBR_BENCH_SCALE=k shrinks
@@ -973,40 +966,6 @@ let run_overload_bench () =
 module Topo_gen = Bbr_workload.Topo_gen
 module Audit = Bbr_broker.Audit
 module Prng = Bbr_util.Prng
-module Shard_load = Bbr_workload.Shard_load
-
-(* Shards-vs-throughput sweep over the regional domain (ROADMAP item 1):
-   one self-driving churn loop per shard, on real OCaml domains whenever
-   the machine has more than one core.  Every point is checked id-blind
-   against a single broker replaying the identical request streams. *)
-let scaling_sweep ~scale =
-  let cfg =
-    { Shard_load.default with Shard_load.ops_per_shard = max 200 (4_000 / scale) }
-  in
-  (cfg, Shard_load.sweep cfg ~shard_counts:[ 1; 2; 4 ])
-
-let print_scaling_table points =
-  let base =
-    match points with p :: _ -> p.Shard_load.ops_per_s | [] -> nan
-  in
-  Fmt.pr "%-7s %8s %9s %12s %9s %10s %10s %9s %6s@." "shards" "domains" "ops"
-    "ops/s" "speedup" "p50" "p95" "admitted" "equal";
-  List.iter
-    (fun (p : Shard_load.point) ->
-      Fmt.pr "%-7d %8s %9d %12.0f %8.2fx %9.1fus %9.1fus %9d %6s@."
-        p.Shard_load.shards
-        (if p.Shard_load.spawned then "real" else "inline")
-        p.Shard_load.ops p.Shard_load.ops_per_s
-        (p.Shard_load.ops_per_s /. base)
-        (p.Shard_load.p50_s *. 1e6)
-        (p.Shard_load.p95_s *. 1e6)
-        p.Shard_load.admitted
-        (match p.Shard_load.equivalent with
-        | Some true -> "yes"
-        | Some false -> "NO!"
-        | None -> "-"))
-    points;
-  base
 
 let run_admission_throughput () =
   section "Admission throughput: incremental fast path vs per-request rebuild";
@@ -1094,15 +1053,6 @@ let run_admission_throughput () =
     "@.(words/req = minor-heap words allocated per request; 'equal' checks@.";
   Fmt.pr
     "identical admitted counts and MIB digests between the two runs)@.";
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr "@.Sharded broker scaling (%d core%s):@.@." cores
-    (if cores = 1 then "" else "s");
-  let cfg, points = scaling_sweep ~scale in
-  let base = print_scaling_table points in
-  Fmt.pr
-    "@.(each shard churns its own regions on a private domain; 'equal'@.";
-  Fmt.pr
-    "compares the id-blind flowset against a single-broker replay)@.";
   let oc = open_out "BENCH_admission_throughput.json" in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -1121,66 +1071,8 @@ let run_admission_throughput () =
             name n u c sp uw cw adm eq
             (if i = List.length rows - 1 then "" else ","))
         rows;
-      Printf.fprintf oc "    ]\n  },\n";
-      Printf.fprintf oc
-        "  \"admission_scaling\": {\n    \"scale\": %d,\n    \"cores\": %d,\n\
-        \    \"regions\": %d,\n    \"nodes_per_region\": %d,\n\
-        \    \"ops_per_shard\": %d,\n    \"points\": [\n"
-        scale cores cfg.Shard_load.regions cfg.Shard_load.nodes_per_region
-        cfg.Shard_load.ops_per_shard;
-      List.iteri
-        (fun i (p : Shard_load.point) ->
-          Printf.fprintf oc
-            "      {\"shards\": %d, \"spawned\": %b, \"ops\": %d, \
-             \"elapsed_s\": %.4f, \"ops_per_s\": %.0f, \"speedup_vs_1\": \
-             %.2f, \"p50_us\": %.2f, \"p95_us\": %.2f, \"admitted\": %d, \
-             \"rejected\": %d, \"torn\": %d, \"equivalent\": %b}%s\n"
-            p.Shard_load.shards p.Shard_load.spawned p.Shard_load.ops
-            p.Shard_load.elapsed_s p.Shard_load.ops_per_s
-            (p.Shard_load.ops_per_s /. base)
-            (p.Shard_load.p50_s *. 1e6)
-            (p.Shard_load.p95_s *. 1e6)
-            p.Shard_load.admitted p.Shard_load.rejected p.Shard_load.torn
-            (p.Shard_load.equivalent = Some true)
-            (if i = List.length points - 1 then "" else ","))
-        points;
       Printf.fprintf oc "    ]\n  }\n}\n");
   Fmt.pr "@.wrote BENCH_admission_throughput.json@."
-
-(* The sweep alone, as a CI gate: every point must match the single-broker
-   reference, and on a multi-core machine sharding must not degrade
-   (shards=2 >= 0.9x shards=1).  On one core the speedup assertion is
-   vacuous — domains just interleave. *)
-let run_admission_scaling () =
-  section "Admission scaling: sharded broker across domain counts";
-  let scale =
-    match Sys.getenv_opt "BBR_BENCH_SCALE" with
-    | Some s -> ( try max 1 (int_of_string s) with _ -> 1)
-    | None -> 1
-  in
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr "machine reports %d core%s@.@." cores (if cores = 1 then "" else "s");
-  let _, points = scaling_sweep ~scale in
-  let base = print_scaling_table points in
-  List.iter
-    (fun (p : Shard_load.point) ->
-      if p.Shard_load.equivalent <> Some true then
-        failwith
-          (Printf.sprintf
-             "admission_scaling: shards=%d diverged from the single-broker \
-              reference"
-             p.Shard_load.shards))
-    points;
-  (match
-     List.find_opt (fun (p : Shard_load.point) -> p.Shard_load.shards = 2) points
-   with
-  | Some p2 when cores > 1 && p2.Shard_load.ops_per_s < 0.9 *. base ->
-      failwith
-        (Printf.sprintf
-           "admission_scaling: shards=2 degraded to %.2fx of shards=1"
-           (p2.Shard_load.ops_per_s /. base))
-  | _ -> ());
-  Fmt.pr "@.all points equivalent to the single-broker reference@."
 
 (* ------------------------------------------------------------------ *)
 (* Inter-domain federation: 2PC commit latency, compensation rate and
@@ -1445,7 +1337,7 @@ let run_storage () =
   let j = Journal.create ~fsync_every:1 ~storage:st () in
   let broker = mk () in
   let fw = Failover.create ~make_standby:mk ~journal:j broker in
-  let n_ops = max 36 (144 / scale) in
+  let n_ops = max 36 (145 / scale) in
   let per_flow = ref [] and last_class = ref None in
   for i = 1 to n_ops do
     (if i mod 3 = 0 then
@@ -1502,17 +1394,28 @@ let run_storage () =
   if List.hd prefix_digests <> digest_full then
     failwith "storage bench: ground-truth digest chain does not end at the live state";
   let files = Vfs.list vfs in
-  let active_seg =
-    List.fold_left
-      (fun acc f ->
-        if String.length f > 4 && String.sub f 0 4 = "seg-" && f > acc then f else acc)
-      "" files
+  (* A segment is active until its seal footer is written: the footer is
+     its last line.  Rotation opens the next segment lazily, so a run
+     that ends on a segment boundary has no active segment at all. *)
+  let sealed f =
+    match Vfs.read vfs ~name:f with
+    | Error _ -> false
+    | Ok c ->
+        let body = String.sub c 0 (max 0 (String.length c - 1)) in
+        let last =
+          match String.rindex_opt body '\n' with
+          | Some i -> String.sub body (i + 1) (String.length body - i - 1)
+          | None -> body
+        in
+        String.starts_with ~prefix:"seal " last
   in
   let region_of f =
-    if String.length f >= 4 && String.sub f 0 4 = "ckpt" then "checkpoint"
-    else if f = active_seg then "active_segment"
-    else "sealed_segment"
+    if String.starts_with ~prefix:"ckpt" f then "checkpoint"
+    else if sealed f then "sealed_segment"
+    else "active_segment"
   in
+  if not (List.exists (fun f -> region_of f = "active_segment") files) then
+    failwith "storage bench: fixture ends on a segment boundary (no active segment)";
   let classify ~file ~at ~bit =
     let v = Vfs.copy vfs in
     if not (Vfs.corrupt v ~name:file ~at ~bit) then `Skip
@@ -1649,7 +1552,6 @@ let sections =
     ("overload", run_overload_bench);
     ("federation", run_federation_bench);
     ("admission_throughput", run_admission_throughput);
-    ("admission_scaling", run_admission_scaling);
     ("scenarios", run_scenarios);
     ("storage", run_storage);
     ("scaling", run_scaling);

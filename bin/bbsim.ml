@@ -3,8 +3,9 @@
    Subcommands:
      fill      static fill of the Figure-8 domain under one scheme
      simulate  one dynamic churn run (Figure-10 style); --shards N
-               runs the sharded multi-core broker over a regional
-               domain instead, one churn loop per OCaml domain
+               instead feeds one regional request stream to the sharded
+               multi-core broker and to a single broker, and checks
+               that both decide alike and end digest-identical
      sweep     blocking rate across offered loads
      admit     one-shot admission decision for a custom flow
      transient the Figure-7 edge transient
@@ -357,69 +358,64 @@ let store_out =
            it to $(docv) afterwards — recoverable with $(b,recover \
            --store), integrity-checkable with $(b,scrub --store).")
 
-(* The sharded path of [simulate]: one self-driving churn loop per shard
-   over a regional domain partitioned by region, on real OCaml domains
-   when the machine has more than one core.  [load * duration] gives each
-   shard's operation budget (the classic path's expected arrival count).
-   The run is checked id-blind against a single broker replaying the
-   identical request streams; --journal-out PATH writes one write-ahead
-   journal per shard (PATH.shard<k>, each replayable with recover). *)
-let run_sharded ~shards ~seed ~load ~duration ~journal_path =
-  let cfg =
-    {
-      Shard_load.default with
-      Shard_load.seed;
-      ops_per_shard = max 100 (int_of_float (load *. duration));
-    }
-  in
+(* The sharded path of [simulate]: one seeded regional request stream
+   (one request in ten crosses regions, so the two-phase path runs) fed in
+   lockstep to the sharded broker and to a single broker, at most 64 live
+   flows per shard (oldest torn down first).  Shards run on real OCaml
+   domains when the machine has more than one core.  [load * duration]
+   requests per shard (at least 100), the classic path's expected arrival
+   count.  Equivalence is exact: every decision (flow id and reservation)
+   and the final MIB digest. *)
+let run_sharded ~shards ~seed ~load ~duration =
+  let cfg = { Shard_load.default with Shard_load.seed } in
   let cores = Domain.recommended_domain_count () in
-  let spawn = cores > 1 && shards > 1 in
-  let journals = Hashtbl.create 8 in
-  let journal_for i =
-    match journal_path with
-    | None -> None
-    | Some _ ->
-        let j = Journal.create () in
-        Hashtbl.replace journals i j;
-        Some j
-  in
+  let spawn = cores > 1 in
+  let topology = Shard_load.topology cfg in
+  let single = Broker.create (Bbr_vtrs.Topology.copy topology) in
   let router =
-    Shard_router.create ~spawn ~journal_for ~shards
-      ~partition:(Shard_load.partition ~nshards:shards)
-      (Shard_load.topology cfg)
+    Shard_router.create ~spawn ~shards
+      ~partition:(Shard_load.partition ~nshards:shards) topology
   in
-  let t0 = Unix.gettimeofday () in
-  let results = Shard_router.churn router (Shard_load.specs cfg ~nshards:shards) in
-  let dt = Unix.gettimeofday () -. t0 in
+  let prng = Bbr_util.Prng.create ~seed in
+  let n = shards * max 100 (int_of_float (load *. duration)) in
+  let cap = 64 * shards in
+  let live = Queue.create () in
+  let admitted = ref 0 and rejected = ref 0 and torn = ref 0 in
+  let rec go i =
+    if i = n then None
+    else
+      let req = Shard_load.request cfg prng in
+      match (Broker.request single req, Shard_router.request router req) with
+      | Ok (f, r), Ok (g, q) when f = g && r = q ->
+          incr admitted;
+          Queue.push f live;
+          if Queue.length live > cap then begin
+            let old = Queue.pop live in
+            Broker.teardown single old;
+            Shard_router.teardown router old;
+            incr torn
+          end;
+          go (i + 1)
+      | Error _, Error _ ->
+          incr rejected;
+          go (i + 1)
+      | _ -> Some i
+  in
+  let diverged = go 0 in
+  let digests_equal = Shard_router.mib_digest router = Audit.mib_digest single in
+  Shard_router.stop router;
   Fmt.pr "sharded broker: %d shard(s) on %d core(s), %s domains@." shards cores
     (if spawn then "real" else "inline");
-  Array.iteri
-    (fun i (r : Bbr_broker.Shard.churn_result) ->
-      Fmt.pr "  shard %d: admitted %d, rejected %d, torn down %d@." i
-        r.Bbr_broker.Shard.admitted r.Bbr_broker.Shard.rejected
-        r.Bbr_broker.Shard.torn)
-    results;
-  let ops = shards * cfg.Shard_load.ops_per_shard in
-  Fmt.pr "%d ops in %.3fs: %.0f ops/s@." ops dt
-    (if dt > 0. then float_of_int ops /. dt else 0.);
-  let equivalent =
-    Shard_router.flowset_digest router
-    = Shard_router.flowset_digest_of
-        (Shard_load.reference_flows cfg ~nshards:shards)
-  in
-  Fmt.pr "single-broker equivalence: %s@."
-    (if equivalent then "exact" else "DIVERGED");
-  Option.iter
-    (fun path ->
-      Hashtbl.iter
-        (fun i j ->
-          let p = Printf.sprintf "%s.shard%d" path i in
-          write_file p (Journal.text j);
-          Fmt.pr "journal: %d records -> %s@." (Journal.records j) p)
-        journals)
-    journal_path;
-  Shard_router.stop router;
-  if not equivalent then exit 1
+  Fmt.pr "requests %d: admitted %d, rejected %d, torn down %d@."
+    (!admitted + !rejected) !admitted !rejected !torn;
+  match diverged with
+  | Some i ->
+      Fmt.pr "single-broker equivalence: DIVERGED at request %d@." i;
+      exit 1
+  | None when not digests_equal ->
+      Fmt.pr "single-broker equivalence: DIVERGED (final MIB digest)@.";
+      exit 1
+  | None -> Fmt.pr "single-broker equivalence: exact@."
 
 let print_flows broker =
   Fmt.pr "flows: %d per-flow, %d class members@."
@@ -428,7 +424,13 @@ let print_flows broker =
 
 let run_simulate setting cd scheme seed load duration journal_path store_dir out
     format trace flight shards =
-  if shards > 1 then run_sharded ~shards ~seed ~load ~duration ~journal_path
+  if shards > 1 then begin
+    if journal_path <> None || store_dir <> None then begin
+      Fmt.epr "error: --journal-out and --store-dir do not apply with --shards@.";
+      exit exit_parse
+    end;
+    run_sharded ~shards ~seed ~load ~duration
+  end
   else
   let dyn_scheme =
     match scheme with
@@ -488,10 +490,11 @@ let shards_arg =
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Run the sharded multi-core broker with $(docv) shards over a \
-           regional domain (one churn loop per shard, on its own OCaml \
-           domain when the machine is multi-core), checked against a \
-           single-broker replay.  1 (the default) keeps the classic \
-           single-broker churn run.")
+           regional domain (on OCaml domains when the machine is \
+           multi-core), fed the same request stream as a single broker \
+           and checked against it decision by decision and by final MIB \
+           digest.  Refuses $(b,--journal-out) and $(b,--store-dir) (exit \
+           3).  1 (the default) keeps the classic single-broker churn run.")
 
 let simulate_cmd =
   let doc = "One dynamic churn run: Poisson arrivals, exponential holding times." in

@@ -2,15 +2,6 @@ module Topology = Bbr_vtrs.Topology
 module Vtedf = Bbr_vtrs.Vtedf
 module Spsc = Bbr_util.Spsc
 
-type churn_spec = { ops : int; cap : int; gen : unit -> Types.request }
-
-type churn_result = {
-  admitted : int;
-  rejected : int;
-  torn : int;
-  lat : float array;
-}
-
 type prepared = { p_link : int; p_residual : float; p_edf : Vtedf.t option }
 
 type victim = { v_flow : Types.flow_id; v_request : Types.request }
@@ -29,10 +20,7 @@ type op =
   | Set_link of { link_id : int; up : bool }
   | Victims of int
   | Dump
-  | Digest
   | Audit_ok
-  | Journal_text
-  | Churn of churn_spec
   | Stop
 
 type reply =
@@ -41,13 +29,10 @@ type reply =
   | Prepared of prepared list
   | Victims_are of victim list
   | Flows of (Types.flow_id * float * float * int list) list
-  | Text of string
   | Flag of bool
-  | Churned of churn_result
 
 type t = {
   id : int;
-  nshards : int;
   broker : Broker.t;
   journal : Journal.t option;
   inbox : op Spsc.t;
@@ -56,43 +41,12 @@ type t = {
   mutable domain : unit Domain.t option;
 }
 
-let id t = t.id
-
 let broker t = t.broker
 
 let journal t = t.journal
 
 let link_ids_of (info : Path_mib.info) =
   List.map (fun (l : Topology.link) -> l.Topology.link_id) info.Path_mib.links
-
-(* Self-driving load loop, run entirely inside the shard (its own domain
-   when spawned): generate → admit → tear down the oldest beyond [cap].
-   Flow ids are striped ([seq * nshards + id]) so shards allocate ids with
-   no coordination; equivalence against a single broker is therefore
-   checked on the id-blind flowset, not the exact digest. *)
-let churn t spec =
-  let live = Queue.create () in
-  let admitted = ref 0 and rejected = ref 0 and torn = ref 0 in
-  let lat = Array.make (max 1 spec.ops) 0. in
-  let seq = ref 0 in
-  for k = 0 to spec.ops - 1 do
-    let req = spec.gen () in
-    let flow = (!seq * t.nshards) + t.id in
-    let t0 = Unix.gettimeofday () in
-    let decision = Broker.request t.broker ~flow req in
-    lat.(k) <- Unix.gettimeofday () -. t0;
-    match decision with
-    | Ok _ ->
-        incr seq;
-        incr admitted;
-        Queue.push flow live;
-        if Queue.length live > spec.cap then begin
-          Broker.teardown t.broker (Queue.pop live);
-          incr torn
-        end
-    | Error _ -> incr rejected
-  done;
-  { admitted = !admitted; rejected = !rejected; torn = !torn; lat }
 
 let exec t op =
   match op with
@@ -137,11 +91,7 @@ let exec t op =
                r.Flow_mib.reservation.Types.delay,
                link_ids_of r.Flow_mib.path )
              :: acc))
-  | Digest -> Text (Audit.mib_digest t.broker)
   | Audit_ok -> Flag (Audit.ok (Audit.check t.broker))
-  | Journal_text ->
-      Text (match t.journal with Some j -> Journal.text j | None -> "")
-  | Churn spec -> Churned (churn t spec)
   | Stop -> Done
 
 let spawned t = t.domain <> None
@@ -161,7 +111,7 @@ let send t op =
 (* Rounds of [Domain.cpu_relax] the router spends waiting for a reply
    before it parks.  A reply is always on its way, and a shard's hop is a
    few microseconds, so spinning beats a park/wake pair; the budget is
-   bounded so a slow op (a churn loop, a dump) still frees the core.  The
+   bounded so a slow op (a dump, an audit) still frees the core.  The
    shard side parks almost at once ({!Spsc.pop}): an idle shard that
    spun would take the router's core when domains outnumber cores. *)
 let reply_spins = 2000
@@ -190,14 +140,16 @@ let loop t () =
   in
   go ()
 
-let create ?journal ?(spawn = false) ?(mailbox = 1024) ~id ~nshards topology =
-  if id < 0 || id >= nshards then invalid_arg "Shard.create: id out of range";
+(* Ring capacity of the command and reply mailboxes.  The router keeps at
+   most one op outstanding per shard, so the rings never fill. *)
+let mailbox = 1024
+
+let create ?journal ?(spawn = false) ~id topology =
   let broker = Broker.create (Topology.copy topology) in
   Option.iter (fun j -> Journal.attach j broker) journal;
   let t =
     {
       id;
-      nshards;
       broker;
       journal;
       inbox = Spsc.create ~capacity:mailbox;

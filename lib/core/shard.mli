@@ -6,7 +6,8 @@
     link executes on the link's owning shard and nowhere else, so a
     shard's MIB slice needs no synchronization — its state on the links it
     owns is bit-exact with what a single broker executing the same global
-    operation order would hold.
+    operation order would hold.  A shard runs only the ops its router
+    sends; it has no load loop and allocates no flow ids of its own.
 
     A shard either runs {e inline} (operations applied synchronously on
     the caller's domain — the deterministic mode used for differential
@@ -19,19 +20,6 @@
     tagged with the shard id via {!Obs_log.set_shard}; a spawned domain
     has no metrics registry or tracer installed (both are domain-local)
     unless it installs its own. *)
-
-type churn_spec = {
-  ops : int;  (** operations to run *)
-  cap : int;  (** live flows to keep; beyond it the oldest is torn down *)
-  gen : unit -> Types.request;  (** request generator (shard-private) *)
-}
-
-type churn_result = {
-  admitted : int;
-  rejected : int;
-  torn : int;
-  lat : float array;  (** wall seconds of each admission decision, op order *)
-}
 
 (** Per-link snapshot returned by [Prepare] — the read phase of the
     router's two-phase multi-shard admission. *)
@@ -60,10 +48,7 @@ type op =
   | Set_link of { link_id : int; up : bool }  (** physical link record *)
   | Victims of int  (** flows riding the given link *)
   | Dump  (** all flow records as [(flow, rate, delay, links)] *)
-  | Digest  (** this shard's {!Audit.mib_digest} *)
   | Audit_ok  (** {!Audit.check} is clean *)
-  | Journal_text  (** the shard journal's text; [""] without one *)
-  | Churn of churn_spec  (** self-driving load loop (striped flow ids) *)
   | Stop
 
 type reply =
@@ -72,26 +57,15 @@ type reply =
   | Prepared of prepared list
   | Victims_are of victim list
   | Flows of (Types.flow_id * float * float * int list) list
-  | Text of string
   | Flag of bool
-  | Churned of churn_result
 
 type t
 
-val create :
-  ?journal:Journal.t ->
-  ?spawn:bool ->
-  ?mailbox:int ->
-  id:int ->
-  nshards:int ->
-  Bbr_vtrs.Topology.t ->
-  t
-(** A shard over its own copy of [topology].  [journal] is attached to the
-    shard's broker (per-shard write-ahead log, group commit included).
-    [spawn] (default [false]) runs the shard on its own domain; [mailbox]
-    (default 1024) bounds the command and reply rings. *)
-
-val id : t -> int
+val create : ?journal:Journal.t -> ?spawn:bool -> id:int -> Bbr_vtrs.Topology.t -> t
+(** A shard over its own copy of [topology]; [id] tags its telemetry.
+    [journal] is attached to the shard's broker (per-shard write-ahead
+    log, group commit included).  [spawn] (default [false]) runs the
+    shard on its own domain, behind 1024-slot command and reply rings. *)
 
 val broker : t -> Broker.t
 (** The shard's private broker.  Safe to touch directly only in inline

@@ -2,7 +2,6 @@ module Topology = Bbr_vtrs.Topology
 
 type t = {
   topology : Topology.t;  (* router-private copy *)
-  nshards : int;
   owner : int array;  (* link_id -> owning shard *)
   shards : Shard.t array;
   path_mib : Path_mib.t;  (* router-side path registry (routing only) *)
@@ -36,11 +35,10 @@ let create ?(spawn = false) ?(journal_for = fun _ -> None)
   let routing = Routing.create topo path_mib in
   let shards =
     Array.init n (fun i ->
-        Shard.create ?journal:(journal_for i) ~spawn ~id:i ~nshards:n topology)
+        Shard.create ?journal:(journal_for i) ~spawn ~id:i topology)
   in
   {
     topology = topo;
-    nshards = n;
     owner;
     shards;
     path_mib;
@@ -51,15 +49,9 @@ let create ?(spawn = false) ?(journal_for = fun _ -> None)
     on_edge_config;
   }
 
-let nshards t = t.nshards
-
 let shard t i = t.shards.(i)
 
-let topology t = t.topology
-
 let owner_of_link t ~link_id = t.owner.(link_id)
-
-let next_flow_id t = t.next_flow
 
 (* Group a path's links by owning shard, preserving path order inside each
    group and first-touch order across groups.  A path that alternates
@@ -297,46 +289,12 @@ let flows t =
     (fun f (rate, delay, links) acc -> (f, rate, delay, stitch t links) :: acc)
     tbl []
 
-let per_flow_count t = List.length (flows t)
-
 let mib_digest t = Audit.digest_of_perflow ~topology:t.topology (flows t)
-
-let flowset_digest_of tuples =
-  let lines =
-    List.map
-      (fun ((_ : Types.flow_id), rate, delay, links) ->
-        Printf.sprintf "%h %h %s" rate delay
-          (String.concat "," (List.map string_of_int links)))
-      tuples
-    |> List.sort compare
-  in
-  Digest.to_hex (Digest.string (String.concat "\n" lines))
-
-let flows_of_broker broker =
-  Flow_mib.fold (Broker.flow_mib broker) ~init:[] ~f:(fun acc r ->
-      ( r.Flow_mib.flow,
-        r.Flow_mib.reservation.Types.rate,
-        r.Flow_mib.reservation.Types.delay,
-        List.map
-          (fun (l : Topology.link) -> l.Topology.link_id)
-          r.Flow_mib.path.Path_mib.links )
-      :: acc)
-
-let flowset_digest t = flowset_digest_of (flows t)
 
 let audits_clean t =
   Array.iter (fun s -> Shard.send s Shard.Audit_ok) t.shards;
   Array.for_all
     (fun s -> match Shard.recv s with Shard.Flag ok -> ok | _ -> assert false)
-    t.shards
-
-let churn t specs =
-  if Array.length specs <> t.nshards then
-    invalid_arg "Shard_router.churn: one spec per shard";
-  Array.iteri (fun i spec -> Shard.send t.shards.(i) (Shard.Churn spec)) specs;
-  Array.map
-    (fun s ->
-      match Shard.recv s with Shard.Churned r -> r | _ -> assert false)
     t.shards
 
 let stop t = Array.iter Shard.stop t.shards

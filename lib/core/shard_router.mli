@@ -21,11 +21,15 @@
       sole producer of every shard mailbox and sends nothing else to the
       involved shards between the phases, so snapshots cannot go stale.
 
-    Flow ids are allocated centrally and consumed only on admission, so a
-    deterministic (synchronous) sharded run reproduces a single broker's
-    id sequence — and, because every reservation on a link executes on its
-    owner in the same global order, its MIB digests, bit for bit
-    ({!mib_digest} vs {!Audit.mib_digest}).
+    Every sharded run goes through {!request} and {!teardown}: flow ids
+    are allocated centrally and consumed only on admission, and the router
+    waits for each reply before its next operation, so a run, inline or
+    spawned, reproduces a single broker's id sequence — and, because every
+    reservation on a link executes on its owner in the same global order,
+    its MIB digests, bit for bit ({!mib_digest} vs {!Audit.mib_digest}).
+    Spawned shards overlap only inside one operation (a two-phase
+    snapshot, a broadcast); parallelism across requests would have to
+    come from batching them.
 
     Scope: per-flow guaranteed service only (no class-based aggregation)
     under the default allow-all policy; recovery is per-shard journal
@@ -86,43 +90,16 @@ val flows : t -> (Types.flow_id * float * float * int list) list
     with multi-shard segments stitched back into whole paths (unique for
     the simple paths min-hop routing produces).  Unordered. *)
 
-val per_flow_count : t -> int
-
 val mib_digest : t -> string
 (** {!Audit.digest_of_perflow} over {!flows} — byte-comparable with
     {!Audit.mib_digest} of a single broker fed the same sequence. *)
 
-val flowset_digest : t -> string
-(** Id-blind digest of the flow population (sorted multiset of
-    [rate delay links] lines).  The equivalence check for parallel runs,
-    whose striped flow ids differ from the single broker's sequence. *)
-
-val flowset_digest_of : (Types.flow_id * float * float * int list) list -> string
-
-val flows_of_broker : Broker.t -> (Types.flow_id * float * float * int list) list
-(** A single broker's population in {!flows} form — the reference side of
-    a {!flowset_digest} comparison. *)
-
 val audits_clean : t -> bool
 (** {!Audit.check} is clean on every shard. *)
 
-val churn : t -> Shard.churn_spec array -> Shard.churn_result array
-(** One self-driving load loop per shard (array index = shard id),
-    running concurrently when shards are spawned.  This is the
-    multi-domain throughput engine: regional (single-shard) traffic
-    admits entirely inside each shard's domain. *)
-
-val nshards : t -> int
-
 val shard : t -> int -> Shard.t
 
-val topology : t -> Bbr_vtrs.Topology.t
-(** The router's private replica (do not mutate). *)
-
 val owner_of_link : t -> link_id:int -> int
-
-val next_flow_id : t -> Types.flow_id
-(** The id the next admission will take. *)
 
 val stop : t -> unit
 (** Stop and join every spawned shard domain (no-op inline). *)

@@ -1,27 +1,14 @@
 module Prng = Bbr_util.Prng
 module Types = Bbr_broker.Types
-module Broker = Bbr_broker.Broker
-module Shard = Bbr_broker.Shard
-module Shard_router = Bbr_broker.Shard_router
 
 type config = {
   seed : int;
   regions : int;
   nodes_per_region : int;
   extra_links : int;
-  ops_per_shard : int;
-  cap : int;
 }
 
-let default =
-  {
-    seed = 20_260_809;
-    regions = 8;
-    nodes_per_region = 6;
-    extra_links = 6;
-    ops_per_shard = 2_000;
-    cap = 64;
-  }
+let default = { seed = 20_260_809; regions = 8; nodes_per_region = 6; extra_links = 6 }
 
 let topology cfg =
   let prng = Prng.create ~seed:cfg.seed in
@@ -35,121 +22,19 @@ let partition ~nshards name =
 
 let node r i = Printf.sprintf "R%d_N%d" r i
 
-(* Regional request stream for one shard: both endpoints inside a region
-   the shard owns, so the whole min-hop path is shard-local (the hub-ring
-   property of {!Topo_gen.regions}) and each shard's churn loop touches
-   only its own links.  The stream is a pure function of its generator
-   state — the single-broker reference replays it exactly. *)
-let regional_gen cfg ~nshards ~shard prng =
-  if cfg.regions < nshards then
-    invalid_arg "Shard_load: need at least one region per shard";
-  let mine =
-    Array.of_list
-      (List.filter
-         (fun r -> r mod nshards = shard)
-         (List.init cfg.regions Fun.id))
-  in
-  fun () ->
-    let r = mine.(Prng.int prng ~bound:(Array.length mine)) in
-    let a = Prng.int prng ~bound:cfg.nodes_per_region in
-    let b =
-      (a + 1 + Prng.int prng ~bound:(cfg.nodes_per_region - 1))
-      mod cfg.nodes_per_region
-    in
-    {
-      Types.profile = Profiles.profile (Prng.int prng ~bound:4);
-      dreq = Prng.float_range prng ~lo:0.5 ~hi:6.0;
-      ingress = node r a;
-      egress = node r b;
-    }
-
-let shard_seed cfg i = cfg.seed + (7919 * (i + 1))
-
-let specs cfg ~nshards : Shard.churn_spec array =
-  Array.init nshards (fun i ->
-      let prng = Prng.create ~seed:(shard_seed cfg i) in
-      {
-        Shard.ops = cfg.ops_per_shard;
-        cap = cfg.cap;
-        gen = regional_gen cfg ~nshards ~shard:i prng;
-      })
-
-(* The reference run: one broker executing every shard's stream
-   back-to-back.  Shards' link sets are disjoint (regional traffic only),
-   so decisions are independent across streams and any serialization
-   yields the same flow population — compared id-blind because striped
-   shard ids differ from the single broker's sequence. *)
-let reference_flows cfg ~nshards =
-  let broker = Broker.create (topology cfg) in
-  for i = 0 to nshards - 1 do
-    let gen =
-      regional_gen cfg ~nshards ~shard:i
-        (Prng.create ~seed:(shard_seed cfg i))
-    in
-    let live = Queue.create () in
-    for _ = 1 to cfg.ops_per_shard do
-      match Broker.request broker (gen ()) with
-      | Ok (flow, _) ->
-          Queue.push flow live;
-          if Queue.length live > cfg.cap then
-            Broker.teardown broker (Queue.pop live)
-      | Error _ -> ()
-    done
-  done;
-  Shard_router.flows_of_broker broker
-
-type point = {
-  shards : int;
-  spawned : bool;
-  ops : int;
-  elapsed_s : float;
-  ops_per_s : float;
-  p50_s : float;
-  p95_s : float;
-  admitted : int;
-  rejected : int;
-  torn : int;
-  equivalent : bool option;
-}
-
-let run_point ?(spawn = false) ?(check = true) cfg ~shards () =
-  let router =
-    Shard_router.create ~spawn ~shards ~partition:(partition ~nshards:shards)
-      (topology cfg)
-  in
-  let t0 = Unix.gettimeofday () in
-  let results = Shard_router.churn router (specs cfg ~nshards:shards) in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
-  let equivalent =
-    if check then
-      Some
-        (Shard_router.flowset_digest router
-        = Shard_router.flowset_digest_of (reference_flows cfg ~nshards:shards)
-        )
-    else None
-  in
-  Shard_router.stop router;
-  let ops = shards * cfg.ops_per_shard in
-  let lat =
-    Array.concat (Array.to_list (Array.map (fun r -> r.Shard.lat) results))
-  in
+(* Two distinct nodes of one region (a shard-local path, by the hub-ring
+   property of {!Topo_gen.regions}), or, one draw in ten, two nodes of
+   different regions. *)
+let request cfg prng =
+  let k = cfg.nodes_per_region and n = cfg.regions in
+  let cross = Prng.int prng ~bound:10 = 0 in
+  let r1 = Prng.int prng ~bound:n in
+  let r2 = if cross then (r1 + 1 + Prng.int prng ~bound:(n - 1)) mod n else r1 in
+  let a = Prng.int prng ~bound:k in
+  let b = if cross then Prng.int prng ~bound:k else (a + 1 + Prng.int prng ~bound:(k - 1)) mod k in
   {
-    shards;
-    spawned = spawn;
-    ops;
-    elapsed_s;
-    ops_per_s = (if elapsed_s > 0. then float_of_int ops /. elapsed_s else 0.);
-    p50_s = Bbr_util.Stats.percentile lat ~p:50.;
-    p95_s = Bbr_util.Stats.percentile lat ~p:95.;
-    admitted = sum (fun r -> r.Shard.admitted);
-    rejected = sum (fun r -> r.Shard.rejected);
-    torn = sum (fun r -> r.Shard.torn);
-    equivalent;
+    Types.profile = Profiles.profile (Prng.int prng ~bound:4);
+    dreq = Prng.float_range prng ~lo:0.5 ~hi:6.0;
+    ingress = node r1 a;
+    egress = node r2 b;
   }
-
-let sweep ?check cfg ~shard_counts =
-  let cores = Domain.recommended_domain_count () in
-  List.map
-    (fun n -> run_point ?check cfg ~shards:n ~spawn:(cores > 1 && n > 1) ())
-    shard_counts

@@ -1,24 +1,18 @@
-(** Multi-domain load generation for the sharded broker (ROADMAP item 1).
+(** The regional domain and request stream of the sharded broker
+    (ROADMAP item 1).
 
-    Builds a {!Topo_gen.regions} domain, partitions it by region across
-    [N] {!Bbr_broker.Shard_router} shards, and drives one self-contained
-    churn loop per shard ({!Bbr_broker.Shard.churn_spec}) — regional
-    traffic only, so each loop admits entirely inside its own shard with
-    no cross-shard synchronization.  Every stream is a pure function of a
-    seeded {!Bbr_util.Prng}, so a single broker can replay the identical
-    sequences sequentially; {!run_point} checks the two flow populations
-    for equality (id-blind, since parallel shards stripe their flow ids).
-
-    This is the engine behind the [admission_scaling] bench section and
-    the CI shard-smoke job. *)
+    Builds a {!Topo_gen.regions} domain and partitions it by region
+    across {!Bbr_broker.Shard_router} shards.  Intra-region traffic is
+    single-shard under that partition; cross-region traffic takes the
+    router's two-phase path.  Everything is a pure function of a seeded
+    {!Bbr_util.Prng}, so a single broker fed the same stream is the
+    digest-exact reference for a sharded run. *)
 
 type config = {
   seed : int;
   regions : int;  (** regions in the generated domain *)
   nodes_per_region : int;
   extra_links : int;  (** intra-region extras beyond the spanning tree *)
-  ops_per_shard : int;  (** churn operations per shard *)
-  cap : int;  (** live flows per shard before oldest-teardown *)
 }
 
 val default : config
@@ -31,38 +25,8 @@ val partition : nshards:int -> string -> int
 (** Region-based partition function: [region mod nshards] (0 for names
     without a region prefix). *)
 
-val specs : config -> nshards:int -> Bbr_broker.Shard.churn_spec array
-(** One churn spec per shard, each with a private seeded generator
-    producing requests between two distinct nodes of a region the shard
-    owns. *)
-
-val reference_flows :
-  config -> nshards:int -> (Bbr_broker.Types.flow_id * float * float * int list) list
-(** The flow population a single broker holds after executing every
-    shard's stream back-to-back — the reference side of the equivalence
-    check. *)
-
-type point = {
-  shards : int;
-  spawned : bool;  (** ran on real domains (vs inline) *)
-  ops : int;  (** total churn operations *)
-  elapsed_s : float;
-  ops_per_s : float;
-  p50_s : float;  (** median per-decision wall latency, all shards pooled *)
-  p95_s : float;
-  admitted : int;
-  rejected : int;
-  torn : int;
-  equivalent : bool option;
-      (** flowset digest matches the single-broker reference;
-          [None] when the check was skipped *)
-}
-
-val run_point : ?spawn:bool -> ?check:bool -> config -> shards:int -> unit -> point
-(** One measured churn run at the given shard count.  [spawn] (default
-    [false]) runs shards on their own domains; [check] (default [true])
-    replays the reference run and compares populations. *)
-
-val sweep : ?check:bool -> config -> shard_counts:int list -> point list
-(** {!run_point} at each count, spawning real domains whenever the
-    machine has more than one core and [shards > 1]. *)
+val request : config -> Bbr_util.Prng.t -> Bbr_broker.Types.request
+(** The next request of the stream: a Table-1 profile and a delay bound
+    in [\[0.5, 6\]] s between two distinct nodes of one region, or, one
+    draw in ten, between nodes of two different regions.  Needs
+    [regions >= 2] and [nodes_per_region >= 2]. *)
