@@ -556,13 +556,14 @@ let run_micro () =
                match Bbr_intserv.Gs_admission.request gs gs_req with
                | Ok (flow, _) -> Bbr_intserv.Gs_admission.teardown gs flow
                | Error _ -> ()));
-        Test.make ~name:"broker request_batch(16)+teardown"
+        Test.make ~name:"broker batched(16)+teardown"
           (Staged.stage (fun () ->
                List.iter
                  (function
                    | Ok (flow, _) -> Broker.teardown batch_broker flow
                    | Error _ -> ())
-                 (Broker.request_batch batch_broker batch_reqs)));
+                 (Broker.batched batch_broker (fun () ->
+                      List.map (Broker.request batch_broker) batch_reqs))));
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

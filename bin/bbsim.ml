@@ -117,6 +117,19 @@ let exit_parse = 3
    from both full success (0) and outright failure (1). *)
 let exit_data_loss = 4
 
+(* Bounding releases contingency on timers the journal does not record,
+   and replay runs on a clock pinned at 0, so a recovered aggr-bounding
+   broker would print a digest that is not the one that ran.  Refuse the
+   whole durability path for it rather than print a wrong digest. *)
+let refuse_bounding scheme =
+  match scheme with
+  | `Aggr Aggregate.Bounding ->
+      Fmt.epr
+        "error: aggr-bounding cannot be journaled or recovered: its contingency \
+         releases run on timers the journal does not record@.";
+      exit exit_parse
+  | _ -> ()
+
 let read_file path =
   match
     let ic = open_in_bin path in
@@ -284,7 +297,9 @@ let scheme =
     & info [ "scheme" ] ~docv:"SCHEME"
         ~doc:
           "Admission scheme: $(b,intserv), $(b,perflow), $(b,aggr) \
-           (feedback) or $(b,aggr-bounding).")
+           (feedback) or $(b,aggr-bounding).  An $(b,aggr-bounding) broker \
+           cannot be journaled: $(b,simulate --journal-out), \
+           $(b,simulate --store-dir) and $(b,recover) refuse it (exit 3).")
 
 let run_fill setting dreq cd scheme verbose out format trace flight =
   let static_scheme =
@@ -424,6 +439,7 @@ let print_flows broker =
 
 let run_simulate setting cd scheme seed load duration journal_path store_dir out
     format trace flight shards =
+  if journal_path <> None || store_dir <> None then refuse_bounding scheme;
   if shards > 1 then begin
     if journal_path <> None || store_dir <> None then begin
       Fmt.epr "error: --journal-out and --store-dir do not apply with --shards@.";
@@ -709,6 +725,7 @@ let finish_recover broker ~lossy =
   if lossy then exit exit_data_loss
 
 let run_recover setting cd scheme journal_path snapshot_path store_path =
+  refuse_bounding scheme;
   let mk () =
     Broker.create
       ~classes:(classes_for scheme cd)

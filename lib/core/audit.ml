@@ -50,8 +50,8 @@ let sorted_macros broker =
            (Path_mib.find pm ~path_id:s.Aggregate.path_id))
   |> List.sort (fun ((a : Aggregate.macro_stats), (ia : Path_mib.info)) (b, ib) ->
          compare
-           (a.Aggregate.class_id, List.map (fun (l : Topology.link) -> l.Topology.link_id) ia.Path_mib.links)
-           (b.Aggregate.class_id, List.map (fun (l : Topology.link) -> l.Topology.link_id) ib.Path_mib.links))
+           (a.Aggregate.class_id, Topology.link_ids ia.Path_mib.links)
+           (b.Aggregate.class_id, Topology.link_ids ib.Path_mib.links))
 
 (* The per-link bandwidth deltas (actual reserved minus what the MIBs
    account for), after greedily attributing wholly-unbacked flows as
@@ -357,8 +357,7 @@ let repair ?(eps = default_eps) ?now ?(leases = []) broker =
 (* ----------------------------------------------------------------- *)
 (* Canonical digest.                                                 *)
 
-let link_ids (links : Topology.link list) =
-  String.concat "," (List.map (fun (l : Topology.link) -> string_of_int l.Topology.link_id) links)
+let ids_str ids = String.concat "," (List.map string_of_int ids)
 
 (* The flow-facing half of the digest text, shared with {!digest_of_perflow}
    so a merged sharded view and a single broker produce byte-identical
@@ -370,7 +369,7 @@ let add_flow_lines buf flows =
     (fun (flow, rate, delay, links) ->
       Buffer.add_string buf
         (Printf.sprintf "flow %d %s %s %s\n" flow (pf rate) (pf delay)
-           (String.concat "," (List.map string_of_int links))))
+           (ids_str links)))
     flows
 
 let flow_rate_sums flows =
@@ -401,9 +400,7 @@ let flow_tuple (r : Flow_mib.record) =
   ( r.Flow_mib.flow,
     r.Flow_mib.reservation.Types.rate,
     r.Flow_mib.reservation.Types.delay,
-    List.map
-      (fun (l : Topology.link) -> l.Topology.link_id)
-      r.Flow_mib.path.Path_mib.links )
+    Topology.link_ids r.Flow_mib.path.Path_mib.links )
 
 let digest_of_perflow ~topology flows =
   let flows = List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) flows in
@@ -424,7 +421,7 @@ let mib_digest broker =
       Buffer.add_string buf
         (Printf.sprintf "macro %d %s n=%d base=%h conting=%h edge=%h\n"
            s.Aggregate.class_id
-           (link_ids info.Path_mib.links)
+           (ids_str (Topology.link_ids info.Path_mib.links))
            s.Aggregate.members s.Aggregate.base_rate s.Aggregate.contingency
            s.Aggregate.edge_bound))
     macros;
@@ -432,7 +429,7 @@ let mib_digest broker =
     (fun (flow, (class_id, path_id)) ->
       let links =
         match Path_mib.find (Broker.path_mib broker) ~path_id with
-        | Some info -> link_ids info.Path_mib.links
+        | Some info -> ids_str (Topology.link_ids info.Path_mib.links)
         | None -> "?"
       in
       Buffer.add_string buf

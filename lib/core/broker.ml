@@ -21,6 +21,16 @@ type decision_record = {
   at : float;
 }
 
+(* One booked per-flow reservation: the flow, its request, the booked
+   rate-delay pair and the ids of the links it holds. *)
+type booking = {
+  flow : Types.flow_id;
+  request : Types.request;
+  rate : float;
+  delay : float;
+  links : int list;
+}
+
 (* Every state mutation the broker can commit, in replayable form.  This
    is the vocabulary of the write-ahead {!Journal}: applying the same
    mutation sequence to a fresh broker over the same topology reproduces
@@ -30,20 +40,8 @@ type decision_record = {
    execution order, so a replay reproduces the reroute exactly without
    re-running the recovery procedure. *)
 type mutation =
-  | Admit of {
-      flow : Types.flow_id;
-      request : Types.request;
-      rate : float;
-      delay : float;
-      links : int list;
-    }
-  | Admit_segment of {
-      flow : Types.flow_id;
-      request : Types.request;
-      rate : float;
-      delay : float;
-      links : int list;
-    }
+  | Admit of booking
+  | Admit_segment of booking
   | Admit_class of { flow : Types.flow_id; class_id : int; request : Types.request }
   | Teardown of Types.flow_id
   | Teardown_class of Types.flow_id
@@ -67,14 +65,14 @@ type t = {
      (group commit). *)
   mutable batch_wrap : ((unit -> unit) -> unit) option;
   on_edge_config : flow:Types.flow_id -> Types.reservation -> unit;
-  mutable on_decision : (decision_record -> unit) list;
+  on_decision : (decision_record -> unit) option;
   mutable on_mutation : (mutation -> unit) option;
 }
 
 let create ?policy ?(classes = []) ?(method_ = Aggregate.Feedback) ?time
     ?(fast_path = true)
     ?(on_edge_config = fun ~flow:_ _ -> ()) ?(on_class_rate = fun ~class_id:_ ~path_id:_ ~total_rate:_ -> ())
-    ?on_decision:decision_hook topology =
+    ?on_decision topology =
   let policy = match policy with Some p -> p | None -> Policy.create () in
   let time = Option.value ~default:immediate_time time in
   let node_mib = Node_mib.create topology in
@@ -98,11 +96,9 @@ let create ?policy ?(classes = []) ?(method_ = Aggregate.Feedback) ?time
     cache;
     batch_wrap = None;
     on_edge_config;
-    on_decision = Option.to_list decision_hook;
+    on_decision;
     on_mutation = None;
   }
-
-let add_decision_hook t f = t.on_decision <- t.on_decision @ [ f ]
 
 let set_mutation_hook t f = t.on_mutation <- Some f
 
@@ -110,21 +106,20 @@ let clear_mutation_hook t = t.on_mutation <- None
 
 let now t = t.time.now ()
 
-(* Every admission outcome funnels through here: subscriber hooks always
-   fire; the obs counters and decision log only when installed. *)
+(* Every admission outcome funnels through here: the subscriber hook
+   always fires; the obs counters and decision log only when installed. *)
 let note_decision t ~service req outcome =
   let at = t.time.now () in
   Obs_log.decision ~service:(service_label service) ~at req outcome;
   match t.on_decision with
-  | [] -> ()
-  | hooks ->
+  | None -> ()
+  | Some hook ->
       let flow, rate, rejected =
         match outcome with
         | Ok (flow, rate) -> (Some flow, rate, None)
         | Error e -> (None, 0., Some e)
       in
-      let record = { service; request = req; flow; rate; rejected; at } in
-      List.iter (fun f -> f record) hooks
+      hook { service; request = req; flow; rate; rejected; at }
 
 let s_policy = Obs_log.stage_site "policy"
 
@@ -141,8 +136,8 @@ let stage t site f = Obs_log.stage ~now:t.time.now site f
 let route_of t (req : Types.request) =
   Routing.path t.routing ~ingress:req.Types.ingress ~egress:req.Types.egress
 
-(* Shared front half of both admission procedures: policy check, then path
-   selection — the first two stages of the Figure-1 control loop. *)
+(* Shared front half of every admission procedure: policy check, then
+   path selection — the first two stages of the Figure-1 control loop. *)
 let preamble t req =
   match stage t s_policy (fun () -> Policy.check t.policy req) with
   | Error rule -> Error (Types.Policy_denied rule)
@@ -150,6 +145,13 @@ let preamble t req =
       match stage t s_routing (fun () -> route_of t req) with
       | None -> Error Types.No_route
       | Some path -> Ok path)
+
+(* A caller-pinned id (the id space is advanced past it), or a fresh one. *)
+let claim_id t = function
+  | Some f ->
+      Flow_mib.reserve_ids t.flow_mib ~below:(f + 1);
+      f
+  | None -> Flow_mib.fresh_id t.flow_mib
 
 (* Reserve [res] on every link of [path] and record the flow. *)
 let book t ~flow (req : Types.request) (path : Path_mib.info) (res : Types.reservation) =
@@ -172,48 +174,45 @@ let book t ~flow (req : Types.request) (path : Path_mib.info) (res : Types.reser
       admitted_at = t.time.now ();
     }
 
-let book_per_flow t ?flow req path res =
-  let flow =
-    match flow with
-    | Some f ->
-        Flow_mib.reserve_ids t.flow_mib ~below:(f + 1);
-        f
-    | None -> Flow_mib.fresh_id t.flow_mib
-  in
-  book t ~flow req path res;
-  flow
+type admission = [ `Exact | `Conservative | `Fixed of float * float option ]
 
-(* The booked pair and links, as the journal records them. *)
-let admit_record ~flow req (path : Path_mib.info) (res : Types.reservation) =
-  Admit
-    {
-      flow;
-      request = req;
-      rate = res.Types.rate;
-      delay = res.Types.delay;
-      links = List.map (fun (l : Topology.link) -> l.Topology.link_id) path.Path_mib.links;
-    }
+(* The admissibility stage: the exact test (cached or from scratch), the
+   conservative rate-only bound, or an externally chosen rate-delay pair
+   checked against residual bandwidth and schedulability.  The
+   conservative and fixed tests never walk the merged table, so they read
+   the path state directly. *)
+let admissibility t path ~(admission : admission) (req : Types.request) =
+  let p = req.Types.profile and dreq = req.Types.dreq in
+  match admission with
+  | `Fixed (rate, _) when not (Bbr_vtrs.Traffic.conforms p ~rate) ->
+      Error Types.Delay_unachievable
+  | _ -> (
+      stage t s_admissibility @@ fun () ->
+      match (admission, t.cache) with
+      | `Exact, Some cache ->
+          let ps, bps = Admission_cache.query cache path in
+          Admission.admit ~bps ps p ~dreq
+      | `Exact, None -> Admission.admit (Admission.path_state t.node_mib t.path_mib path) p ~dreq
+      | `Conservative, _ ->
+          Admission.conservative (Admission.path_state t.node_mib t.path_mib path) p ~dreq
+      | `Fixed (rate, delay), _ ->
+          let ps = Admission.path_state t.node_mib t.path_mib path in
+          let delay =
+            match (delay, ps.Admission.delay_hops) with
+            | Some d, _ -> d
+            | None, 0 -> 0.
+            | None, _ -> invalid_arg "Broker.request_fixed: delay required on a mixed path"
+          in
+          if Admission.schedulable ps ~rate ~delay ~lmax:p.Bbr_vtrs.Traffic.lmax then
+            Ok { Types.rate; delay }
+          else if Bbr_util.Fp.gt rate ps.Admission.cres then Error Types.Insufficient_bandwidth
+          else Error Types.Not_schedulable)
 
-(* The COPS leg: push the reservation to the ingress edge conditioner. *)
-let push_edge t ~flow res =
-  stage t s_cops_push (fun () -> t.on_edge_config ~flow res)
-
-(* The admissibility stage, cached or from scratch.  The conservative test
-   never walks the merged table, so it reads the path state directly. *)
-let admissibility t path ~admission (req : Types.request) =
-  let dreq = req.Types.dreq in
-  match (admission, t.cache) with
-  | `Exact, Some cache ->
-      let ps, bps = Admission_cache.query cache path in
-      Admission.admit ~bps ps req.Types.profile ~dreq
-  | `Exact, None ->
-      Admission.admit (Admission.path_state t.node_mib t.path_mib path)
-        req.Types.profile ~dreq
-  | `Conservative, _ ->
-      Admission.conservative (Admission.path_state t.node_mib t.path_mib path)
-        req.Types.profile ~dreq
-
-let request_full t ?flow ?(admission = `Exact) req =
+(* The per-flow control loop of Figure 1, for every per-flow decision:
+   policy, routing, admissibility, bookkeeping, then the journal record
+   (written before the decision leaves the broker), the COPS push of the
+   reservation to the ingress edge conditioner, and the decision log. *)
+let decide t ?flow ~admission req =
   Obs_log.span ~now:t.time.now "bb.request"
     ~attrs:[ ("ingress", req.Types.ingress); ("egress", req.Types.egress) ]
   @@ fun _sp ->
@@ -221,65 +220,72 @@ let request_full t ?flow ?(admission = `Exact) req =
     match preamble t req with
     | Error e -> Error e
     | Ok path -> (
-        match
-          stage t s_admissibility (fun () -> admissibility t path ~admission req)
-        with
+        match admissibility t path ~admission req with
         | Error e -> Error e
         | Ok res ->
             let flow =
-              stage t s_bookkeeping (fun () -> book_per_flow t ?flow req path res)
+              stage t s_bookkeeping (fun () ->
+                  let flow = claim_id t flow in
+                  book t ~flow req path res;
+                  flow)
             in
-            (* Journal before the decision leaves the broker (WAL). *)
             (match t.on_mutation with
             | None -> ()
-            | Some f -> f (admit_record ~flow req path res));
-            push_edge t ~flow res;
+            | Some f ->
+                f
+                  (Admit
+                     {
+                       flow;
+                       request = req;
+                       rate = res.Types.rate;
+                       delay = res.Types.delay;
+                       links = Topology.link_ids path.Path_mib.links;
+                     }));
+            stage t s_cops_push (fun () -> t.on_edge_config ~flow res);
             Ok (flow, res))
   in
-  note_decision t ~service:Perflow req
+  let service = match admission with `Fixed _ -> Fixed | `Exact | `Conservative -> Perflow in
+  note_decision t ~service req
     (Result.map (fun (flow, (res : Types.reservation)) -> (flow, res.Types.rate)) outcome);
   outcome
 
-let request t ?flow ?admission req = request_full t ?flow ?admission req
+let request t ?flow ?(admission = `Exact) req =
+  decide t ?flow ~admission:(admission : [ `Exact | `Conservative ] :> admission) req
 
-(* Book an already-decided reservation on an explicit set of links — the
-   commit leg of the sharded broker's two-phase multi-shard admission, and
-   the replay form of [Admit_segment] records.  No policy, routing or admissibility runs here: the coordinator
-   (or the journal it wrote) owns the decision; this books exactly
-   [links], which need not be connected (a path alternating between
-   shards leaves each owner a non-contiguous segment).  The edge push and
-   the decision log stay with the coordinator, which sees the whole
-   flow. *)
-let book_links t ~flow req seg ~rate ~delay =
-  Flow_mib.reserve_ids t.flow_mib ~below:(flow + 1);
-  book t ~flow req seg { Types.rate; delay }
+let request_fixed t req ~rate ?delay () =
+  Result.map fst (decide t ~admission:(`Fixed (rate, delay)) req)
 
-let book_segment t ~flow ~request:(req : Types.request) ~links ~rate ~delay =
+(* Book an already-decided reservation verbatim on [path] (the booking's
+   links, which need not be connected) and journal [m]: no policy,
+   routing or admissibility runs here.  The edge push and the decision
+   log stay with whoever owns the decision.  [Flow_mib.add] advances the
+   id space past the booking's flow. *)
+let book_links t (b : booking) path m =
+  book t ~flow:b.flow b.request path { Types.rate = b.rate; delay = b.delay };
+  match t.on_mutation with None -> () | Some f -> f m
+
+(* The commit leg of the sharded broker's two-phase multi-shard admission,
+   and the replay form of [Admit_segment] records: a path alternating
+   between shards leaves each owner a non-contiguous segment. *)
+let book_segment t b =
   let seg =
-    Path_mib.register_segment t.path_mib (List.map (Topology.link_by_id t.topology) links)
+    Path_mib.register_segment t.path_mib (List.map (Topology.link_by_id t.topology) b.links)
   in
-  book_links t ~flow req seg ~rate ~delay;
-  match t.on_mutation with
-  | None -> ()
-  | Some f -> f (Admit_segment { flow; request = req; rate; delay; links })
+  book_links t b seg (Admit_segment b)
 
 (* The replay form of a whole-path [Admit] record or snapshot admit line:
    booked verbatim like a segment, but the links must still run from the
    request's ingress to its egress, so a malformed or hand-edited record
    is refused rather than booked. *)
-let book_path t ~flow ~request:(req : Types.request) ~links ~rate ~delay =
-  let ls = List.map (Topology.link_by_id t.topology) links in
+let book_path t b =
+  let ls = List.map (Topology.link_by_id t.topology) b.links in
   (match (ls, List.rev ls) with
   | first :: _, last :: _
-    when first.Topology.src = req.Types.ingress && last.Topology.dst = req.Types.egress
-    ->
+    when first.Topology.src = b.request.Types.ingress
+         && last.Topology.dst = b.request.Types.egress ->
       ()
   | _ -> invalid_arg "Broker.book_path: links do not run from ingress to egress");
-  let path = Path_mib.register t.path_mib ls in
-  book_links t ~flow req path ~rate ~delay;
-  match t.on_mutation with
-  | None -> ()
-  | Some f -> f (Admit { flow; request = req; rate; delay; links })
+  book_links t b (Path_mib.register t.path_mib ls) (Admit b)
 
 let set_batch_hook t f = t.batch_wrap <- Some f
 
@@ -296,65 +302,6 @@ let batched t f =
       wrap (fun () -> out := Some (f ()));
       (* The wrap always runs its body exactly once. *)
       Option.get !out
-
-let request_batch t ?admission reqs =
-  let n = List.length reqs in
-  if n > 1 && Obs_log.active () then begin
-    Obs_log.count "bb_admission_batches_total";
-    Obs_log.count "bb_admission_batch_requests_total" ~by:(float_of_int n)
-  end;
-  (* One span per batch; the member requests' bb.request spans (and the
-     journal group commit) nest under it. *)
-  Obs_log.span ~now:t.time.now "bb.batch" ~attrs:[ ("count", string_of_int n) ]
-  @@ fun _sp ->
-  batched t (fun () -> List.map (fun req -> request_full t ?admission req) reqs)
-
-let request_fixed t ?flow req ~rate ?delay () =
-  let outcome =
-    match preamble t req with
-    | Error e -> Error e
-    | Ok path ->
-        let p = req.Types.profile in
-        if not (Bbr_vtrs.Traffic.conforms p ~rate) then Error Types.Delay_unachievable
-        else begin
-          let admissible =
-            stage t s_admissibility (fun () ->
-                let ps = Admission.path_state t.node_mib t.path_mib path in
-                let delay =
-                  match (delay, ps.Admission.delay_hops) with
-                  | Some d, _ -> d
-                  | None, 0 -> 0.
-                  | None, _ ->
-                      invalid_arg
-                        "Broker.request_fixed: delay required on a mixed path"
-                in
-                if
-                  not
-                    (Admission.schedulable ps ~rate ~delay
-                       ~lmax:p.Bbr_vtrs.Traffic.lmax)
-                then
-                  if Bbr_util.Fp.gt rate ps.Admission.cres then
-                    Error Types.Insufficient_bandwidth
-                  else Error Types.Not_schedulable
-                else Ok delay)
-          in
-          match admissible with
-          | Error e -> Error e
-          | Ok delay ->
-              let res = { Types.rate; delay } in
-              let flow =
-                stage t s_bookkeeping (fun () -> book_per_flow t ?flow req path res)
-              in
-              (match t.on_mutation with
-              | None -> ()
-              | Some f -> f (admit_record ~flow req path res));
-              push_edge t ~flow res;
-              Ok flow
-        end
-  in
-  note_decision t ~service:Fixed req
-    (Result.map (fun flow -> (flow, rate)) outcome);
-  outcome
 
 (* Idempotent: a teardown for an unknown (already-released) flow is a
    no-op, so retransmitted DRQs and departures of flows dropped by a link
@@ -399,13 +346,7 @@ let request_class t ?class_id ?flow req =
         match cls with
         | Error e -> Error e
         | Ok cls -> (
-            let flow =
-              match flow with
-              | Some f ->
-                  Flow_mib.reserve_ids t.flow_mib ~below:(f + 1);
-                  f
-              | None -> Flow_mib.fresh_id t.flow_mib
-            in
+            let flow = claim_id t flow in
             (* For class-based service the admissibility test and the
                bookkeeping are one operation (the macroflow join of
                Section 4.3); the subsequent rate push to the edge rides
@@ -437,9 +378,6 @@ let teardown_class t flow =
     Aggregate.leave t.aggregate ~flow
   end
 
-let link_ids_of (info : Path_mib.info) =
-  List.map (fun (l : Topology.link) -> l.Topology.link_id) info.Path_mib.links
-
 let queue_empty t ~class_id ~path_id =
   (match t.on_mutation with
   | None -> ()
@@ -449,7 +387,7 @@ let queue_empty t ~class_id ~path_id =
          replay onto a differently grown path MIB. *)
       if Aggregate.macroflow_stats t.aggregate ~class_id ~path_id <> None then
         match Path_mib.find t.path_mib ~path_id with
-        | Some info -> f (Queue_emptied { class_id; links = link_ids_of info })
+        | Some info -> f (Queue_emptied { class_id; links = Topology.link_ids info.Path_mib.links })
         | None -> ());
   Aggregate.queue_empty t.aggregate ~class_id ~path_id
 
@@ -482,23 +420,19 @@ let set_link_admin t ~link_id ~up =
 
 let fail_link t ~link_id =
   set_link_admin t ~link_id ~up:false;
-  let on_dead_link links =
-    List.exists (fun (l : Topology.link) -> l.Topology.link_id = link_id) links
-  in
   (* Victims, released before any re-admission so survivors compete for the
      full remaining capacity.  Per-flow records are captured first: teardown
      removes them from the MIB. *)
-  let perflow_victims =
-    Flow_mib.fold t.flow_mib ~init:[] ~f:(fun acc r ->
-        if on_dead_link r.Flow_mib.path.Path_mib.links then r :: acc else acc)
-    |> List.sort (fun (a : Flow_mib.record) b -> compare a.Flow_mib.flow b.Flow_mib.flow)
-  in
+  let perflow_victims = Flow_mib.crossing t.flow_mib ~link_id in
   List.iter (fun (r : Flow_mib.record) -> teardown t r.Flow_mib.flow) perflow_victims;
   let class_victims =
     List.filter_map
       (fun (s : Aggregate.macro_stats) ->
         match Path_mib.find t.path_mib ~path_id:s.Aggregate.path_id with
-        | Some info when on_dead_link info.Path_mib.links ->
+        | Some info
+          when List.exists
+                 (fun (l : Topology.link) -> l.Topology.link_id = link_id)
+                 info.Path_mib.links ->
             let endpoints =
               Aggregate.path_endpoints t.aggregate ~class_id:s.Aggregate.class_id
                 ~path_id:s.Aggregate.path_id
@@ -508,7 +442,10 @@ let fail_link t ~link_id =
             | Some f ->
                 f
                   (Evacuated
-                     { class_id = s.Aggregate.class_id; links = link_ids_of info }));
+                     {
+                       class_id = s.Aggregate.class_id;
+                       links = Topology.link_ids info.Path_mib.links;
+                     }));
             Some
               ( s.Aggregate.class_id,
                 endpoints,
@@ -523,7 +460,7 @@ let fail_link t ~link_id =
   let perflow_rerouted, perflow_dropped =
     List.partition_map
       (fun (r : Flow_mib.record) ->
-        match request_full t ~flow:r.Flow_mib.flow r.Flow_mib.request with
+        match request t ~flow:r.Flow_mib.flow r.Flow_mib.request with
         | Ok _ -> Either.Left r.Flow_mib.flow
         | Error _ -> Either.Right r.Flow_mib.flow)
       perflow_victims

@@ -58,11 +58,8 @@ val create :
     breakpoint tables of {!Admission_cache}; it is digest-neutral —
     decisions and MIB digests are identical either way — so [false] is the
     reference the differential tests compare against, and the uncached
-    baseline for benchmarking. *)
-
-val add_decision_hook : t -> (decision_record -> unit) -> unit
-(** Subscribe to admission decisions after creation.  Hooks run in
-    subscription order, after the broker's own bookkeeping. *)
+    baseline for benchmarking.  [on_decision] receives every decision
+    record, after the broker's own bookkeeping. *)
 
 (** {1 State-mutation hook (write-ahead journaling)}
 
@@ -82,28 +79,27 @@ val add_decision_hook : t -> (decision_record -> unit) -> unit
 
     When no hook is installed the emission sites cost one load and one
     branch and allocate nothing. *)
+
+(** One booked per-flow reservation, as the journal records it: the
+    flow, its request, the booked rate–delay pair and the ids of the
+    links it holds, in booking order. *)
+type booking = {
+  flow : Types.flow_id;
+  request : Types.request;
+  rate : float;
+  delay : float;
+  links : int list;
+}
+
 type mutation =
-  | Admit of {
-      flow : Types.flow_id;
-      request : Types.request;
-      rate : float;
-      delay : float;
-      links : int list;
-    }
+  | Admit of booking
       (** a per-flow reservation was booked (via {!request} or
-          {!request_fixed}); [links] are the link ids of the routed path,
-          which replay books verbatim (through {!book_path}) without
-          re-routing *)
-  | Admit_segment of {
-      flow : Types.flow_id;
-      request : Types.request;
-      rate : float;
-      delay : float;
-      links : int list;
-    }
+          {!request_fixed}) on the routed path, which replay books
+          verbatim (through {!book_path}) without re-routing *)
+  | Admit_segment of booking
       (** a shard booked its segment of a multi-shard path (via
-          {!book_segment}); [links] are the exact link ids booked, which
-          replay books verbatim without re-routing *)
+          {!book_segment}); replay books the links verbatim without
+          re-routing *)
   | Admit_class of { flow : Types.flow_id; class_id : int; request : Types.request }
       (** a microflow joined a class macroflow *)
   | Teardown of Types.flow_id  (** a per-flow reservation was released *)
@@ -147,28 +143,25 @@ val request :
     ({!Admission.conservative}) — the degraded mode the {!Overload}
     brownout controller switches to under sustained load.  Both are
     identical on all-rate-based paths, and both journal as plain [Admit]
-    records (the booked pair, not the test, is what replay needs). *)
+    records (the booked pair, not the test, is what replay needs).
+
+    Every per-flow decision ({!request}, {!request_fixed}, and each
+    re-admission {!fail_link} makes) runs one pipeline under a
+    [bb.request] span: policy, routing, admissibility, bookkeeping, the
+    [Admit] journal record, the edge push and the decision log. *)
 
 val teardown : t -> Types.flow_id -> unit
 (** Release a per-flow reservation.  Idempotent: an unknown
     (already-released) flow is a no-op, so retransmitted DRQs are
     harmless. *)
 
-val request_batch :
-  t ->
-  ?admission:[ `Exact | `Conservative ] ->
-  Types.request list ->
-  (Types.flow_id * Types.reservation, Types.reject_reason) result list
-(** Admit a list of requests in one pass — {!request} applied in order
-    inside {!batched}, so decisions are identical to issuing the requests
-    one by one (each request sees the reservations of the previous ones),
-    but journal records reach a single durability boundary together and
-    the admission cache stays warm across the batch.  The natural unit for
-    edge-broker lease refills and overload drains. *)
-
 val batched : t -> (unit -> 'a) -> 'a
-(** Run [f] as one batch (see {!request_batch}).  With no journal attached
-    this is just [f ()].  Reentrant: an inner batch joins the outer one. *)
+(** Run [f] as one batch: journal records it appends reach a single
+    durability boundary together (group commit), and consecutive
+    requests inside it see the still-warm admission cache.  Decisions are
+    identical to running [f] outside a batch.  With no journal attached
+    this is just [f ()].  Reentrant: an inner batch joins the outer one.
+    The natural unit for edge-broker lease refills and overload drains. *)
 
 val set_batch_hook : t -> ((unit -> unit) -> unit) -> unit
 (** Install the wrapper {!batched} runs its body under — used by
@@ -177,7 +170,6 @@ val set_batch_hook : t -> ((unit -> unit) -> unit) -> unit
 
 val request_fixed :
   t ->
-  ?flow:Types.flow_id ->
   Types.request ->
   rate:float ->
   ?delay:float ->
@@ -190,44 +182,29 @@ val request_fixed :
     caller owns.  This is the hook the inter-domain coordinator uses: it
     solves the delay budget across domains and books the resulting rate in
     each domain.  Raises [Invalid_argument] when [delay] is missing on a
-    mixed path.  Tear down with {!teardown}.
+    mixed path.  Tear down with {!teardown}.  The decision is logged with
+    service {!Fixed}. *)
 
-    [flow] books under a caller-chosen id instead of a fresh one (the id
-    space is advanced past it) — used by snapshot restore and link-failure
-    rerouting, where the flow must keep the id the ingress router holds. *)
-
-val book_segment :
-  t ->
-  flow:Types.flow_id ->
-  request:Types.request ->
-  links:int list ->
-  rate:float ->
-  delay:float ->
-  unit
+val book_segment : t -> booking -> unit
 (** Book an already-decided reservation on an explicit set of links — the
     commit leg of the sharded broker's two-phase multi-shard admission,
-    and the replay form of [Admit_segment] journal records.  No policy,
-    routing or admissibility check runs: the coordinator owns the
-    decision.  [links] need not form a connected path (a path alternating
-    between shards leaves each owner a non-contiguous segment); they are
-    booked verbatim, in list order.  The flow-id space is advanced past
-    [flow].  Neither the edge push nor the decision log fires — both stay
-    with the coordinator, which sees the whole flow.  Tear down with
-    {!teardown}.  Raises [Not_found] on an unknown link id. *)
+    and the replay form of [Admit_segment] journal records, which it
+    journals.  No policy, routing or admissibility check runs: the
+    coordinator owns the decision.  The links need not form a connected
+    path (a path alternating between shards leaves each owner a
+    non-contiguous segment); they are booked verbatim, in list order.
+    The flow-id space is advanced past the booking's flow.  Neither the
+    edge push nor the decision log fires — both stay with the
+    coordinator, which sees the whole flow.  Tear down with {!teardown}.
+    Raises [Not_found] on an unknown link id. *)
 
-val book_path :
-  t ->
-  flow:Types.flow_id ->
-  request:Types.request ->
-  links:int list ->
-  rate:float ->
-  delay:float ->
-  unit
+val book_path : t -> booking -> unit
 (** Like {!book_segment}, for a whole path: the replay form of [Admit]
-    journal records and {!Snapshot} [admit] lines.  The links are booked
-    verbatim, whatever their state now, but must form a connected path
-    from the request's ingress to its egress.  Raises [Invalid_argument]
-    when they do not, and [Not_found] on an unknown link id. *)
+    journal records and {!Snapshot} [admit] lines, journaled as [Admit].
+    The links are booked verbatim, whatever their state now, but must
+    form a connected path from the request's ingress to its egress.
+    Raises [Invalid_argument] when they do not, and [Not_found] on an
+    unknown link id. *)
 
 (** {1 Class-based guaranteed service} *)
 
@@ -240,7 +217,7 @@ val request_class :
 (** Admit the flow into a delay service class — [class_id] if given
     (rejected when the class bound exceeds the flow's requirement),
     otherwise the loosest class satisfying the requirement.  [flow] as in
-    {!request_fixed}. *)
+    {!request}. *)
 
 val teardown_class : t -> Types.flow_id -> unit
 (** Idempotent, like {!teardown}. *)

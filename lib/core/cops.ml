@@ -24,7 +24,7 @@ type t = {
   latency : float;
   defer : float -> (unit -> unit) -> unit;
   rel : reliability option;
-  mutable pdp : pdp option;
+  pdp : pdp option;
   mutable pdp_up : bool;
   mutable messages : int;
   mutable pending : int;
@@ -49,10 +49,6 @@ let create broker ?(latency = 0.005) ?reliability ?pdp ~defer () =
   }
 
 let set_broker t broker = t.broker <- broker
-
-let set_pdp t pdp = t.pdp <- Some pdp
-
-let clear_pdp t = t.pdp <- None
 
 let set_pdp_up t up = t.pdp_up <- up
 
@@ -90,7 +86,7 @@ let note_pending t = Metrics.set_gauge "bb_cops_pending" (float_of_int t.pending
      cannot leak [pending] or fire [on_decision] twice. *)
 (* [decide] is continuation-passing: at the PDP it may answer inline (the
    plain broker call) or asynchronously (the {!Overload} admission queue,
-   installed with {!set_pdp}).  [busy] extracts the [Server_busy] back-off
+   given to {!create}).  [busy] extracts the [Server_busy] back-off
    hint from a decision, if any.
 
    Server_busy handling, reliable channels only: the PEP does {e not}

@@ -85,14 +85,8 @@ val create :
 val set_broker : t -> Broker.t -> unit
 (** Repoint the PEP at a new PDP (a promoted warm standby).  In-flight
     reliable transactions retransmit to it automatically.  When the dead
-    broker's requests were fronted by an {!Overload} pipeline, install the
-    standby's pipeline with {!set_pdp} as well. *)
-
-val set_pdp : t -> pdp -> unit
-(** Install (or replace) the asynchronous per-flow decision point. *)
-
-val clear_pdp : t -> unit
-(** Back to deciding per-flow REQs with a direct [Broker.request] call. *)
+    broker's requests were fronted by an {!Overload} pipeline, retarget
+    that pipeline at the standby ({!Overload.retarget}) as well. *)
 
 val set_pdp_up : t -> bool -> unit
 (** Model a broker crash: while down, the PDP consumes incoming messages

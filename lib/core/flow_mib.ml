@@ -6,50 +6,9 @@ type record = {
   admitted_at : float;
 }
 
-(* Arena layout: one slot per live flow, held in parallel arrays so the
-   numeric columns (rate, delay, admission time) are unboxed float arrays
-   and a [fold] over a million flows is a cache-friendly linear scan
-   instead of a pointer chase through Hashtbl buckets.  Invariants:
+type t = { records : (Types.flow_id, record) Hashtbl.t; mutable next_id : int }
 
-   - [flows.(s) = -1] iff slot [s] is free; freed slots go on [free] and
-     are reused before [high] grows, so the arena stays dense under
-     steady-state churn.
-   - [index] maps a live flow id to its slot; flow ids themselves are
-     stable for the life of the flow (slots are an internal detail and are
-     recycled, ids never are).
-   - [high] is the exclusive upper bound of slots ever used; every live
-     slot is below it.
-
-   The boxed columns ([requests], [paths]) keep their last value after a
-   slot is freed until the slot is reused — Path_mib retains every
-   registered path for the broker's lifetime anyway, so this pins no
-   additional memory class. *)
-type t = {
-  mutable flows : int array;  (* slot -> flow id, -1 = free *)
-  mutable requests : Types.request array;
-  mutable paths : Path_mib.info array;
-  mutable rates : float array;
-  mutable delays : float array;
-  mutable admitted : float array;
-  mutable free : int list;  (* recycled slots, LIFO *)
-  mutable high : int;  (* slots ever used *)
-  index : (Types.flow_id, int) Hashtbl.t;
-  mutable next_id : int;
-}
-
-let create () =
-  {
-    flows = [||];
-    requests = [||];
-    paths = [||];
-    rates = [||];
-    delays = [||];
-    admitted = [||];
-    free = [];
-    high = 0;
-    index = Hashtbl.create 64;
-    next_id = 0;
-  }
+let create () = { records = Hashtbl.create 64; next_id = 0 }
 
 let fresh_id t =
   let id = t.next_id in
@@ -60,89 +19,35 @@ let reserve_ids t ~below = if below > t.next_id then t.next_id <- below
 
 let next_id t = t.next_id
 
-(* Boxed columns need a filler value to allocate an array at all; the
-   record being inserted provides one, so no dummy request/path is ever
-   manufactured. *)
-let grow t record =
-  let old = Array.length t.flows in
-  let cap = if old = 0 then 64 else 2 * old in
-  let ints = Array.make cap (-1) in
-  Array.blit t.flows 0 ints 0 old;
-  t.flows <- ints;
-  let reqs = Array.make cap record.request in
-  Array.blit t.requests 0 reqs 0 old;
-  t.requests <- reqs;
-  let ps = Array.make cap record.path in
-  Array.blit t.paths 0 ps 0 old;
-  t.paths <- ps;
-  let floats src =
-    let a = Array.make cap 0. in
-    Array.blit src 0 a 0 old;
-    a
-  in
-  t.rates <- floats t.rates;
-  t.delays <- floats t.delays;
-  t.admitted <- floats t.admitted
-
 let add t record =
-  if Hashtbl.mem t.index record.flow then
+  if Hashtbl.mem t.records record.flow then
     invalid_arg (Printf.sprintf "Flow_mib.add: duplicate flow id %d" record.flow);
-  if record.flow >= t.next_id then t.next_id <- record.flow + 1;
-  let slot =
-    match t.free with
-    | s :: rest ->
-        t.free <- rest;
-        s
-    | [] ->
-        if t.high >= Array.length t.flows then grow t record;
-        let s = t.high in
-        t.high <- t.high + 1;
-        s
-  in
-  t.flows.(slot) <- record.flow;
-  t.requests.(slot) <- record.request;
-  t.paths.(slot) <- record.path;
-  t.rates.(slot) <- record.reservation.Types.rate;
-  t.delays.(slot) <- record.reservation.Types.delay;
-  t.admitted.(slot) <- record.admitted_at;
-  Hashtbl.replace t.index record.flow slot
+  reserve_ids t ~below:(record.flow + 1);
+  Hashtbl.replace t.records record.flow record
 
-let record_of_slot t slot =
-  {
-    flow = t.flows.(slot);
-    request = t.requests.(slot);
-    reservation = { Types.rate = t.rates.(slot); delay = t.delays.(slot) };
-    path = t.paths.(slot);
-    admitted_at = t.admitted.(slot);
-  }
-
-let find t flow =
-  match Hashtbl.find_opt t.index flow with
-  | Some slot -> Some (record_of_slot t slot)
-  | None -> None
+let find t flow = Hashtbl.find_opt t.records flow
 
 let remove t flow =
-  match Hashtbl.find_opt t.index flow with
-  | Some slot ->
-      let record = record_of_slot t slot in
-      t.flows.(slot) <- -1;
-      t.free <- slot :: t.free;
-      Hashtbl.remove t.index flow;
-      Some record
-  | None -> None
+  let found = Hashtbl.find_opt t.records flow in
+  if found <> None then Hashtbl.remove t.records flow;
+  found
 
-let count t = Hashtbl.length t.index
+let count t = Hashtbl.length t.records
 
-let fold t ~init ~f =
-  let acc = ref init in
-  for slot = 0 to t.high - 1 do
-    if t.flows.(slot) >= 0 then acc := f !acc (record_of_slot t slot)
-  done;
-  !acc
+let fold t ~init ~f = Hashtbl.fold (fun _ r acc -> f acc r) t.records init
+
+let by_flow_id (a : record) (b : record) = compare a.flow b.flow
+
+let rec uses link_id = function
+  | [] -> false
+  | (l : Bbr_vtrs.Topology.link) :: rest ->
+      l.Bbr_vtrs.Topology.link_id = link_id || uses link_id rest
+
+let crossing t ~link_id =
+  fold t ~init:[] ~f:(fun acc r -> if uses link_id r.path.Path_mib.links then r :: acc else acc)
+  |> List.sort by_flow_id
 
 let total_reserved_rate t =
-  let acc = ref 0. in
-  for slot = 0 to t.high - 1 do
-    if t.flows.(slot) >= 0 then acc := !acc +. t.rates.(slot)
-  done;
-  !acc
+  fold t ~init:[] ~f:(fun acc r -> r :: acc)
+  |> List.sort by_flow_id
+  |> List.fold_left (fun acc r -> acc +. r.reservation.Types.rate) 0.

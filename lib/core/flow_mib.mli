@@ -1,5 +1,10 @@
 (** Flow information base (paper Section 2.2): per-flow traffic profile,
-    service profile and current QoS reservation, kept only at the broker. *)
+    service profile and current QoS reservation, kept only at the broker.
+
+    One hash table of records keyed by flow id.  {!fold} visits records
+    in no particular order; every reader whose output depends on order
+    ({!crossing}, {!total_reserved_rate}, snapshots, audits, digests)
+    sorts by flow id. *)
 
 type record = {
   flow : Types.flow_id;
@@ -28,13 +33,20 @@ val add : t -> record -> unit
 (** Raises [Invalid_argument] if the id is already present. *)
 
 val find : t -> Types.flow_id -> record option
+(** The stored record, if the flow is live. *)
 
 val remove : t -> Types.flow_id -> record option
-(** Remove and return the record, or [None] if absent. *)
+(** Remove and return the stored record, or [None] if absent. *)
 
 val count : t -> int
 
 val fold : t -> init:'a -> f:('a -> record -> 'a) -> 'a
+(** Visit every record, in unspecified order. *)
+
+val crossing : t -> link_id:int -> record list
+(** The records whose path uses the link, in ascending flow id: the
+    victims of a failure of that link. *)
 
 val total_reserved_rate : t -> float
-(** Sum of reserved rates over all flows (diagnostics). *)
+(** Sum of reserved rates over all flows, added in flow-id order so the
+    result does not depend on table order (diagnostics). *)

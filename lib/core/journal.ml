@@ -19,18 +19,17 @@ let kind_label : Broker.mutation -> string = function
   | Broker.Link_failed _ -> "link_failed"
   | Broker.Link_restored _ -> "link_restored"
 
+(* The shared text of [admit] and [admitseg] records. *)
+let booking_payload tag ({ flow; request = r; rate; delay; links } : Broker.booking) =
+  let p = r.Types.profile in
+  Printf.sprintf "%s %d %h %h %h %h %h %s %s %h %h %s" tag flow p.Traffic.sigma
+    p.Traffic.rho p.Traffic.peak p.Traffic.lmax r.Types.dreq r.Types.ingress
+    r.Types.egress rate delay (links_str links)
+
 let payload (m : Broker.mutation) =
   match m with
-  | Broker.Admit { flow; request = r; rate; delay; links } ->
-      let p = r.Types.profile in
-      Printf.sprintf "admit %d %h %h %h %h %h %s %s %h %h %s" flow p.Traffic.sigma
-        p.Traffic.rho p.Traffic.peak p.Traffic.lmax r.Types.dreq r.Types.ingress
-        r.Types.egress rate delay (links_str links)
-  | Broker.Admit_segment { flow; request = r; rate; delay; links } ->
-      let p = r.Types.profile in
-      Printf.sprintf "admitseg %d %h %h %h %h %h %s %s %h %h %s" flow
-        p.Traffic.sigma p.Traffic.rho p.Traffic.peak p.Traffic.lmax r.Types.dreq
-        r.Types.ingress r.Types.egress rate delay (links_str links)
+  | Broker.Admit b -> booking_payload "admit" b
+  | Broker.Admit_segment b -> booking_payload "admitseg" b
   | Broker.Admit_class { flow; class_id; request = r } ->
       let p = r.Types.profile in
       Printf.sprintf "admitc %d %d %h %h %h %h %h %s %s" flow class_id p.Traffic.sigma
@@ -67,12 +66,13 @@ let decode_payload fields : Broker.mutation option =
   let fl = float_of_string in
   match
     match fields with
-    | [ "admit"; flow; sigma; rho; peak; lmax; dreq; ingress; egress; rate; delay; links ] ->
+    | [ (("admit" | "admitseg") as tag); flow; sigma; rho; peak; lmax; dreq; ingress; egress;
+        rate; delay; links ] ->
         Option.map
           (fun links ->
-            Broker.Admit
+            let b =
               {
-                flow = int_of_string flow;
+                Broker.flow = int_of_string flow;
                 request =
                   {
                     Types.profile =
@@ -85,28 +85,9 @@ let decode_payload fields : Broker.mutation option =
                 rate = fl rate;
                 delay = fl delay;
                 links;
-              })
-          (links_of_str links)
-    | [ "admitseg"; flow; sigma; rho; peak; lmax; dreq; ingress; egress; rate; delay; links ]
-      ->
-        Option.map
-          (fun links ->
-            Broker.Admit_segment
-              {
-                flow = int_of_string flow;
-                request =
-                  {
-                    Types.profile =
-                      Traffic.make ~sigma:(fl sigma) ~rho:(fl rho) ~peak:(fl peak)
-                        ~lmax:(fl lmax);
-                    dreq = fl dreq;
-                    ingress;
-                    egress;
-                  };
-                rate = fl rate;
-                delay = fl delay;
-                links;
-              })
+              }
+            in
+            if tag = "admit" then Broker.Admit b else Broker.Admit_segment b)
           (links_of_str links)
     | [ "admitc"; flow; class_id; sigma; rho; peak; lmax; dreq; ingress; egress ] ->
         Some
@@ -150,19 +131,18 @@ type replay_outcome = { applied : int; warning : string option }
 
 let apply broker (m : Broker.mutation) =
   match m with
-  | Broker.Admit { flow; request; rate; delay; links }
-  | Broker.Admit_segment { flow; request; rate; delay; links } -> (
+  | Broker.Admit b | Broker.Admit_segment b -> (
       (* Booked verbatim on the recorded links — never re-routed: the
          links a flow holds are what the primary decided, whatever state
          the topology (or this broker's routing) is in now. *)
       let book =
         match m with Broker.Admit _ -> Broker.book_path | _ -> Broker.book_segment
       in
-      match book broker ~flow ~request ~links ~rate ~delay with
+      match book broker b with
       | () -> Ok ()
       | exception exn ->
           Error
-            (Fmt.str "replaying admit of flow %d failed: %s" flow
+            (Fmt.str "replaying admit of flow %d failed: %s" b.Broker.flow
                (Printexc.to_string exn)))
   | Broker.Admit_class { flow; class_id; request } -> (
       match Broker.request_class broker ~class_id ~flow request with

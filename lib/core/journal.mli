@@ -55,8 +55,8 @@ val storage : t -> Storage.t
 val attach : t -> Broker.t -> unit
 (** Install the journal as the broker's mutation hook: every subsequent
     mutation is appended, stamped with the broker clock.  Also installs
-    the broker's batch hook, so {!Broker.request_batch} commits as one
-    {!group}. *)
+    the broker's batch hook, so the body of {!Broker.batched} commits as
+    one {!group}. *)
 
 val group : t -> (unit -> 'a) -> 'a
 (** Group commit: records appended while [f] runs are held back from the

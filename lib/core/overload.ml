@@ -175,8 +175,6 @@ let latency_quantile t ~q =
     a.(int_of_float (Float.round (q *. float_of_int (t.n_lat - 1))))
   end
 
-let decision_count t = t.n_lat
-
 (* ------------------------------------------------------------------ *)
 (* Brownout controller: a hysteresis loop over the queue-fill fraction.
    Re-evaluated at every queue event; while the queue is non-empty the
@@ -462,8 +460,6 @@ let retarget t broker =
   end
 
 let brownout t = t.brownout
-
-let queue_depth t = t.depth
 
 let stats t =
   {

@@ -108,15 +108,9 @@ val retarget : t -> Broker.t -> unit
 val brownout : t -> bool
 (** The controller is currently in degraded (conservative) mode. *)
 
-val queue_depth : t -> int
-
 val latency_quantile : t -> q:float -> float
 (** Quantile of the sim-time submit→decision latency over all decided
     (non-shed) requests; [nan] when none decided yet. *)
-
-val decision_count : t -> int
-(** Number of requests actually decided (equals the latency sample
-    count). *)
 
 (** Cumulative pipeline counters.  [shed_*] partition the shed requests by
     reason; [conservative_decisions] counts decisions taken in brownout

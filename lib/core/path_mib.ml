@@ -38,7 +38,7 @@ let grow_paths t =
   t.by_id <- infos
 
 let register_links t links =
-  let key = List.map (fun (l : Topology.link) -> l.Topology.link_id) links in
+  let key = Topology.link_ids links in
   match Hashtbl.find_opt t.by_links key with
   | Some info -> info
   | None ->
@@ -86,12 +86,3 @@ let paths t =
     match t.by_id.(id) with Some info -> acc := info :: !acc | None -> ()
   done;
   !acc
-
-let pp_info ppf info =
-  Fmt.pf ppf "path#%d [%a] h=%d q=%d d_tot=%g" info.path_id
-    Fmt.(list ~sep:(any " -> ") string)
-    (match info.links with
-    | [] -> []
-    | first :: _ ->
-        first.Topology.src :: List.map (fun (l : Topology.link) -> l.Topology.dst) info.links)
-    info.hops info.rate_hops info.d_tot

@@ -53,4 +53,3 @@ val find_links : t -> links:int list -> info option
 
 val paths : t -> info list
 
-val pp_info : info Fmt.t

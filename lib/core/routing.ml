@@ -74,4 +74,3 @@ let path t ~ingress ~egress =
       Hashtbl.replace t.cache (ingress, egress) selected;
       selected
 
-let clear_cache t = Hashtbl.reset t.cache

@@ -26,5 +26,3 @@ val shortest_path :
     baseline routes with the same metric so comparisons are apples to
     apples).  Skips links marked down. *)
 
-val clear_cache : t -> unit
-(** Drop memoized selections (after topology-facing changes in tests). *)

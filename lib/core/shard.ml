@@ -8,13 +8,7 @@ type victim = { v_flow : Types.flow_id; v_request : Types.request }
 
 type op =
   | Admit of { flow : Types.flow_id; request : Types.request }
-  | Book_segment of {
-      flow : Types.flow_id;
-      request : Types.request;
-      links : int list;
-      rate : float;
-      delay : float;
-    }
+  | Book_segment of Broker.booking
   | Prepare of int list
   | Teardown of Types.flow_id
   | Set_link of { link_id : int; up : bool }
@@ -45,14 +39,11 @@ let broker t = t.broker
 
 let journal t = t.journal
 
-let link_ids_of (info : Path_mib.info) =
-  List.map (fun (l : Topology.link) -> l.Topology.link_id) info.Path_mib.links
-
 let exec t op =
   match op with
   | Admit { flow; request } -> Admitted (Broker.request t.broker ~flow request)
-  | Book_segment { flow; request; links; rate; delay } ->
-      Broker.book_segment t.broker ~flow ~request ~links ~rate ~delay;
+  | Book_segment b ->
+      Broker.book_segment t.broker b;
       Done
   | Prepare links ->
       let nm = Broker.node_mib t.broker in
@@ -73,23 +64,18 @@ let exec t op =
       Broker.set_link_admin t.broker ~link_id ~up;
       Done
   | Victims link_id ->
-      let on_link (r : Flow_mib.record) =
-        List.exists
-          (fun (l : Topology.link) -> l.Topology.link_id = link_id)
-          r.Flow_mib.path.Path_mib.links
-      in
       Victims_are
-        (Flow_mib.fold (Broker.flow_mib t.broker) ~init:[] ~f:(fun acc r ->
-             if on_link r then
-               { v_flow = r.Flow_mib.flow; v_request = r.Flow_mib.request } :: acc
-             else acc))
+        (List.map
+           (fun (r : Flow_mib.record) ->
+             { v_flow = r.Flow_mib.flow; v_request = r.Flow_mib.request })
+           (Flow_mib.crossing (Broker.flow_mib t.broker) ~link_id))
   | Dump ->
       Flows
         (Flow_mib.fold (Broker.flow_mib t.broker) ~init:[] ~f:(fun acc r ->
              ( r.Flow_mib.flow,
                r.Flow_mib.reservation.Types.rate,
                r.Flow_mib.reservation.Types.delay,
-               link_ids_of r.Flow_mib.path )
+               Topology.link_ids r.Flow_mib.path.Path_mib.links )
              :: acc))
   | Audit_ok -> Flag (Audit.ok (Audit.check t.broker))
   | Stop -> Done

@@ -36,17 +36,12 @@ type victim = { v_flow : Types.flow_id; v_request : Types.request }
 type op =
   | Admit of { flow : Types.flow_id; request : Types.request }
       (** full single-shard admission under a router-chosen id *)
-  | Book_segment of {
-      flow : Types.flow_id;
-      request : Types.request;
-      links : int list;
-      rate : float;
-      delay : float;
-    }  (** commit phase of a multi-shard admission *)
+  | Book_segment of Broker.booking
+      (** commit phase of a multi-shard admission ({!Broker.book_segment}) *)
   | Prepare of int list  (** snapshot the named links (read-only) *)
   | Teardown of Types.flow_id  (** idempotent; no-op on shards without it *)
   | Set_link of { link_id : int; up : bool }  (** physical link record *)
-  | Victims of int  (** flows riding the given link *)
+  | Victims of int  (** flows riding the given link, ascending flow id *)
   | Dump  (** all flow records as [(flow, rate, delay, links)] *)
   | Audit_ok  (** {!Audit.check} is clean *)
   | Stop

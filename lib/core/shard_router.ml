@@ -70,9 +70,6 @@ let links_by_shard t (info : Path_mib.info) =
     info.Path_mib.links;
   List.rev_map (fun s -> (s, List.rev !(Hashtbl.find groups s))) !order
 
-let ids_of links =
-  List.map (fun (l : Topology.link) -> l.Topology.link_id) links
-
 (* Multi-shard admission, two phases.  Phase 1 (read): every involved
    shard snapshots its links of the path — residuals plus independent
    VT-EDF replicas.  The router assembles the exact {!Admission.path_state}
@@ -84,7 +81,7 @@ let ids_of links =
    the two phases, so the snapshots cannot go stale. *)
 let two_phase t ~flow (req : Types.request) (info : Path_mib.info) groups =
   List.iter
-    (fun (s, links) -> Shard.send t.shards.(s) (Shard.Prepare (ids_of links)))
+    (fun (s, links) -> Shard.send t.shards.(s) (Shard.Prepare (Topology.link_ids links)))
     groups;
   let prepared = Hashtbl.create 8 in
   List.iter
@@ -118,9 +115,9 @@ let two_phase t ~flow (req : Types.request) (info : Path_mib.info) groups =
           Shard.send t.shards.(s)
             (Shard.Book_segment
                {
-                 flow;
+                 Broker.flow;
                  request = req;
-                 links = ids_of links;
+                 links = Topology.link_ids links;
                  rate = res.Types.rate;
                  delay = res.Types.delay;
                }))
@@ -214,10 +211,7 @@ let fail_link t ~link_id =
   set_link t ~link_id ~up:false;
   let victims =
     match Shard.rpc t.shards.(t.owner.(link_id)) (Shard.Victims link_id) with
-    | Shard.Victims_are vs ->
-        List.sort
-          (fun (a : Shard.victim) b -> compare a.Shard.v_flow b.Shard.v_flow)
-          vs
+    | Shard.Victims_are vs -> vs
     | _ -> assert false
   in
   List.iter (fun (v : Shard.victim) -> teardown t v.Shard.v_flow) victims;

@@ -7,8 +7,6 @@ let header = "bbr-snapshot v2"
    bit-exact. *)
 let pf = Printf.sprintf "%h"
 
-let link_ids links = List.map (fun (l : Topology.link) -> l.Topology.link_id) links
-
 let ints_str ids = String.concat "," (List.map string_of_int ids)
 
 (* A traffic profile as one field: [sigma,rho,peak,lmax]. *)
@@ -36,11 +34,11 @@ let save broker =
            (Journal.payload
               (Broker.Admit
                  {
-                   flow = r.Flow_mib.flow;
+                   Broker.flow = r.Flow_mib.flow;
                    request = r.Flow_mib.request;
                    rate = res.Types.rate;
                    delay = res.Types.delay;
-                   links = link_ids r.Flow_mib.path.Path_mib.links;
+                   links = Topology.link_ids r.Flow_mib.path.Path_mib.links;
                  })));
   (* Class state as booked: one line per macroflow — class, path links,
      aggregate profile, base rate, contingency pool, edge-delay bound and
@@ -55,7 +53,7 @@ let save broker =
           line
             (String.concat " "
                ("macro" :: string_of_int class_id
-               :: ints_str (link_ids info.Path_mib.links)
+               :: ints_str (Topology.link_ids info.Path_mib.links)
                :: Option.fold ~none:"-" ~some:profile_str s.Aggregate.profile
                :: pf s.Aggregate.base_rate :: pf s.Aggregate.contingency
                :: pf s.Aggregate.edge_bound

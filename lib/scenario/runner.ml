@@ -177,10 +177,7 @@ let fault_links topo = function
   | Scenario.Partition { leaves; _ } ->
       let stubs = take leaves (Topo_gen.leaves topo) in
       List.sort_uniq compare
-        (List.concat_map
-           (fun node ->
-             List.map (fun (l : Topology.link) -> l.Topology.link_id) (links_at topo node))
-           stubs)
+        (List.concat_map (fun node -> Topology.link_ids (links_at topo node)) stubs)
 
 (* ------------------------------------------------------------------ *)
 (* Workload materialization, a pure function of the seed.  Figure 8

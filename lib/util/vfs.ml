@@ -19,14 +19,13 @@ type file = { mutable data : Bytes.t; mutable len : int; mutable durable : int }
 type t = {
   files : (string, file) Hashtbl.t;
   prng : Prng.t;
-  mutable faults : faults;
+  faults : faults;
   mutable injected : (string * int) list;
 }
 
 let create ?(seed = 0) ?(faults = no_faults) () =
   { files = Hashtbl.create 16; prng = Prng.create ~seed; faults; injected = [] }
 
-let set_faults t faults = t.faults <- faults
 let faults t = t.faults
 
 let record_fault t label =

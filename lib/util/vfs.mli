@@ -38,7 +38,6 @@ val create : ?seed:int -> ?faults:faults -> unit -> t
 (** A fresh empty filesystem.  [seed] (default 0) drives every
     probabilistic fault draw and [bitrot], so runs are reproducible. *)
 
-val set_faults : t -> faults -> unit
 val faults : t -> faults
 
 (* ------------------------------------------------------------------ *)

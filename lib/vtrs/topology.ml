@@ -125,6 +125,8 @@ let is_path t = function
   | [] -> false
   | l :: _ as path -> mem_node t l.src && is_path_links path
 
+let link_ids path = List.map (fun l -> l.link_id) path
+
 let hop_count path = List.length path
 
 let rate_based_hops path =

@@ -123,6 +123,10 @@ val state_version : t -> int
 
 val is_path : t -> link list -> bool
 
+val link_ids : link list -> int list
+(** The links' ids, in path order — the form journals, snapshots and
+    shard messages name a path by. *)
+
 val hop_count : link list -> int
 (** [h]: number of schedulers along the path. *)
 

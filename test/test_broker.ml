@@ -189,7 +189,7 @@ let test_path_mib_lazy_residual () =
 (* Flow_mib *)
 
 let test_flow_mib_cycle () =
-  let t, short, _ = diamond () in
+  let t, short, long = diamond () in
   let node_mib = Node_mib.create t in
   let path_mib = Path_mib.create node_mib in
   let info = Path_mib.register path_mib short in
@@ -209,10 +209,31 @@ let test_flow_mib_cycle () =
   Alcotest.(check bool) "find" true (Flow_mib.find mib id <> None);
   check_float "total rate" 50_000. (Flow_mib.total_reserved_rate mib);
   Alcotest.(check bool) "fresh ids distinct" true (Flow_mib.fresh_id mib <> id);
+  Alcotest.(check bool) "find returns the stored record" true
+    (match Flow_mib.find mib id with Some r -> r == record | None -> false);
   (match Flow_mib.remove mib id with
   | Some r -> Alcotest.(check int) "removed the record" id r.Flow_mib.flow
   | None -> Alcotest.fail "expected record");
-  Alcotest.(check int) "empty" 0 (Flow_mib.count mib)
+  Alcotest.(check int) "empty" 0 (Flow_mib.count mib);
+  (* [crossing]: only the flows whose path uses the link, in ascending
+     id whatever the insertion order, also after a remove and a re-add. *)
+  let long_info = Path_mib.register path_mib long in
+  let on path flow = { record with Flow_mib.flow; path } in
+  List.iter
+    (fun (flow, path) -> Flow_mib.add mib (on path flow))
+    [ (7, info); (2, long_info); (5, info); (1, info); (4, long_info) ];
+  let crossing link =
+    List.map
+      (fun (r : Flow_mib.record) -> r.Flow_mib.flow)
+      (Flow_mib.crossing mib ~link_id:link.Topology.link_id)
+  in
+  Alcotest.(check (list int)) "short-path flows" [ 1; 5; 7 ] (crossing (List.hd short));
+  Alcotest.(check (list int)) "long-path flows" [ 2; 4 ] (crossing (List.hd long));
+  ignore (Flow_mib.remove mib 1);
+  Alcotest.(check (list int)) "after remove" [ 5; 7 ] (crossing (List.hd short));
+  Flow_mib.add mib (on info 1);
+  Alcotest.(check (list int)) "after re-add" [ 1; 5; 7 ] (crossing (List.hd short));
+  check_float "total rate in id order" 250_000. (Flow_mib.total_reserved_rate mib)
 
 let test_flow_mib_duplicate () =
   let t, short, _ = diamond () in

@@ -391,13 +391,19 @@ let fig8_requests ?(dreq_step = 0.3) n =
         egress;
       })
 
+(* [batched] over [request] as a real group commit: a journaled broker
+   deciding a batch matches an unjournaled one deciding one by one. *)
 let test_batch_equals_sequential () =
   let a = Broker.create (Fig8.topology `Mixed) in
   let b = Broker.create (Fig8.topology `Mixed) in
+  let j = Journal.create ~fsync_every:64 () in
+  Journal.attach j a;
   let reqs = fig8_requests 16 in
-  let ra = Broker.request_batch a reqs in
+  let ra = Broker.batched a (fun () -> List.map (Broker.request a) reqs) in
   let rb = List.map (Broker.request b) reqs in
   Alcotest.(check bool) "same decisions" true (ra = rb);
+  Alcotest.(check int) "the batch committed as one group" (Journal.records j)
+    (Journal.synced_records j);
   Alcotest.(check bool)
     "some admitted, some possible rejections, in order" true
     (List.length ra = 16);
@@ -413,7 +419,9 @@ let test_batch_group_commit () =
   Alcotest.(check bool) "singles wrote records" true (Journal.records j > 0);
   Alcotest.(check int) "singles below the fsync boundary" 0
     (Journal.synced_records j);
-  ignore (Broker.request_batch broker (fig8_requests 8));
+  ignore
+    (Broker.batched broker (fun () ->
+         List.map (Broker.request broker) (fig8_requests 8)));
   Alcotest.(check int) "batch commits as one group" (Journal.records j)
     (Journal.synced_records j)
 
@@ -423,7 +431,8 @@ let test_batched_reentrant () =
   Journal.attach j broker;
   let reqs = fig8_requests 4 in
   Broker.batched broker (fun () ->
-      ignore (Broker.request_batch broker reqs));
+      Broker.batched broker (fun () ->
+          List.iter (fun r -> ignore (Broker.request broker r)) reqs));
   Alcotest.(check int) "inner batch joined the outer group"
     (Journal.records j) (Journal.synced_records j)
 

@@ -132,7 +132,8 @@ let requests_coherent seed =
               (function
                 | Ok (flow, _) -> Queue.push flow live
                 | Error _ -> ())
-              (Broker.request_batch broker (List.init n (fun _ -> req ())))
+              (let reqs = List.init n (fun _ -> req ()) in
+               Broker.batched broker (fun () -> List.map (Broker.request broker) reqs))
         | _ ->
             if not (Queue.is_empty live) then
               Broker.teardown broker (Queue.pop live)
