@@ -17,7 +17,9 @@ type hooks = {
 type macroflow = {
   cls : class_def;
   path : Path_mib.info;
+  edfs : Vtedf.t list;  (* the delay-based schedulers along [path] *)
   members : (Types.flow_id, Traffic.t) Hashtbl.t;
+  sum : Traffic.Sum.t;  (* exact sum of the members' profiles *)
   mutable profile : Traffic.t option;  (* None when empty *)
   mutable base : float;  (* reserved rate excluding contingency *)
   mutable conting : float;  (* total active contingency bandwidth *)
@@ -86,25 +88,19 @@ let best_class t ~dreq =
 
 let total mf = mf.base +. mf.conting
 
-let edf_entries t mf =
-  List.filter_map
-    (fun (l : Topology.link) ->
-      (Node_mib.entry t.node_mib ~link_id:l.Topology.link_id).Node_mib.edf)
-    mf.path.Path_mib.links
-
 (* The macroflow appears at every delay-based scheduler of its path as one
    flow with rate = total allocation, delay = cd and the path MTU as
    maximum packet size. *)
-let edf_update t mf ~old_total ~new_total =
+let edf_update mf ~old_total ~new_total =
   List.iter
     (fun edf ->
       if old_total > 0. then
         Vtedf.remove edf ~rate:old_total ~delay:mf.cls.cd ~lmax:Topology.mtu_bits;
       if new_total > 0. then
         Vtedf.add edf ~rate:new_total ~delay:mf.cls.cd ~lmax:Topology.mtu_bits)
-    (edf_entries t mf)
+    mf.edfs
 
-let edf_can t mf ~old_total ~new_total =
+let edf_can mf ~old_total ~new_total =
   List.for_all
     (fun edf ->
       if old_total > 0. then
@@ -116,7 +112,7 @@ let edf_can t mf ~old_total ~new_total =
       if old_total > 0. then
         Vtedf.add edf ~rate:old_total ~delay:mf.cls.cd ~lmax:Topology.mtu_bits;
       ok)
-    (edf_entries t mf)
+    mf.edfs
 
 let reserve_links t mf amount =
   if amount > 0. then
@@ -173,7 +169,7 @@ let release_grant t mf gid =
       let old_total = total mf in
       mf.conting <- Float.max 0. (mf.conting -. amount);
       release_links t mf amount;
-      edf_update t mf ~old_total ~new_total:(total mf);
+      edf_update mf ~old_total ~new_total:(total mf);
       if Hashtbl.length mf.grants = 0 then mf.edge_bound <- steady_edge_bound mf;
       notify_rate t mf
 
@@ -235,11 +231,17 @@ let min_class_rate mf profile ~core_rate =
       if budget <= 0. then None
       else Some ((numer_edge +. (float_of_int q *. Topology.mtu_bits)) /. budget)
 
-let empty_macro cls path =
+let empty_macro t cls path =
   {
     cls;
     path;
+    edfs =
+      List.filter_map
+        (fun (l : Topology.link) ->
+          (Node_mib.entry t.node_mib ~link_id:l.Topology.link_id).Node_mib.edf)
+        path.Path_mib.links;
     members = Hashtbl.create 16;
+    sum = Traffic.Sum.create ();
     profile = None;
     base = 0.;
     conting = 0.;
@@ -256,59 +258,58 @@ let get_macro t ~class_id ~path =
       match find_class t ~class_id with
       | None -> None
       | Some cls ->
-          let mf = empty_macro cls path in
+          let mf = empty_macro t cls path in
           Hashtbl.replace t.macros key mf;
           Some mf)
 
 (* ------------------------------------------------------------------ *)
 
+(* Admission of [profile] into [mf], whose sum already includes it. *)
+let admit_member t mf ~class_id ~flow profile =
+  let new_profile = Traffic.Sum.value mf.sum in
+  (* The rate the class bound demands for the new aggregate; the core
+     bound is evaluated at the pre-join rate when the macroflow already
+     exists (eq. (19)). *)
+  let core_rate = if Hashtbl.length mf.members = 0 then None else Some mf.base in
+  match min_class_rate mf new_profile ~core_rate with
+  | None -> Error Types.Delay_unachievable
+  | Some r_delay ->
+      (* Never below the aggregate sustained rate, never decreased by a
+         join. *)
+      let base' = Float.max mf.base (Float.max new_profile.Traffic.rho r_delay) in
+      let increment = base' -. mf.base in
+      let contingency = Float.max 0. (profile.Traffic.peak -. increment) in
+      let extra = increment +. contingency in
+      let cres = Path_mib.residual t.path_mib mf.path in
+      if not (Fp.leq extra cres) then Error Types.Insufficient_bandwidth
+      else if not (edf_can mf ~old_total:(total mf) ~new_total:(total mf +. extra))
+      then Error Types.Not_schedulable
+      else begin
+        let alloc_before = total mf in
+        let old_total = alloc_before in
+        Hashtbl.replace mf.members flow profile;
+        Hashtbl.replace t.owners flow (class_id, mf.path.Path_mib.path_id);
+        mf.profile <- Some new_profile;
+        mf.base <- base';
+        reserve_links t mf extra;
+        edf_update mf ~old_total ~new_total:(old_total +. extra);
+        add_grant t mf ~amount:contingency ~alloc_before;
+        (* eq. (13): the edge bound after the change is at most the max
+           of the old bound and the steady bound of the new aggregate. *)
+        mf.edge_bound <- Float.max mf.edge_bound (steady_edge_bound mf);
+        notify_rate t mf;
+        Ok ()
+      end
+
 let join t ~class_id ~path ~flow profile =
   match get_macro t ~class_id ~path with
   | None -> Error (Types.Policy_denied "unknown service class")
-  | Some mf -> (
-      let new_profile =
-        match mf.profile with
-        | None -> profile
-        | Some p -> Traffic.add p profile
-      in
-      (* The rate the class bound demands for the new aggregate; the core
-         bound is evaluated at the pre-join rate when the macroflow already
-         exists (eq. (19)). *)
-      let core_rate = if Hashtbl.length mf.members = 0 then None else Some mf.base in
-      match min_class_rate mf new_profile ~core_rate with
-      | None -> Error Types.Delay_unachievable
-      | Some r_delay ->
-          (* Never below the aggregate sustained rate, never decreased by a
-             join. *)
-          let base' =
-            Float.max mf.base (Float.max new_profile.Traffic.rho r_delay)
-          in
-          let increment = base' -. mf.base in
-          let contingency = Float.max 0. (profile.Traffic.peak -. increment) in
-          let extra = increment +. contingency in
-          let cres = Path_mib.residual t.path_mib mf.path in
-          if not (Fp.leq extra cres) then Error Types.Insufficient_bandwidth
-          else if
-            not
-              (edf_can t mf ~old_total:(total mf)
-                 ~new_total:(total mf +. extra))
-          then Error Types.Not_schedulable
-          else begin
-            let alloc_before = total mf in
-            let old_total = alloc_before in
-            Hashtbl.replace mf.members flow profile;
-            Hashtbl.replace t.owners flow (class_id, mf.path.Path_mib.path_id);
-            mf.profile <- Some new_profile;
-            mf.base <- base';
-            reserve_links t mf extra;
-            edf_update t mf ~old_total ~new_total:(old_total +. extra);
-            add_grant t mf ~amount:contingency ~alloc_before;
-            (* eq. (13): the edge bound after the change is at most the max
-               of the old bound and the steady bound of the new aggregate. *)
-            mf.edge_bound <- Float.max mf.edge_bound (steady_edge_bound mf);
-            notify_rate t mf;
-            Ok ()
-          end)
+  | Some mf ->
+      Traffic.Sum.add mf.sum profile;
+      let decision = admit_member t mf ~class_id ~flow profile in
+      (* Exact: the sum is back to what it was before the add. *)
+      if Result.is_error decision then Traffic.Sum.remove mf.sum profile;
+      decision
 
 let leave t ~flow =
   match Hashtbl.find_opt t.owners flow with
@@ -316,17 +317,14 @@ let leave t ~flow =
   | Some key ->
       Hashtbl.remove t.owners flow;
       let mf = Hashtbl.find t.macros key in
-      if not (Hashtbl.mem mf.members flow) then assert false;
+      let profile =
+        match Hashtbl.find_opt mf.members flow with Some p -> p | None -> assert false
+      in
       Hashtbl.remove mf.members flow;
+      Traffic.Sum.remove mf.sum profile;
       let alloc_before = total mf in
-      (* Re-aggregate from the surviving members rather than subtracting:
-         immune to floating-point drift over long join/leave histories. *)
       let rest =
-        if Hashtbl.length mf.members = 0 then None
-        else
-          Some
-            (Traffic.aggregate
-               (Hashtbl.fold (fun _ p acc -> p :: acc) mf.members []))
+        if Hashtbl.length mf.members = 0 then None else Some (Traffic.Sum.value mf.sum)
       in
       let base' =
         match rest with
@@ -372,7 +370,7 @@ let evacuate t ~class_id ~path_id =
       mf.profile <- None;
       mf.edge_bound <- 0.;
       release_links t mf old_total;
-      edf_update t mf ~old_total ~new_total:0.;
+      edf_update mf ~old_total ~new_total:0.;
       Hashtbl.reset mf.members;
       List.iter (fun (flow, _) -> Hashtbl.remove t.owners flow) members;
       Hashtbl.remove t.macros (class_id, path_id);
@@ -408,15 +406,20 @@ let restore_macroflow t ~class_id ~path ~members ~profile ~base ~conting ~edge_b
   let cls = match find_class t ~class_id with Some c -> c | None -> fail "unknown class" in
   let key = (class_id, path.Path_mib.path_id) in
   if Hashtbl.mem t.macros key then fail "macroflow already exists";
-  let mf = { (empty_macro cls path) with profile; base; edge_bound } in
+  (* The running sum counts every line, so a repeated member would be
+     summed twice. *)
+  if List.length (List.sort_uniq compare (List.map fst members)) <> List.length members
+  then fail "duplicate member";
+  let mf = { (empty_macro t cls path) with profile; base; edge_bound } in
   (* No admission test: these are the primary's bookings.  The links
      still refuse to go over capacity. *)
   reserve_links t mf (base +. conting);
-  edf_update t mf ~old_total:0. ~new_total:(base +. conting);
+  edf_update mf ~old_total:0. ~new_total:(base +. conting);
   Hashtbl.replace t.macros key mf;
   List.iter
     (fun (flow, p) ->
       Hashtbl.replace mf.members flow p;
+      Traffic.Sum.add mf.sum p;
       Hashtbl.replace t.owners flow key)
     members;
   let gids = List.map (register_grant t mf) grants in

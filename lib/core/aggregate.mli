@@ -65,11 +65,15 @@ val join :
   Bbr_vtrs.Traffic.t ->
   (unit, Types.reject_reason) result
 (** Admission test and bookkeeping for a microflow joining the class's
-    macroflow on [path] (Section 4.3, "Microflow Join"). *)
+    macroflow on [path] (Section 4.3, "Microflow Join").  The aggregate
+    profile is read from the macroflow's exact running sum
+    ({!Bbr_vtrs.Traffic.Sum}), so the cost does not grow with the
+    membership. *)
 
 val leave : t -> flow:Types.flow_id -> unit
-(** Microflow departure (Section 4.3, "Microflow Leave").  Raises
-    [Invalid_argument] for an unknown flow. *)
+(** Microflow departure (Section 4.3, "Microflow Leave"): the member's
+    profile is taken out of the running sum, in O(1) of the membership.
+    Raises [Invalid_argument] for an unknown flow. *)
 
 val evacuate :
   t -> class_id:int -> path_id:int -> (Types.flow_id * Bbr_vtrs.Traffic.t) list
@@ -136,12 +140,13 @@ val restore_macroflow :
 (** Book a macroflow exactly as a {!Snapshot} recorded it, without
     running admission: its members and owner entries, aggregate profile,
     base rate, contingency pool and edge-delay bound take the given
-    values, and [base + conting] is reserved on the path links and at
+    values (the running sum is rebuilt from [members]; the saved profile
+    is booked as it is), and [base + conting] is reserved on the path links and at
     their delay-based schedulers.  [grants] (oldest first) are
     registered as live contingency grants; under {!Bounding} each gets a
     fresh release timer from eq. (17).  Raises [Invalid_argument] when
-    the class is unknown, the macroflow already exists, or a link would
-    go over capacity. *)
+    the class is unknown, the macroflow already exists, a member is
+    listed twice, or a link would go over capacity. *)
 
 val repair_membership : t -> int
 (** Anti-entropy reconciliation of the owner ⇄ member tables: drop owner

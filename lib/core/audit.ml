@@ -124,42 +124,47 @@ let membership_violations broker =
   let agg = Broker.aggregate broker in
   let acc = ref [] in
   let add kind subject detail = acc := { kind; subject; detail } :: !acc in
+  (* Each macroflow's members, folded once. *)
+  let macros =
+    List.map
+      (fun (s : Aggregate.macro_stats) ->
+        let key = (s.Aggregate.class_id, s.Aggregate.path_id) in
+        (key, Aggregate.members agg ~class_id:(fst key) ~path_id:(snd key)))
+      (Aggregate.all_macroflows agg)
+  in
+  let listed = Hashtbl.create 64 in
+  List.iter
+    (fun (key, members) ->
+      List.iter (fun (flow, _) -> Hashtbl.replace listed (flow, key) ()) members)
+    macros;
   (* Owner table entries must point at a live macroflow listing the flow. *)
   List.iter
-    (fun (flow, (class_id, path_id)) ->
-      match Aggregate.macroflow_stats agg ~class_id ~path_id with
-      | None ->
-          add Dangling_membership
-            (Printf.sprintf "flow %d" flow)
-            (Printf.sprintf "owner entry points at missing macroflow (class %d, path %d)"
-               class_id path_id)
-      | Some _ ->
-          if
-            not
-              (List.exists
-                 (fun (f, _) -> f = flow)
-                 (Aggregate.members agg ~class_id ~path_id))
-          then
-            add Dangling_membership
-              (Printf.sprintf "flow %d" flow)
-              (Printf.sprintf "owner entry not backed by macroflow member list (class %d, path %d)"
-                 class_id path_id))
+    (fun (flow, ((class_id, path_id) as key)) ->
+      if Aggregate.macroflow_stats agg ~class_id ~path_id = None then
+        add Dangling_membership
+          (Printf.sprintf "flow %d" flow)
+          (Printf.sprintf "owner entry points at missing macroflow (class %d, path %d)"
+             class_id path_id)
+      else if not (Hashtbl.mem listed (flow, key)) then
+        add Dangling_membership
+          (Printf.sprintf "flow %d" flow)
+          (Printf.sprintf "owner entry not backed by macroflow member list (class %d, path %d)"
+             class_id path_id))
     (Aggregate.owners_alist agg);
   (* And conversely: every member must carry the matching owner entry. *)
   List.iter
-    (fun (s : Aggregate.macro_stats) ->
+    (fun (((class_id, path_id) as key), members) ->
       List.iter
         (fun (flow, _) ->
           match Aggregate.owner agg ~flow with
-          | Some (c, p) when c = s.Aggregate.class_id && p = s.Aggregate.path_id -> ()
+          | Some k when k = key -> ()
           | _ ->
               add Dangling_membership
                 (Printf.sprintf "flow %d" flow)
                 (Printf.sprintf "member of macroflow (class %d, path %d) without owner entry"
-                   s.Aggregate.class_id s.Aggregate.path_id))
-        (Aggregate.members agg ~class_id:s.Aggregate.class_id
-           ~path_id:s.Aggregate.path_id))
-    (Aggregate.all_macroflows agg);
+                   class_id path_id))
+        members)
+    macros;
   List.rev !acc
 
 let accounting_violations ?(eps = default_eps) broker =

@@ -388,6 +388,38 @@ let test_snapshot_preserves_flow_ids () =
         (List.for_all (fun f -> flow > f) flows)
   | Error e -> Alcotest.failf "unexpected: %a" Types.pp_reject_reason e
 
+(* A macroflow keeps a running sum of its members, so a snapshot that
+   lists a member twice is refused rather than summed twice. *)
+let test_restore_rejects_duplicate_member () =
+  let topo = Fig8.topology `Rate_only in
+  let mk () =
+    Broker.create ~classes:[ { Aggregate.class_id = 0; dreq = 3.; cd = 0.24 } ] topo
+  in
+  let primary = mk () in
+  List.iter
+    (fun _ ->
+      match
+        Broker.request_class primary
+          (req ~ingress:Fig8.ingress1 ~egress:Fig8.egress1 ~dreq:3. ())
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "unexpected: %a" Types.pp_reject_reason e)
+    [ 1; 2 ];
+  let lines = String.split_on_char '\n' (Snapshot.save primary) in
+  let member = List.find (fun l -> String.starts_with ~prefix:"member " l) lines in
+  let doubled =
+    String.concat "\n" (List.concat_map (fun l -> if l = member then [ l; l ] else [ l ]) lines)
+  in
+  let standby = mk () in
+  (match Snapshot.restore standby doubled with
+  | Ok _ -> Alcotest.fail "a repeated member must be refused"
+  | Error _ -> ());
+  Alcotest.(check int) "standby untouched" 0
+    (Aggregate.member_count (Broker.aggregate standby));
+  match Snapshot.restore standby (Snapshot.save primary) with
+  | Ok n -> Alcotest.(check int) "the snapshot as saved restores" 2 n
+  | Error e -> Alcotest.failf "restore failed: %s" e
+
 (* Mostly small flows, and some large enough that a few of them, with
    their contingency, bring the 200 Mb/s link near capacity. *)
 let profile_gen =
@@ -443,38 +475,46 @@ let prop_snapshot_round_trip_mixed =
             ]
           t
       in
+      let apply broker live =
+        let admitted flow ~cls = live := (flow, cls) :: !live in
+        function
+        | Per_flow profile -> (
+            match Broker.request broker (req ~profile ~dreq:5. ()) with
+            | Ok (flow, _) -> admitted flow ~cls:false
+            | Error _ -> ())
+        | Join (dreq, profile) -> (
+            match Broker.request_class broker (req ~profile ~dreq ()) with
+            | Ok (flow, _) -> admitted flow ~cls:true
+            | Error _ -> ())
+        | Leave _ when !live = [] -> ()
+        | Leave i ->
+            let flow, cls = List.nth !live (i mod List.length !live) in
+            live := List.filter (fun (f, _) -> f <> flow) !live;
+            if cls then Broker.teardown_class broker flow else Broker.teardown broker flow
+        | Queue_empty ->
+            List.iter
+              (fun (s : Aggregate.macro_stats) ->
+                Broker.queue_empty broker ~class_id:s.Aggregate.class_id
+                  ~path_id:s.Aggregate.path_id)
+              (Aggregate.all_macroflows (Broker.aggregate broker))
+      in
       let original = mk () in
       let live = ref [] in
-      let admitted flow ~cls = live := (flow, cls) :: !live in
-      List.iter
-        (function
-          | Per_flow profile -> (
-              match Broker.request original (req ~profile ~dreq:5. ()) with
-              | Ok (flow, _) -> admitted flow ~cls:false
-              | Error _ -> ())
-          | Join (dreq, profile) -> (
-              match Broker.request_class original (req ~profile ~dreq ()) with
-              | Ok (flow, _) -> admitted flow ~cls:true
-              | Error _ -> ())
-          | Leave _ when !live = [] -> ()
-          | Leave i ->
-              let flow, cls = List.nth !live (i mod List.length !live) in
-              live := List.filter (fun (f, _) -> f <> flow) !live;
-              if cls then Broker.teardown_class original flow
-              else Broker.teardown original flow
-          | Queue_empty ->
-              List.iter
-                (fun (s : Aggregate.macro_stats) ->
-                  Broker.queue_empty original ~class_id:s.Aggregate.class_id
-                    ~path_id:s.Aggregate.path_id)
-                (Aggregate.all_macroflows (Broker.aggregate original)))
-        ops;
+      List.iter (apply original live) ops;
       let restored = mk () in
       (match Snapshot.restore restored (Snapshot.save original) with
       | Ok _ -> ()
       | Error e -> QCheck.Test.fail_reportf "restore failed: %s" e);
       Bbr_broker.Audit.ok (Bbr_broker.Audit.check restored)
-      && Bbr_broker.Audit.mib_digest restored = Bbr_broker.Audit.mib_digest original)
+      && Bbr_broker.Audit.mib_digest restored = Bbr_broker.Audit.mib_digest original
+      &&
+      (* The restored macroflow sums carry on as the primary's do: the
+         same leaves and joins on both keep them digest-identical. *)
+      let trailing = List.filter (function Join _ | Leave _ -> true | _ -> false) ops in
+      let live' = ref !live in
+      List.iter (apply original live) trailing;
+      List.iter (apply restored live') trailing;
+      Bbr_broker.Audit.mib_digest restored = Bbr_broker.Audit.mib_digest original)
 
 (* ------------------------------------------------------------------ *)
 (* Failover manager *)
@@ -785,6 +825,8 @@ let () =
           Alcotest.test_case "restore is atomic" `Quick test_snapshot_restore_atomic;
           Alcotest.test_case "preserves flow ids" `Quick test_snapshot_preserves_flow_ids;
           Alcotest.test_case "rejects stray links" `Quick test_restore_rejects_stray_links;
+          Alcotest.test_case "rejects a repeated member" `Quick
+            test_restore_rejects_duplicate_member;
           QCheck_alcotest.to_alcotest prop_snapshot_round_trip_mixed;
         ] );
       ( "failover",

@@ -15,6 +15,8 @@ module Overload = Bbr_broker.Overload
 module Fig8 = Bbr_workload.Fig8
 module Topo_gen = Bbr_workload.Topo_gen
 module Profiles = Bbr_workload.Profiles
+module Dynamic = Bbr_workload.Dynamic
+module Aggregate = Bbr_broker.Aggregate
 module Prng = Bbr_util.Prng
 module Engine = Bbr_netsim.Engine
 
@@ -374,6 +376,79 @@ let test_decision_cost_flat () =
         costs)
     [ ("rate-based", Topology.Rate_based, 0); ("VT-EDF", Topology.Delay_based, 5) ]
 
+(* The class half (Section 4): a member joining or leaving a macroflow
+   costs the same whether 300 or 30 000 members share it.  Feedback
+   contingency, the Table-1 class ladder on one 5-hop VT-EDF chain, the
+   capacity scaled to the membership.  The fill's contingency grants are
+   released by one queue-empty round before the window, so the window
+   sees only the steady state's own grants. *)
+let class_churn ~members =
+  let capacity = float_of_int members *. 150e3 in
+  let topology, ingress, egress =
+    Topo_gen.chain ~capacity ~sched:Topology.Delay_based ~hops:5 ()
+  in
+  let broker =
+    Broker.create ~classes:(Dynamic.service_classes 0.24) ~method_:Aggregate.Feedback
+      topology
+  in
+  let req i =
+    let ty = i mod 4 in
+    {
+      Types.profile = Profiles.profile ty;
+      dreq = Profiles.bound ty (if i / 4 mod 2 = 0 then `Loose else `Tight);
+      ingress;
+      egress;
+    }
+  in
+  let flows = Queue.create () in
+  let admit i =
+    match Broker.request_class broker (req i) with
+    | Ok (flow, _) -> Queue.push flow flows
+    | Error e -> Alcotest.failf "class request %d rejected: %a" i Types.pp_reject_reason e
+  in
+  let feedback () =
+    List.iter
+      (fun (s : Aggregate.macro_stats) ->
+        Broker.queue_empty broker ~class_id:s.Aggregate.class_id ~path_id:s.Aggregate.path_id)
+      (Aggregate.all_macroflows (Broker.aggregate broker))
+  in
+  let step i =
+    Broker.teardown_class broker (Queue.pop flows);
+    admit i;
+    if i mod 32 = 0 then feedback ()
+  in
+  for i = 0 to members - 1 do
+    admit i
+  done;
+  feedback ();
+  for i = members to members + 199 do
+    step i
+  done;
+  let steps = 2_048 in
+  let w0 = Gc.minor_words () in
+  for i = members + 200 to members + 200 + steps - 1 do
+    step i
+  done;
+  let w1 = Gc.minor_words () in
+  (broker, (w1 -. w0) /. float_of_int steps)
+
+let test_class_cost_flat () =
+  let costs = List.map (fun n -> (n, class_churn ~members:n)) [ 300; 30_000 ] in
+  let w_small = snd (snd (List.hd costs)) in
+  List.iter
+    (fun (n, (broker, words)) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d members: %.1f words/step within 2%% of %.1f" n words w_small)
+        true
+        (Float.abs (words -. w_small) <= 0.02 *. w_small);
+      Alcotest.(check int)
+        (Printf.sprintf "%d members live" n)
+        n
+        (Aggregate.member_count (Broker.aggregate broker)))
+    costs;
+  let broker, _ = List.assoc 30_000 costs in
+  Alcotest.(check bool) "audit clean at 30 000 members" true (Audit.ok (Audit.check broker))
+
 (* ------------------------------------------------------------------ *)
 (* Batched requests and journal group commit *)
 
@@ -523,6 +598,8 @@ let () =
           Alcotest.test_case "hit counters move" `Quick test_cache_hits;
           Alcotest.test_case "decision cost flat in live flows" `Quick
             test_decision_cost_flat;
+          Alcotest.test_case "class decision cost flat in members" `Quick
+            test_class_cost_flat;
         ] );
       ( "batch",
         [

@@ -87,6 +87,119 @@ let prop_envelope_subadditive_aggregate =
       Float.abs (Traffic.envelope agg 0. -. (Traffic.envelope a 0. +. Traffic.envelope b 0.))
       < 1e-6)
 
+(* Traffic.Sum: the exact accumulator behind aggregate profiles, over
+   non-integer profiles where a plain float fold would depend on the
+   order of the terms. *)
+
+let sum_of ps =
+  let s = Traffic.Sum.create () in
+  List.iter (Traffic.Sum.add s) ps;
+  s
+
+(* One term reads back as itself, at every binade of the double range
+   (subnormals included) and across every limb offset. *)
+let test_sum_single_terms () =
+  for e = -1074 to 1023 do
+    List.iter
+      (fun frac ->
+        let x = Float.max (Float.ldexp frac e) (Float.ldexp 1. (-1074)) in
+        let p = Traffic.make ~sigma:x ~rho:x ~peak:x ~lmax:x in
+        let s = sum_of [ p ] in
+        if not (Traffic.equal (Traffic.Sum.value s) p) then
+          Alcotest.failf "%h read back as %a" x Traffic.pp (Traffic.Sum.value s);
+        Traffic.Sum.add s p;
+        Traffic.Sum.remove s p;
+        Traffic.Sum.remove s p;
+        Alcotest.check_raises "emptied"
+          (Invalid_argument "Traffic.Sum.value: empty sum") (fun () ->
+            ignore (Traffic.Sum.value s)))
+      [ 1.; 1.5; 1.9999999999999998; 0x1.123456789abcdp0 ]
+  done
+
+(* Round half to even, with the sticky bit read from limbs far below
+   the top: 2^53 + 1 is a tie, a 2^-100 term breaks it upward. *)
+let test_sum_rounding () =
+  let term x = Traffic.make ~sigma:x ~rho:x ~peak:x ~lmax:x in
+  let big = term 0x1p53 and one = term 1. and tiny = term 0x1p-100 in
+  let s = sum_of [ big; one; tiny ] in
+  Alcotest.(check (float 0.)) "above the tie rounds up" (0x1p53 +. 2.)
+    (Traffic.Sum.value s).Traffic.sigma;
+  Traffic.Sum.remove s tiny;
+  Alcotest.(check (float 0.)) "the tie rounds to even" 0x1p53
+    (Traffic.Sum.value s).Traffic.rho;
+  Traffic.Sum.add s one;
+  Traffic.Sum.add s one;
+  Alcotest.(check (float 0.)) "2^53 + 3 is a tie to the even 2^53 + 4" (0x1p53 +. 4.)
+    (Traffic.Sum.value s).Traffic.peak
+
+let print_profiles = QCheck.Print.list (Fmt.str "%a" Traffic.pp)
+
+let prop_sum_order_free =
+  QCheck.Test.make ~name:"Sum: any order of adds reads the same" ~count:200
+    (QCheck.make ~print:(QCheck.Print.pair print_profiles print_profiles)
+       QCheck.Gen.(
+         let* ps = list_size (int_range 1 40) Gen.profile_gen in
+         let* shuffled = shuffle_l ps in
+         return (ps, shuffled)))
+    (fun (ps, shuffled) ->
+      Traffic.equal (Traffic.Sum.value (sum_of ps)) (Traffic.Sum.value (sum_of shuffled)))
+
+let prop_sum_remove_exact =
+  QCheck.Test.make ~name:"Sum: adding all then removing some = adding the rest"
+    ~count:200
+    (QCheck.make
+       ~print:(QCheck.Print.pair print_profiles print_profiles)
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 1 30) Gen.profile_gen)
+           (list_size (int_range 0 30) Gen.profile_gen)))
+    (fun (kept, dropped) ->
+      let s = sum_of (dropped @ kept) in
+      List.iter (Traffic.Sum.remove s) (List.rev dropped);
+      Traffic.equal (Traffic.Sum.value s) (Traffic.Sum.value (sum_of kept)))
+
+let int_profile_gen =
+  QCheck.Gen.(
+    let* rho = int_range 1_000 500_000 in
+    let* peak = int_range rho 5_000_000 in
+    let* lmax = int_range 100 20_000 in
+    let* sigma = int_range lmax 400_000 in
+    return
+      (Traffic.make ~sigma:(float_of_int sigma) ~rho:(float_of_int rho)
+         ~peak:(float_of_int peak) ~lmax:(float_of_int lmax)))
+
+let prop_sum_integer_fold =
+  QCheck.Test.make ~name:"Sum: integer sums equal the left fold" ~count:200
+    (QCheck.make ~print:print_profiles
+       QCheck.Gen.(list_size (int_range 1 60) int_profile_gen))
+    (fun ps ->
+      let fold f = List.fold_left (fun acc p -> acc +. f p) 0. ps in
+      let v = Traffic.aggregate ps in
+      let open Traffic in
+      v.sigma = fold (fun p -> p.sigma)
+      && v.rho = fold (fun p -> p.rho)
+      && v.peak = fold (fun p -> p.peak)
+      && v.lmax = fold (fun p -> p.lmax))
+
+let prop_sum_two_terms_ieee =
+  QCheck.Test.make ~name:"Sum: two terms read their IEEE sum" ~count:300
+    (QCheck.pair arb_profile arb_profile) (fun (a, b) ->
+      let v = Traffic.aggregate [ a; b ] in
+      let open Traffic in
+      v.sigma = a.sigma +. b.sigma
+      && v.rho = a.rho +. b.rho
+      && v.peak = a.peak +. b.peak
+      && v.lmax = a.lmax +. b.lmax)
+
+let prop_sum_valid =
+  QCheck.Test.make ~name:"Sum: reads a valid profile" ~count:200
+    (QCheck.make ~print:print_profiles
+       QCheck.Gen.(list_size (int_range 1 40) Gen.profile_gen))
+    (fun ps ->
+      let v = Traffic.Sum.value (sum_of ps) in
+      let open Traffic in
+      Traffic.equal v (Traffic.make ~sigma:v.sigma ~rho:v.rho ~peak:v.peak ~lmax:v.lmax))
+
 (* ------------------------------------------------------------------ *)
 (* Topology *)
 
@@ -368,6 +481,11 @@ let () =
       [
         prop_envelope_monotone;
         prop_envelope_subadditive_aggregate;
+        prop_sum_order_free;
+        prop_sum_remove_exact;
+        prop_sum_integer_fold;
+        prop_sum_two_terms_ieee;
+        prop_sum_valid;
         prop_min_rate_meets_bound;
         prop_e2e_decreasing_in_rate;
         prop_vtedf_can_admit_sound;
@@ -388,6 +506,8 @@ let () =
           Alcotest.test_case "aggregate t_on" `Quick
             test_aggregate_preserves_t_on_for_identical;
           Alcotest.test_case "remove inverts add" `Quick test_remove_inverts_add;
+          Alcotest.test_case "sum reads one term back" `Quick test_sum_single_terms;
+          Alcotest.test_case "sum rounds half to even" `Quick test_sum_rounding;
           Alcotest.test_case "conforms" `Quick test_conforms;
         ] );
       ( "topology",
