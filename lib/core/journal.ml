@@ -1,13 +1,14 @@
 module Traffic = Bbr_vtrs.Traffic
 module Topology = Bbr_vtrs.Topology
 module Trace = Bbr_obs.Trace
+module Linebuf = Bbr_util.Linebuf
 
 let header = "bbr-journal v1"
 
-(* Floats render as [%h] (full hex precision, as in {!Snapshot}): a round
-   trip is bit-exact. *)
-let links_str links = String.concat "," (List.map string_of_int links)
-
+(* Payloads are written straight into the record buffer ({!Wal}), fields
+   separated by single spaces: ints in decimal, floats in [%h] notation
+   (full hex precision, as in {!Snapshot}), so a round trip is
+   bit-exact. *)
 let kind_label : Broker.mutation -> string = function
   | Broker.Admit _ -> "admit"
   | Broker.Admit_segment _ -> "admit_segment"
@@ -19,32 +20,85 @@ let kind_label : Broker.mutation -> string = function
   | Broker.Link_failed _ -> "link_failed"
   | Broker.Link_restored _ -> "link_restored"
 
-(* The shared text of [admit] and [admitseg] records. *)
-let booking_payload tag ({ flow; request = r; rate; delay; links } : Broker.booking) =
+let int b n =
+  Linebuf.add_char b ' ';
+  Linebuf.add_int b n
+
+let float b x =
+  Linebuf.add_char b ' ';
+  Linebuf.add_hfloat b x
+
+let str b s =
+  Linebuf.add_char b ' ';
+  Linebuf.add_string b s
+
+(* A comma-separated link-id list; an empty list leaves an empty field. *)
+let rec more_links b = function
+  | [] -> ()
+  | id :: tl ->
+      Linebuf.add_char b ',';
+      Linebuf.add_int b id;
+      more_links b tl
+
+let links b l =
+  Linebuf.add_char b ' ';
+  match l with
+  | [] -> ()
+  | id :: tl ->
+      Linebuf.add_int b id;
+      more_links b tl
+
+(* The shared fields of [admit], [admitseg] and [admitc]. *)
+let request b (r : Types.request) =
   let p = r.Types.profile in
-  Printf.sprintf "%s %d %h %h %h %h %h %s %s %h %h %s" tag flow p.Traffic.sigma
-    p.Traffic.rho p.Traffic.peak p.Traffic.lmax r.Types.dreq r.Types.ingress
-    r.Types.egress rate delay (links_str links)
+  float b p.Traffic.sigma;
+  float b p.Traffic.rho;
+  float b p.Traffic.peak;
+  float b p.Traffic.lmax;
+  float b r.Types.dreq;
+  str b r.Types.ingress;
+  str b r.Types.egress
 
-let payload (m : Broker.mutation) =
+(* A record kind and its first int field. *)
+let tagged b tag n =
+  Linebuf.add_string b tag;
+  int b n
+
+let booking b tag ({ flow; request = r; rate; delay; links = l } : Broker.booking) =
+  tagged b tag flow;
+  request b r;
+  float b rate;
+  float b delay;
+  links b l
+
+let write_payload b (m : Broker.mutation) =
   match m with
-  | Broker.Admit b -> booking_payload "admit" b
-  | Broker.Admit_segment b -> booking_payload "admitseg" b
+  | Broker.Admit bk -> booking b "admit" bk
+  | Broker.Admit_segment bk -> booking b "admitseg" bk
   | Broker.Admit_class { flow; class_id; request = r } ->
-      let p = r.Types.profile in
-      Printf.sprintf "admitc %d %d %h %h %h %h %h %s %s" flow class_id p.Traffic.sigma
-        p.Traffic.rho p.Traffic.peak p.Traffic.lmax r.Types.dreq r.Types.ingress
-        r.Types.egress
-  | Broker.Teardown flow -> Printf.sprintf "drop %d" flow
-  | Broker.Teardown_class flow -> Printf.sprintf "dropc %d" flow
-  | Broker.Queue_emptied { class_id; links } ->
-      Printf.sprintf "qempty %d %s" class_id (links_str links)
-  | Broker.Evacuated { class_id; links } ->
-      Printf.sprintf "evac %d %s" class_id (links_str links)
-  | Broker.Link_failed link_id -> Printf.sprintf "linkdown %d" link_id
-  | Broker.Link_restored link_id -> Printf.sprintf "linkup %d" link_id
+      tagged b "admitc" flow;
+      int b class_id;
+      request b r
+  | Broker.Teardown flow -> tagged b "drop" flow
+  | Broker.Teardown_class flow -> tagged b "dropc" flow
+  | Broker.Queue_emptied { class_id; links = l } ->
+      tagged b "qempty" class_id;
+      links b l
+  | Broker.Evacuated { class_id; links = l } ->
+      tagged b "evac" class_id;
+      links b l
+  | Broker.Link_failed link_id -> tagged b "linkdown" link_id
+  | Broker.Link_restored link_id -> tagged b "linkup" link_id
 
-let encode ~seq ~at m = Wal.encode_line ~seq ~at (payload m)
+let payload m =
+  let b = Linebuf.create 128 in
+  write_payload b m;
+  Linebuf.contents b
+
+let encode ~seq ~at m =
+  let b = Linebuf.create 128 in
+  Wal.write_line b ~seq ~at write_payload m;
+  Linebuf.contents b
 
 (* --------------------------------------------------------------- *)
 (* Decoding.  All helpers return options; nothing here may raise.  *)
@@ -212,7 +266,7 @@ let create ?fsync_every ?storage () =
     | None -> Storage.create ~vfs:(Bbr_util.Vfs.create ()) ()
   in
   let wal =
-    try Wal.create ?fsync_every ~encode_payload:payload (Storage.sink store)
+    try Wal.create ?fsync_every ~encode_payload:write_payload (Storage.sink store)
     with Invalid_argument _ ->
       invalid_arg "Journal.create: fsync_every must be >= 1"
   in

@@ -17,6 +17,11 @@
     named by their link-id sequences (path {e ids} are not portable
     across brokers).
 
+    The text is the one the journal has always written, byte for byte;
+    it is written without [Printf], field by field into the log's reused
+    record buffer ({!write_payload}, {!Wal}): decimal ints and [%h]
+    floats from {!Bbr_util.Linebuf}, the CRC computed in place.
+
     {b Durability model.}  There is one: the journal holds no records in
     memory.  Every record is encoded at append time and written through
     to a segmented {!Storage} over a {!Bbr_util.Vfs} — the store given
@@ -131,10 +136,15 @@ val replay : Broker.t -> string -> (replay_outcome, string) result
 val encode : seq:int -> at:float -> Broker.mutation -> string
 (** One record line (without the newline) — exposed for fuzzing. *)
 
+val write_payload : Bbr_util.Linebuf.t -> Broker.mutation -> unit
+(** Append a record's payload to a buffer: the mutation alone, without
+    CRC, sequence number or clock.  The journal's one encoder: records,
+    {!payload}, {!encode} and a {!Snapshot}'s per-flow lines all go
+    through it. *)
+
 val payload : Broker.mutation -> string
-(** A record's payload: the mutation alone, without CRC, sequence number
-    or clock — also the form in which a {!Snapshot} saves a booked
-    per-flow reservation (an [Admit] payload). *)
+(** {!write_payload} as a string — the form in which a {!Snapshot} saves
+    a booked per-flow reservation (an [Admit] payload). *)
 
 val decode_payload : string list -> Broker.mutation option
 (** Decode a payload split on single spaces; [None] when malformed.

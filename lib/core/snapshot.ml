@@ -1,45 +1,55 @@
 module Traffic = Bbr_vtrs.Traffic
 module Topology = Bbr_vtrs.Topology
+module Linebuf = Bbr_util.Linebuf
 
 let header = "bbr-snapshot v2"
 
-(* Floats are printed in full hex precision so a round trip is
-   bit-exact. *)
-let pf = Printf.sprintf "%h"
+(* Floats are printed in full hex precision ([%h], {!Bbr_util.Linebuf})
+   so a round trip is bit-exact. *)
+let float b x =
+  Linebuf.add_char b ' ';
+  Linebuf.add_hfloat b x
 
-let ints_str ids = String.concat "," (List.map string_of_int ids)
+(* A comma-separated list as one field. *)
+let csv b add xs =
+  Linebuf.add_char b ' ';
+  List.iteri
+    (fun i x ->
+      if i > 0 then Linebuf.add_char b ',';
+      add b x)
+    xs
 
 (* A traffic profile as one field: [sigma,rho,peak,lmax]. *)
-let profile_str (p : Traffic.t) =
-  String.concat ","
-    (List.map pf [ p.Traffic.sigma; p.Traffic.rho; p.Traffic.peak; p.Traffic.lmax ])
+let profile b (p : Traffic.t) =
+  csv b Linebuf.add_hfloat
+    [ p.Traffic.sigma; p.Traffic.rho; p.Traffic.peak; p.Traffic.lmax ]
 
 let save broker =
-  let buf = Buffer.create 4096 in
-  let line s =
-    Buffer.add_string buf s;
-    Buffer.add_char buf '\n'
-  in
-  line header;
+  let b = Linebuf.create 4096 in
+  let nl () = Linebuf.add_char b '\n' in
+  Linebuf.add_string b header;
+  nl ();
   (* The primary's id horizon: a restored standby must never hand out an id
      the primary may already have given to an ingress router. *)
-  line (Printf.sprintf "next %d" (Flow_mib.next_id (Broker.flow_mib broker)));
+  Linebuf.add_string b "next ";
+  Linebuf.add_int b (Flow_mib.next_id (Broker.flow_mib broker));
+  nl ();
   (* Per-flow reservations as the journal's [admit] payloads, in flow-id
      order. *)
   Flow_mib.fold (Broker.flow_mib broker) ~init:[] ~f:(fun acc r -> r :: acc)
   |> List.sort (fun (a : Flow_mib.record) b -> compare a.Flow_mib.flow b.Flow_mib.flow)
   |> List.iter (fun (r : Flow_mib.record) ->
          let res = r.Flow_mib.reservation in
-         line
-           (Journal.payload
-              (Broker.Admit
-                 {
-                   Broker.flow = r.Flow_mib.flow;
-                   request = r.Flow_mib.request;
-                   rate = res.Types.rate;
-                   delay = res.Types.delay;
-                   links = Topology.link_ids r.Flow_mib.path.Path_mib.links;
-                 })));
+         Journal.write_payload b
+           (Broker.Admit
+              {
+                Broker.flow = r.Flow_mib.flow;
+                request = r.Flow_mib.request;
+                rate = res.Types.rate;
+                delay = res.Types.delay;
+                links = Topology.link_ids r.Flow_mib.path.Path_mib.links;
+              });
+         nl ());
   (* Class state as booked: one line per macroflow — class, path links,
      aggregate profile, base rate, contingency pool, edge-delay bound and
      its live grants, oldest first — then one line per member. *)
@@ -50,19 +60,26 @@ let save broker =
       match Path_mib.find pm ~path_id with
       | None -> ()
       | Some info ->
-          line
-            (String.concat " "
-               ("macro" :: string_of_int class_id
-               :: ints_str (Topology.link_ids info.Path_mib.links)
-               :: Option.fold ~none:"-" ~some:profile_str s.Aggregate.profile
-               :: pf s.Aggregate.base_rate :: pf s.Aggregate.contingency
-               :: pf s.Aggregate.edge_bound
-               :: List.map pf (Aggregate.grant_amounts agg ~class_id ~path_id)));
+          Linebuf.add_string b "macro ";
+          Linebuf.add_int b class_id;
+          csv b Linebuf.add_int (Topology.link_ids info.Path_mib.links);
+          (match s.Aggregate.profile with
+          | Some p -> profile b p
+          | None -> Linebuf.add_string b " -");
+          float b s.Aggregate.base_rate;
+          float b s.Aggregate.contingency;
+          float b s.Aggregate.edge_bound;
+          List.iter (float b) (Aggregate.grant_amounts agg ~class_id ~path_id);
+          nl ();
           List.iter
-            (fun (flow, p) -> line (Printf.sprintf "member %d %s" flow (profile_str p)))
+            (fun (flow, p) ->
+              Linebuf.add_string b "member ";
+              Linebuf.add_int b flow;
+              profile b p;
+              nl ())
             (Aggregate.members agg ~class_id ~path_id))
     (Aggregate.all_macroflows agg);
-  Buffer.contents buf
+  Linebuf.contents b
 
 type macro = {
   class_id : int;

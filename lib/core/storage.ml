@@ -118,42 +118,50 @@ let write_errors t = t.write_errors
 (* ----------------------------------------------------------------- *)
 (* Append path *)
 
+(* The segment's record region (everything after its header line) as it
+   sits on disk: newline count and CRC, computed in place. *)
+let seal_footer content =
+  let len = String.length content in
+  let start = match String.index_opt content '\n' with None -> len | Some nl -> nl + 1 in
+  let count = ref 0 in
+  for i = start to len - 1 do
+    if String.unsafe_get content i = '\n' then incr count
+  done;
+  Printf.sprintf "seal %d %s\n" !count
+    (Crc32.to_hex (Crc32.substring content ~pos:start ~len:(len - start)))
+
 let seal_active t =
   let name = t.active_name in
   if Vfs.exists t.vfs ~name then begin
-    (* A torn final line must not merge with the footer. *)
-    (match Vfs.read t.vfs ~name with
-    | Ok c when String.length c > 0 && c.[String.length c - 1] <> '\n' ->
-        absorb t (Vfs.append t.vfs ~name "\n")
-    | _ -> ());
-    (match Vfs.read t.vfs ~name with
+    let content =
+      match Vfs.read t.vfs ~name with
+      | Ok c when String.length c > 0 && c.[String.length c - 1] <> '\n' ->
+          (* A torn final line must not merge with the footer; the repair
+             append may itself be torn, so the footer covers what it
+             left. *)
+          absorb t (Vfs.append t.vfs ~name "\n");
+          Vfs.read t.vfs ~name
+      | r -> r
+    in
+    (match content with
     | Error e -> write_error t (Vfs.error_label e)
     | Ok content ->
         (* The footer checksums the record region exactly as it sits on
            disk: "has this segment changed since sealing?" is a separate
            question from "is every record in it valid?", which the
            per-record CRCs answer. *)
-        let region =
-          match String.index_opt content '\n' with
-          | None -> ""
-          | Some nl -> String.sub content (nl + 1) (String.length content - nl - 1)
-        in
-        let count = String.fold_left (fun n ch -> if ch = '\n' then n + 1 else n) 0 region in
-        let footer =
-          Printf.sprintf "seal %d %s\n" count (Crc32.to_hex (Crc32.string region))
-        in
-        absorb t (Vfs.append t.vfs ~name footer);
+        absorb t (Vfs.append t.vfs ~name (seal_footer content));
         absorb t (Vfs.fsync t.vfs ~name));
     t.active <- t.active + 1;
     t.active_name <- seg_name t.active;
     t.active_records <- 0
   end
 
-let put t line =
+let put t b len =
   let name = t.active_name in
   if not (Vfs.exists t.vfs ~name) then
     absorb t (Vfs.append t.vfs ~name (Printf.sprintf "bbr-seg v1 %d\n" t.active));
-  absorb t (Vfs.append t.vfs ~name (line ^ "\n"));
+  absorb t (Vfs.append_bytes t.vfs ~name b ~len);
   t.active_records <- t.active_records + 1;
   if t.active_records >= t.rotate_every then seal_active t
 
@@ -164,7 +172,7 @@ let sync t =
     | Ok () -> ()
     | Error e -> write_error t ("fsync_" ^ Vfs.error_label e)
 
-let sink t = { Wal.put = (fun line -> put t line); sync = (fun () -> sync t) }
+let sink t = { Wal.put = (fun b len -> put t b len); sync = (fun () -> sync t) }
 
 (* ----------------------------------------------------------------- *)
 (* Segment surveying *)
@@ -285,14 +293,13 @@ let tail_from t ~cover =
       if !truncated = None then begin
         let info = survey t (no, name) in
         let is_last = no = last_no in
-        let all_valid =
-          List.for_all (fun l -> Wal.seq_of_line l <> None) info.sg_lines
-        in
+        (* Each line's CRC is checked once. *)
+        let seqs = List.map Wal.seq_of_line info.sg_lines in
+        let all_valid = List.for_all Option.is_some seqs in
         let max_seq =
           List.fold_left
-            (fun acc l ->
-              match Wal.seq_of_line l with Some s -> max acc s | None -> acc)
-            (-1) info.sg_lines
+            (fun acc s -> match s with Some s -> max acc s | None -> acc)
+            (-1) seqs
         in
         if
           info.sg_header_ok && info.sg_sealed && info.sg_seal_ok && all_valid
@@ -325,10 +332,10 @@ let tail_from t ~cover =
                  name)
               "footer" ~sealed:true ~name
           else
-            List.iter
-              (fun line ->
+            List.iter2
+              (fun line seq ->
                 if !truncated = None then
-                  match Wal.seq_of_line line with
+                  match seq with
                   | Some seq when seq < cover -> ()
                   | Some seq when seq = !expected ->
                       pending := None;
@@ -362,7 +369,7 @@ let tail_from t ~cover =
                                    "storage: sealed segment %s holds a corrupt \
                                     record"
                                    name)))
-              info.sg_lines
+              info.sg_lines seqs
         end
       end)
     segs;

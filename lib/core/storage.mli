@@ -44,9 +44,9 @@ val create : ?rotate_every:int -> vfs:Vfs.t -> unit -> t
 val vfs : t -> Vfs.t
 
 val sink : t -> Wal.sink
-(** The write-through sink to hand to {!Wal.set_sink}: [put] appends a
-    record line to the active segment (rotating as configured), [sync]
-    fsyncs it. *)
+(** The write-through sink to hand to {!Wal.create}: [put] appends a
+    record line (a byte range, newline included) to the active segment
+    (rotating as configured), [sync] fsyncs it. *)
 
 val seal_active : t -> unit
 (** Seal the active segment (write its CRC footer) and rotate.  A no-op

@@ -1,9 +1,11 @@
 module Crc32 = Bbr_util.Crc32
+module Linebuf = Bbr_util.Linebuf
 
-type sink = { put : string -> unit; sync : unit -> unit }
+type sink = { put : Bytes.t -> int -> unit; sync : unit -> unit }
 
 type 'a t = {
-  encode_payload : 'a -> string;
+  encode_payload : Linebuf.t -> 'a -> unit;
+  buf : Linebuf.t;  (* the record being written, reused *)
   fsync_every : int;
   sink : sink;
   mutable records : int;  (* since the last compaction *)
@@ -17,6 +19,7 @@ let create ?(fsync_every = 1) ~encode_payload sink =
   if fsync_every < 1 then invalid_arg "Wal.create: fsync_every must be >= 1";
   {
     encode_payload;
+    buf = Linebuf.create 256;
     fsync_every;
     sink;
     records = 0;
@@ -41,9 +44,18 @@ let synced_records t =
 
 let in_group t = t.group_start <> None
 
-let encode_line ~seq ~at payload =
-  let body = Printf.sprintf "%d %h %s" seq at payload in
-  Crc32.to_hex (Crc32.string body) ^ " " ^ body
+(* The CRC covers the body after its 8-digit slot and the space, so the
+   body is written first and the slot patched in place. *)
+let write_line buf ~seq ~at encode_payload v =
+  Linebuf.clear buf;
+  Linebuf.add_string buf "00000000 ";
+  Linebuf.add_int buf seq;
+  Linebuf.add_char buf ' ';
+  Linebuf.add_hfloat buf at;
+  Linebuf.add_char buf ' ';
+  encode_payload buf v;
+  let b = Linebuf.bytes buf in
+  Crc32.blit_hex (Crc32.bytes b ~pos:9 ~len:(Linebuf.length buf - 9)) b ~pos:0
 
 let group t f =
   match t.group_start with
@@ -72,7 +84,9 @@ let append t ~at v =
   (* Write-ahead to the sink before the record hook can observe the
      append: the disk (or its simulation) sees the record no later than
      any side effect keyed on it. *)
-  t.sink.put (encode_line ~seq ~at (t.encode_payload v));
+  write_line t.buf ~seq ~at t.encode_payload v;
+  Linebuf.add_char t.buf '\n';
+  t.sink.put (Linebuf.bytes t.buf) (Linebuf.length t.buf);
   if (not (in_group t)) && t.records mod t.fsync_every = 0 then t.sink.sync ();
   match t.record_hook with None -> () | Some f -> f t.seq
 
@@ -87,24 +101,34 @@ let text_of_lines ~header lines =
 (* --------------------------------------------------------------- *)
 (* Decoding.  All helpers return options; nothing here may raise.  *)
 
-(* [Some body] iff the line's CRC matches what follows it. *)
-let checked_body line =
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some i -> (
-      let crc_s = String.sub line 0 i in
-      let body = String.sub line (i + 1) (String.length line - i - 1) in
-      match Crc32.of_hex crc_s with
-      | Some crc when crc = Crc32.string body -> Some body
-      | _ -> None)
+(* The line's CRC field: 8 hex digits, then a space, then the body the
+   checksum covers, checked in place. *)
+let crc_ok line =
+  let n = String.length line in
+  n >= 9
+  && line.[8] = ' '
+  &&
+  match Crc32.of_hex_at line ~pos:0 with
+  | Some crc -> crc = Crc32.substring line ~pos:9 ~len:(n - 9)
+  | None -> false
 
+let checked_body line =
+  if crc_ok line then Some (String.sub line 9 (String.length line - 9)) else None
+
+(* The body's first field, a decimal record number, read in place. *)
 let seq_of_line line =
-  match checked_body line with
-  | None -> None
-  | Some body -> (
-      match String.split_on_char ' ' body with
-      | seq :: _ -> int_of_string_opt seq
-      | [] -> None)
+  if not (crc_ok line) then None
+  else
+    let n = String.length line in
+    let rec go i acc =
+      if i = n || line.[i] = ' ' then if i = 9 then None else Some acc
+      else
+        match line.[i] with
+        | '0' .. '9' as c when acc <= (max_int - 9) / 10 ->
+            go (i + 1) ((acc * 10) + Char.code c - 48)
+        | _ -> None
+    in
+    go 9 0
 
 (* [Some (seq, at, v)] iff the line is a complete, CRC-clean record. *)
 let decode_line ~decode_payload line =

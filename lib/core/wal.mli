@@ -12,7 +12,14 @@
     [crc32] covers everything after it; [seq] is a monotonic record
     number (a gap means lost records); [at] is the writer's clock in
     lossless [%h] notation; [payload] is whatever [encode_payload]
-    produced (it must not contain newlines).
+    wrote (it must not contain newlines).
+
+    {b Writing.}  A record is written in one pass into a byte buffer the
+    log owns and reuses ({!Bbr_util.Linebuf}): the 8-character CRC slot,
+    the sequence number and clock, then the payload through
+    [encode_payload]; the CRC is computed over the buffer in place,
+    patched into its slot, and the line, newline included, is handed to
+    the sink as a byte range.  No string is built per record.
 
     {b Durability model.}  The writer holds no records: it encodes each
     one and writes it through its {!sink} (the segmented {!Storage} over
@@ -25,17 +32,23 @@
 
 type 'a t
 
-type sink = { put : string -> unit; sync : unit -> unit }
-(** The write-through target for encoded record lines.  [put] receives
-    each record line (no newline) at append time — before the
-    {!on_record} hook fires, preserving write-ahead ordering — and
-    [sync] is called at every durability boundary ([fsync_every] when no
-    group is open; the end of the outermost {!group} otherwise). *)
+type sink = { put : Bytes.t -> int -> unit; sync : unit -> unit }
+(** The write-through target for encoded record lines.  [put b n]
+    receives each record line as the first [n] bytes of [b], newline
+    included, at append time — before the {!on_record} hook fires,
+    preserving write-ahead ordering — and [sync] is called at every
+    durability boundary ([fsync_every] when no group is open; the end of
+    the outermost {!group} otherwise).  [b] is the log's own buffer:
+    [put] must copy what it keeps. *)
 
 val create :
-  ?fsync_every:int -> encode_payload:('a -> string) -> sink -> 'a t
-(** A fresh log writing through [sink].  [fsync_every] (default 1) is
-    the number of records between durability boundaries.  Raises
+  ?fsync_every:int ->
+  encode_payload:(Bbr_util.Linebuf.t -> 'a -> unit) ->
+  sink ->
+  'a t
+(** A fresh log writing through [sink]; [encode_payload buf v] appends
+    [v]'s payload text to [buf].  [fsync_every] (default 1) is the
+    number of records between durability boundaries.  Raises
     [Invalid_argument] when [< 1]. *)
 
 val append : 'a t -> at:float -> 'a -> unit
@@ -70,14 +83,22 @@ val compact : 'a t -> unit
 (** Restart the record counters: a newer checkpoint covers everything
     appended so far. *)
 
-val encode_line : seq:int -> at:float -> string -> string
-(** One record line (without the newline) for an already-encoded
-    payload — exposed for fuzzing and for re-implementing {!Journal.encode}. *)
+val write_line :
+  Bbr_util.Linebuf.t ->
+  seq:int ->
+  at:float ->
+  (Bbr_util.Linebuf.t -> 'a -> unit) ->
+  'a ->
+  unit
+(** [write_line buf ~seq ~at encode_payload v] replaces [buf]'s contents
+    with one record line (without the newline), exactly as {!append}
+    writes it — exposed for {!Journal.encode}. *)
 
 val seq_of_line : string -> int option
 (** The sequence number of a record line, iff the line is complete and
     CRC-clean — how the storage layer reads record identity without
-    knowing the payload codec.  Never raises. *)
+    knowing the payload codec.  Checks and reads the line in place.
+    Never raises. *)
 
 val text_of_lines : header:string -> string list -> string
 (** A parseable log text from raw record lines (as the storage layer

@@ -263,7 +263,8 @@ let metric ?(labels = []) name = if Obs_log.active () then Obs_log.count name ~l
    fault-free in-memory disk. *)
 let fresh_journal config =
   let store = Storage.create ~vfs:(Bbr_util.Vfs.create ()) () in
-  ( Wal.create ~fsync_every:config.fsync_every ~encode_payload:encode_rec
+  ( Wal.create ~fsync_every:config.fsync_every
+      ~encode_payload:(fun b r -> Bbr_util.Linebuf.add_string b (encode_rec r))
       (Storage.sink store),
     store )
 

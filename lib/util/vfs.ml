@@ -62,32 +62,36 @@ let reserve f extra =
     f.data <- data
   end
 
-let blit_append f s n =
+let blit_append f b n =
   reserve f n;
-  Bytes.blit_string s 0 f.data f.len n;
+  Bytes.blit b 0 f.data f.len n;
   f.len <- f.len + n
 
-let append t ~name s =
+let append_bytes t ~name b ~len =
   if roll t t.faults.write_eio_p then begin
     record_fault t "eio";
     Error Eio
   end
   else
     match t.faults.capacity with
-    | Some cap when total_bytes t + String.length s > cap ->
+    | Some cap when total_bytes t + len > cap ->
         record_fault t "enospc";
         Error Enospc
     | _ ->
         let f = ensure t name in
         let n =
-          if String.length s > 1 && roll t t.faults.short_write_p then begin
+          if len > 1 && roll t t.faults.short_write_p then begin
             record_fault t "short_write";
-            1 + Prng.int t.prng ~bound:(String.length s - 1)
+            1 + Prng.int t.prng ~bound:(len - 1)
           end
-          else String.length s
+          else len
         in
-        blit_append f s n;
+        blit_append f b n;
         Ok ()
+
+(* Appended bytes are only read. *)
+let append t ~name s =
+  append_bytes t ~name (Bytes.unsafe_of_string s) ~len:(String.length s)
 
 let write t ~name s =
   (* Truncate-then-append: old durable contents are gone the moment the
@@ -190,7 +194,7 @@ let import entries =
   List.iter
     (fun (name, contents) ->
       let f = ensure t name in
-      blit_append f contents (String.length contents);
+      blit_append f (Bytes.unsafe_of_string contents) (String.length contents);
       f.durable <- f.len)
     entries;
   t

@@ -49,6 +49,10 @@ val append : t -> name:string -> string -> (unit, error) result
     nothing, [Enospc] writes nothing, a short write silently persists
     only a prefix (and returns [Ok ()] — the caller cannot tell). *)
 
+val append_bytes : t -> name:string -> Bytes.t -> len:int -> (unit, error) result
+(** {!append} of the first [len] bytes of a buffer, with the same fault
+    draws as appending a string of that length. *)
+
 val write : t -> name:string -> string -> (unit, error) result
 (** Replace [name]'s contents entirely.  Modelled as truncate-then-
     append: after [write] the whole file is volatile, so a crash before

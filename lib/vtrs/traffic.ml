@@ -195,13 +195,4 @@ let aggregate = function
 
 let add a b = aggregate [ a; b ]
 
-let remove a b =
-  let sigma = a.sigma -. b.sigma
-  and rho = a.rho -. b.rho
-  and peak = a.peak -. b.peak
-  and lmax = a.lmax -. b.lmax in
-  (* Re-validate: subtracting a microflow that was never part of the
-     macroflow can produce nonsense. *)
-  make ~sigma ~rho ~peak ~lmax
-
 let conforms p ~rate = p.rho <= rate && rate <= p.peak

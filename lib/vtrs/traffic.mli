@@ -79,10 +79,6 @@ val add : t -> t -> t
 (** [add a b] = [aggregate \[a; b\]], which is the IEEE sum of each
     component: one correctly rounded addition. *)
 
-val remove : t -> t -> t
-(** [remove a b] subtracts microflow [b] from macroflow [a] (component-wise).
-    Raises [Invalid_argument] if the result would not be a valid profile. *)
-
 val conforms : t -> rate:float -> bool
 (** [conforms p ~rate] checks [rho <= rate <= peak]: whether [rate] is an
     admissible reserved rate for the profile. *)

@@ -574,6 +574,49 @@ let test_overload_batch_drain () =
   Alcotest.(check string) "identical digests" d1 d8
 
 (* ------------------------------------------------------------------ *)
+(* Journal append cost *)
+
+(* A record is written field by field into the log's reused buffer,
+   checksummed in place and appended to the store as a byte range, so an
+   [admit] append allocates a fixed handful of words whatever its
+   floats; the Printf encoder it replaced allocated about 600.  Measured:
+   20.5 words a record — the boxes of the five profile floats read out of
+   their unboxed record, the store's file lookup, and its per-segment
+   header and seal amortised over 64 records. *)
+let append_words_bound = 24.
+
+let test_append_cost () =
+  let store = Bbr_broker.Storage.create ~vfs:(Bbr_util.Vfs.create ()) () in
+  let j = Journal.create ~storage:store () in
+  let admit i =
+    Broker.Admit
+      {
+        Broker.flow = i;
+        request =
+          {
+            Types.profile = Profiles.profile (i mod 4);
+            dreq = 2.19 +. (float_of_int i /. 1000.);
+            ingress = "ingress-0";
+            egress = "egress-3";
+          };
+        rate = 50_000. +. (float_of_int i /. 7.);
+        delay = 0.1 /. float_of_int (i + 1);
+        links = [ 0; 1; 2; 3; 4 ];
+      }
+  in
+  let records = 1_024 in
+  let muts = Array.init records admit in
+  (* Warm up: the record buffer and the first segments reach size. *)
+  Array.iteri (fun i m -> Journal.append j ~at:(float_of_int i) m) muts;
+  let w0 = Gc.minor_words () in
+  Array.iteri (fun i m -> Journal.append j ~at:(float_of_int (records + i) *. 0.37) m) muts;
+  let words = (Gc.minor_words () -. w0) /. float_of_int records in
+  if words > append_words_bound then
+    Alcotest.failf "an admit append allocates %.1f minor words (bound %.0f)" words
+      append_words_bound;
+  Alcotest.(check int) "every record on disk" (2 * records) (Journal.records_on_disk j)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let props =
@@ -613,5 +656,7 @@ let () =
         ] );
       ( "path_mib",
         [ Alcotest.test_case "find by id" `Quick test_path_mib_find ] );
+      ( "journal",
+        [ Alcotest.test_case "admit append cost fixed" `Quick test_append_cost ] );
       ("properties", props);
     ]

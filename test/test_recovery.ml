@@ -528,6 +528,66 @@ let prop_truncated_journal_prefix_applies =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Golden record text *)
+
+(* One record of each mutation kind, with the float corners the text
+   must carry: -0, a subnormal, the smallest normal, [max_float], a
+   value needing every fraction nibble.  The expected lines are the
+   journal's text as [Printf "%d %h %s"] wrote it before the record
+   writer replaced [Printf]: the format is unchanged byte for byte. *)
+let golden_records =
+  let request =
+    { Types.profile = Traffic.make ~sigma:60000. ~rho:0.1 ~peak:1.5e6 ~lmax:12000.;
+      dreq = 2.19; ingress = "I1"; egress = "E2" }
+  in
+  let booking =
+    { Broker.flow = 42; request; rate = 123456.789; delay = 4.9406564584124654e-324;
+      links = [ 3; 0; 17 ] }
+  in
+  [ (0, 0., Broker.Admit booking,
+     "e14db4aa 0 0x0p+0 admit 42 0x1.d4cp+15 0x1.999999999999ap-4 0x1.6e36p+20 \
+      0x1.77p+13 0x1.1851eb851eb85p+1 I1 E2 0x1.e240c9fbe76c9p+16 \
+      0x0.0000000000001p-1022 3,0,17");
+    (1, 1e-3, Broker.Admit_segment { booking with links = []; rate = -0. },
+     "1c23a99a 1 0x1.0624dd2f1a9fcp-10 admitseg 42 0x1.d4cp+15 0x1.999999999999ap-4 \
+      0x1.6e36p+20 0x1.77p+13 0x1.1851eb851eb85p+1 I1 E2 -0x0p+0 \
+      0x0.0000000000001p-1022 ");
+    (2, 17.25, Broker.Admit_class { flow = 7; class_id = 3; request },
+     "9facf73d 2 0x1.14p+4 admitc 7 3 0x1.d4cp+15 0x1.999999999999ap-4 0x1.6e36p+20 \
+      0x1.77p+13 0x1.1851eb851eb85p+1 I1 E2");
+    (3, 1e300, Broker.Teardown 42, "fb142c54 3 0x1.7e43c8800759cp+996 drop 42");
+    (4, 3.5, Broker.Teardown_class 7, "8ef0add5 4 0x1.cp+1 dropc 7");
+    (5, 100., Broker.Queue_emptied { class_id = 3; links = [ 1; 2 ] },
+     "f5e88630 5 0x1.9p+6 qempty 3 1,2");
+    (6, 100.5, Broker.Evacuated { class_id = 0; links = [] }, "091d0231 6 0x1.92p+6 evac 0 ");
+    (7, 2.2250738585072014e-308, Broker.Link_failed 9, "50bed7be 7 0x1p-1022 linkdown 9");
+    (1234567, max_float, Broker.Link_restored 9,
+     "f2fd0f94 1234567 0x1.fffffffffffffp+1023 linkup 9") ]
+
+let test_journal_golden_text () =
+  List.iter
+    (fun (seq, at, m, want) ->
+      Alcotest.(check string) "encode" want (Journal.encode ~seq ~at m);
+      match Journal.parse (Journal.header ^ "\n" ^ want ^ "\n") with
+      | Ok ([ (at', m') ], None) ->
+          Alcotest.(check bool) "decodes back" true
+            (Int64.bits_of_float at = Int64.bits_of_float at' && compare m m' = 0)
+      | _ -> Alcotest.failf "golden line does not parse: %s" want)
+    golden_records;
+  (* The appended records reach the store as the same bytes, each
+     newline-terminated. *)
+  let store = Storage.create ~vfs:(Bbr_util.Vfs.create ()) () in
+  let j = Journal.create ~storage:store () in
+  List.iter
+    (fun (seq, at, m, _) -> if seq < 8 then Journal.append j ~at m)
+    golden_records;
+  Alcotest.(check (list string)) "stored lines"
+    (List.filter_map
+       (fun (seq, _, _, want) -> if seq < 8 then Some want else None)
+       golden_records)
+    (Storage.tail_from store ~cover:0).Storage.lines
+
+(* ------------------------------------------------------------------ *)
 (* CRC32 vectors *)
 
 let test_crc32_vectors () =
@@ -542,6 +602,42 @@ let test_crc32_vectors () =
   Alcotest.(check bool) "short hex rejected" true (Crc32.of_hex "cbf439" = None)
 
 (* ------------------------------------------------------------------ *)
+(* CRC32 against the bytewise definition *)
+
+let crc_reference s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 0 to 7 do
+        crc := if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+      done)
+    s;
+  !crc lxor 0xFFFFFFFF
+
+let test_crc32_every_range () =
+  let g = Prng.create ~seed:11 in
+  for _ = 1 to 4 do
+    let s = String.init 80 (fun _ -> Char.chr (Prng.int g ~bound:256)) in
+    let b = Bytes.of_string s in
+    for pos = 0 to 15 do
+      for len = 0 to 64 do
+        let want = crc_reference (String.sub s pos len) in
+        if Crc32.substring s ~pos ~len <> want || Crc32.bytes b ~pos ~len <> want then
+          Alcotest.failf "crc of [%d, %d) differs from the bytewise reference" pos (pos + len)
+      done
+    done;
+    Alcotest.(check int) "whole string" (crc_reference s) (Crc32.string s)
+  done;
+  let b = Bytes.make 10 '.' in
+  Crc32.blit_hex 0xCBF43926 b ~pos:1;
+  Alcotest.(check string) "blit_hex" ".cbf43926." (Bytes.to_string b);
+  Alcotest.(check (option int)) "of_hex_at" (Some 0xCBF43926) (Crc32.of_hex_at ".cbf43926." ~pos:1);
+  Alcotest.(check (option int)) "upper case" (Some 0xCBF43926) (Crc32.of_hex "CBF43926");
+  Alcotest.(check (option int)) "past the end" None (Crc32.of_hex_at ".cbf43926." ~pos:3);
+  Alcotest.(check (option int)) "not hex" None (Crc32.of_hex "cbf4392g")
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "recovery"
@@ -551,6 +647,7 @@ let () =
           Alcotest.test_case "encode/decode/replay round trip" `Quick
             test_journal_round_trip;
           Alcotest.test_case "replay idempotent" `Quick test_journal_replay_idempotent;
+          Alcotest.test_case "golden record text" `Quick test_journal_golden_text;
           Alcotest.test_case "CRC catches corruption" `Quick
             test_journal_detects_corruption;
           Alcotest.test_case "torn tail truncates" `Quick test_journal_torn_tail;
@@ -594,5 +691,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_snapshot_restore_never_raises;
           QCheck_alcotest.to_alcotest prop_truncated_journal_prefix_applies;
         ] );
-      ("crc32", [ Alcotest.test_case "vectors" `Quick test_crc32_vectors ]);
+      ( "crc32",
+        [
+          Alcotest.test_case "vectors" `Quick test_crc32_vectors;
+          Alcotest.test_case "every offset and length" `Quick test_crc32_every_range;
+        ] );
     ]

@@ -1,9 +1,11 @@
-(* Unit and property tests for Bbr_util: Prng, Stats, Heap, Fp. *)
+(* Unit and property tests for Bbr_util: Prng, Stats, Heap, Fp,
+   Linebuf. *)
 
 module Prng = Bbr_util.Prng
 module Stats = Bbr_util.Stats
 module Heap = Bbr_util.Heap
 module Fp = Bbr_util.Fp
+module Linebuf = Bbr_util.Linebuf
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -222,8 +224,50 @@ let test_fp_thirty_times_rate () =
   done;
   Alcotest.(check bool) "30 * r_min fits capacity" true (Fp.leq !sum 1_500_000.)
 
+(* ------------------------------------------------------------------ *)
+(* Linebuf: the record writer's number forms *)
+
+let written add x =
+  let b = Linebuf.create 1 in
+  Linebuf.add_string b "<";
+  add b x;
+  Linebuf.add_char b '>';
+  Linebuf.contents b
+
+let hfloat = written Linebuf.add_hfloat
+
+let test_hfloat_specials () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string) (Printf.sprintf "%h" x) ("<" ^ Printf.sprintf "%h" x ^ ">")
+        (hfloat x))
+    [ 0.; -0.; infinity; neg_infinity; nan; Float.neg nan;
+      Int64.float_of_bits 0x7FF0_0000_0000_0001L; Int64.float_of_bits 0xFFF8_0000_0000_0001L;
+      Int64.float_of_bits 1L; Int64.float_of_bits 0x8000_0000_0000_0001L;
+      Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL; Float.min_float; max_float; -.max_float;
+      1.; -1.5; 0.1; 2.19; 1e300; 60000.; 1.5e6 ]
+
+let test_int_specials () =
+  List.iter
+    (fun n -> Alcotest.(check string) (string_of_int n) ("<" ^ string_of_int n ^ ">") (written Linebuf.add_int n))
+    [ 0; 1; -1; 9; 10; -10; 99; 100; 1234567; max_int; min_int; min_int + 1 ]
+
+let prop_hfloat_is_printf =
+  QCheck.Test.make ~name:"add_hfloat = Printf %h on any bit pattern" ~count:2000
+    QCheck.int64
+    (fun bits ->
+      let x = Int64.float_of_bits bits in
+      hfloat x = "<" ^ Printf.sprintf "%h" x ^ ">")
+
+let prop_int_is_string_of_int =
+  QCheck.Test.make ~name:"add_int = string_of_int" ~count:2000 QCheck.int (fun n ->
+      written Linebuf.add_int n = "<" ^ string_of_int n ^ ">")
+
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_heap_sorts; prop_heap_interleaved ] in
+  let qsuite =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_heap_sorts; prop_heap_interleaved; prop_hfloat_is_printf; prop_int_is_string_of_int ]
+  in
   Alcotest.run "util"
     [
       ( "prng",
@@ -260,6 +304,11 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_fp_basic;
           Alcotest.test_case "capacity boundary" `Quick test_fp_thirty_times_rate;
+        ] );
+      ( "linebuf",
+        [
+          Alcotest.test_case "hex floats match Printf" `Quick test_hfloat_specials;
+          Alcotest.test_case "ints match string_of_int" `Quick test_int_specials;
         ] );
       ("properties", qsuite);
     ]

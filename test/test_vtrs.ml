@@ -59,12 +59,6 @@ let test_aggregate_preserves_t_on_for_identical () =
   let agg = Traffic.aggregate [ type0; type0 ] in
   check_float "t_on invariant" (Traffic.t_on type0) (Traffic.t_on agg)
 
-let test_remove_inverts_add () =
-  let other = Traffic.make ~sigma:24_000. ~rho:20_000. ~peak:100_000. ~lmax:12_000. in
-  let agg = Traffic.add type0 other in
-  let back = Traffic.remove agg other in
-  Alcotest.(check bool) "round trip" true (Traffic.equal back type0)
-
 let test_conforms () =
   Alcotest.(check bool) "rho ok" true (Traffic.conforms type0 ~rate:50_000.);
   Alcotest.(check bool) "peak ok" true (Traffic.conforms type0 ~rate:100_000.);
@@ -505,7 +499,6 @@ let () =
           Alcotest.test_case "aggregate" `Quick test_aggregate;
           Alcotest.test_case "aggregate t_on" `Quick
             test_aggregate_preserves_t_on_for_identical;
-          Alcotest.test_case "remove inverts add" `Quick test_remove_inverts_add;
           Alcotest.test_case "sum reads one term back" `Quick test_sum_single_terms;
           Alcotest.test_case "sum rounds half to even" `Quick test_sum_rounding;
           Alcotest.test_case "conforms" `Quick test_conforms;
