@@ -332,7 +332,13 @@ let test_pin_failover () =
     (failover_row (Runner.run failover));
   Alcotest.(check string) "50 s checkpoints only"
     "admitted 284 rerouted 31 dropped 0 at-crash 27 restored 24 lost 3 messages 1420"
-    (failover_row (Runner.run { failover with Scenario.journal = None }))
+    (failover_row (Runner.run { failover with Scenario.journal = None }));
+  let lossy = Runner.run { failover with Scenario.loss = 0.1 } in
+  Alcotest.(check string) "10% COPS loss"
+    "admitted 284 rerouted 31 dropped 0 at-crash 27 restored 27 lost 0 messages 1596 \
+     retransmissions 118 unresolved 0"
+    (Printf.sprintf "%s retransmissions %d unresolved %d" (failover_row lossy)
+       lossy.Runner.retransmissions lossy.Runner.unresolved)
 
 let test_pin_crash_at_record () =
   let o = Runner.run { Matrix.fig10_crash_at_record with Scenario.journal = Some 64 } in
