@@ -2,20 +2,14 @@ module Metrics = Bbr_obs.Metrics
 module Trace = Bbr_obs.Trace
 
 type reliability = {
-  loss : unit -> bool;
-  timeout : float;
-  backoff : float;
-  max_timeout : float;
+  faults : Exchange.faults;
   jitter : (unit -> float) option;
   busy_retries : int;
 }
 
-let reliability ?(timeout = 0.05) ?(backoff = 2.) ?(max_timeout = 1.) ?jitter
-    ?(busy_retries = 5) ~loss () =
-  if timeout <= 0. then invalid_arg "Cops.reliability: timeout must be positive";
-  if backoff < 1. then invalid_arg "Cops.reliability: backoff must be >= 1";
+let reliability ?jitter ?(busy_retries = 5) ~faults () =
   if busy_retries < 0 then invalid_arg "Cops.reliability: busy_retries must be >= 0";
-  { loss; timeout; backoff; max_timeout = Float.max timeout max_timeout; jitter; busy_retries }
+  { faults; jitter; busy_retries }
 
 type pdp = Types.request -> ((Types.flow_id * Types.reservation, Types.reject_reason) result -> unit) -> unit
 
@@ -52,20 +46,18 @@ let set_broker t broker = t.broker <- broker
 
 let set_pdp_up t up = t.pdp_up <- up
 
-let next_timeout r timeout = Float.min r.max_timeout (timeout *. r.backoff)
-
-(* Spread a timer by the reliability's jitter source: [d * (1 + j)] with
-   [j] in [0, 1).  Without a jitter source timers are exact, as in the
-   base protocol — and as in the synchronized retry storms it suffers. *)
-let jittered r d = match r.jitter with None -> d | Some j -> d *. (1. +. j ())
-
-(* One message leg: counted whether or not it arrives (wire overhead is what
-   we measure), dropped by the loss process when reliability is on. *)
+(* One message leg: every copy is counted whether or not it arrives (wire
+   overhead is what we measure); the reliability's faults drop or
+   duplicate it. *)
 let send t action =
-  t.messages <- t.messages + 1;
-  Metrics.count "bb_cops_messages_total";
-  let lost = match t.rel with Some r -> r.loss () | None -> false in
-  if not lost then t.defer t.latency action
+  let faults = match t.rel with Some r -> r.faults | None -> Exchange.no_faults in
+  Exchange.send faults ~after:t.defer ~latency:t.latency
+    ~note:(function
+      | Exchange.Sent ->
+          t.messages <- t.messages + 1;
+          Metrics.count "bb_cops_messages_total"
+      | Exchange.Dropped | Exchange.Duplicated -> ())
+    action
 
 let note_pending t = Metrics.set_gauge "bb_cops_pending" (float_of_int t.pending)
 
@@ -138,7 +130,7 @@ let exchange t ~decide ~busy ~accepted ~on_decision =
           in
           busy_sp := Some bsp;
           t.defer
-            (jittered r (Float.max retry_after r.timeout))
+            (Exchange.jittered r.jitter (Float.max retry_after Exchange.first_timeout))
             (fun () ->
               (match !busy_sp with
               | Some b when b == bsp ->
@@ -146,7 +138,7 @@ let exchange t ~decide ~busy ~accepted ~on_decision =
                   Trace.finish_span ~sim_time:(now ()) bsp
               | _ -> ());
               if (not !resolved) && g = !gen then
-                Trace.with_ambient xsp (fun () -> attempt g r.timeout))
+                Trace.with_ambient xsp (fun () -> attempt g Exchange.first_timeout))
       | _ ->
           resolved := true;
           t.pending <- t.pending - 1;
@@ -192,16 +184,16 @@ let exchange t ~decide ~busy ~accepted ~on_decision =
       match t.rel with
       | None -> ()
       | Some r ->
-          t.defer (jittered r timeout) (fun () ->
+          t.defer (Exchange.jittered r.jitter timeout) (fun () ->
               if (not !resolved) && g = !gen then begin
                 t.retransmissions <- t.retransmissions + 1;
                 Metrics.count "bb_cops_retransmissions_total";
                 Trace.event ~sim_time:(now ()) ~parent:xsp "bb.cops.retransmit";
-                attempt g (next_timeout r timeout)
+                attempt g (Exchange.next_timeout timeout)
               end)
     end
   in
-  attempt 0 (match t.rel with Some r -> r.timeout | None -> 0.)
+  attempt 0 Exchange.first_timeout
 
 let busy_reject = function
   | Error (Types.Server_busy { retry_after }) -> Some retry_after
@@ -247,14 +239,14 @@ let one_way t apply =
                   apply t.broker);
               send t (fun () -> acked := true)
             end);
-        t.defer (jittered r timeout) (fun () ->
+        t.defer (Exchange.jittered r.jitter timeout) (fun () ->
             if not !acked then begin
               t.retransmissions <- t.retransmissions + 1;
               Metrics.count "bb_cops_retransmissions_total";
-              attempt (next_timeout r timeout)
+              attempt (Exchange.next_timeout timeout)
             end)
       in
-      attempt r.timeout
+      attempt Exchange.first_timeout
 
 let teardown t flow = one_way t (fun broker -> Broker.teardown broker flow)
 

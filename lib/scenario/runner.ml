@@ -2,6 +2,7 @@ module Engine = Bbr_netsim.Engine
 module Fault = Bbr_netsim.Fault
 module Broker = Bbr_broker.Broker
 module Cops = Bbr_broker.Cops
+module Exchange = Bbr_broker.Exchange
 module Ov = Bbr_broker.Overload
 module Admission = Bbr_broker.Admission
 module Audit = Bbr_broker.Audit
@@ -313,7 +314,8 @@ let run sc =
     Cops.create (Failover.active fw) ~latency:sc.Scenario.latency
       ~reliability:
         (Cops.reliability
-           ~loss:(Fault.drop loss_rng ~p:sc.Scenario.loss)
+           ~faults:
+             { Exchange.no_faults with drop = Fault.drop loss_rng ~p:sc.Scenario.loss }
            ~jitter:(fun () -> Prng.float jitter_rng)
            ())
       ~pdp:(fun req k -> Ov.submit ov req k)

@@ -7,6 +7,7 @@ module Flow_mib = Bbr_broker.Flow_mib
 module Topology = Bbr_vtrs.Topology
 module Traffic = Bbr_vtrs.Traffic
 module Federation = Bbr_interdomain.Federation
+module Exchange = Bbr_broker.Exchange
 
 type config = {
   seed : int;
@@ -180,14 +181,14 @@ let run cfg =
   (* Fault windows. *)
   let chaos =
     {
-      Federation.drop = Fault.drop fault_rng ~p:cfg.drop_p;
+      Exchange.drop = Fault.drop fault_rng ~p:cfg.drop_p;
       duplicate = Fault.drop fault_rng ~p:cfg.dup_p;
       extra_delay = (fun () -> Prng.float fault_rng *. cfg.max_extra_delay);
     }
   in
   Engine.schedule eng ~at:cfg.fault_from (fun () -> Federation.set_faults fed chaos);
   Engine.schedule eng ~at:cfg.fault_until (fun () ->
-      Federation.set_faults fed Federation.no_faults);
+      Federation.set_faults fed Exchange.no_faults);
   let partitioned = names.(1) and crashed = names.(2) in
   Engine.schedule eng ~at:cfg.partition_from (fun () ->
       Federation.set_reachable fed ~domain:partitioned false);
@@ -234,7 +235,7 @@ let run cfg =
   (* After the horizon, one last heal + pump to flush anything the fault
      windows stranded, then drain to quiescence. *)
   Engine.schedule eng ~at:horizon (fun () ->
-      Federation.set_faults fed Federation.no_faults;
+      Federation.set_faults fed Exchange.no_faults;
       Federation.set_reachable fed ~domain:partitioned true;
       Federation.set_domain_up fed ~domain:crashed true;
       Federation.pump fed);

@@ -12,6 +12,7 @@ module Admission = Bbr_broker.Admission
 module Policy = Bbr_broker.Policy
 module Overload = Bbr_broker.Overload
 module Cops = Bbr_broker.Cops
+module Exchange = Bbr_broker.Exchange
 module Edge_broker = Bbr_broker.Edge_broker
 module Audit = Bbr_broker.Audit
 module Snapshot = Bbr_broker.Snapshot
@@ -362,7 +363,7 @@ let busy_pdp ~busy_first k_real : Cops.pdp =
 let test_cops_busy_then_decision () =
   let engine = Engine.create () in
   let broker = one_link () ~time:(hooks engine) in
-  let rel = Cops.reliability ~loss:(fun () -> false) () in
+  let rel = Cops.reliability ~faults:Exchange.no_faults () in
   let pdp = busy_pdp ~busy_first:2 (fun r k -> k (Broker.request broker r)) in
   let cops =
     Cops.create broker ~reliability:rel ~pdp
@@ -382,7 +383,7 @@ let test_cops_busy_then_decision () =
 let test_cops_busy_retries_exhausted () =
   let engine = Engine.create () in
   let broker = one_link () ~time:(hooks engine) in
-  let rel = Cops.reliability ~loss:(fun () -> false) ~busy_retries:3 () in
+  let rel = Cops.reliability ~faults:Exchange.no_faults ~busy_retries:3 () in
   let pdp : Cops.pdp =
     fun _ k -> k (Error (Types.Server_busy { retry_after = 0.2 }))
   in
@@ -403,7 +404,7 @@ let test_cops_jitter_stretches_backoff () =
   let resolve_time jitter =
     let engine = Engine.create () in
     let broker = one_link () ~time:(hooks engine) in
-    let rel = Cops.reliability ~loss:(fun () -> false) ~jitter () in
+    let rel = Cops.reliability ~faults:Exchange.no_faults ~jitter () in
     let pdp = busy_pdp ~busy_first:1 (fun r k -> k (Broker.request broker r)) in
     let cops =
       Cops.create broker ~reliability:rel ~pdp
