@@ -12,9 +12,6 @@ type t
 val create : ?default:action -> unit -> t
 (** [default] is [Allow]. *)
 
-val add_rule : t -> name:string -> matches:(Types.request -> bool) -> action -> unit
-(** Appends a rule (lowest priority so far). *)
-
 val add_ingress_rule : t -> name:string -> ingress:string -> action -> unit
 (** Convenience: match on the ingress router. *)
 

@@ -9,7 +9,6 @@ type t = {
   mutable active_name : string;  (* [seg_name active], kept off the append path *)
   mutable active_records : int;  (* appends since the last rotation *)
   mutable next_gen : int;
-  mutable write_errors : int;
 }
 
 let seg_prefix = "seg-"
@@ -40,15 +39,14 @@ let detect kind =
   if Obs_log.active () then
     Obs_log.count "bb_storage_scrub_errors_total" ~labels:[ ("kind", kind) ]
 
-let write_error t kind =
-  t.write_errors <- t.write_errors + 1;
+let write_error kind =
   if Obs_log.active () then
     Obs_log.count "bb_storage_write_errors_total" ~labels:[ ("kind", kind) ]
 
-let absorb t op =
+let absorb op =
   match op with
   | Ok () -> ()
-  | Error e -> write_error t (Vfs.error_label e)
+  | Error e -> write_error (Vfs.error_label e)
 
 (* ----------------------------------------------------------------- *)
 (* Checkpoint slots *)
@@ -99,7 +97,7 @@ let create ?(rotate_every = 64) ~vfs () =
   if rotate_every < 1 then invalid_arg "Storage.create: rotate_every must be >= 1";
   let t =
     { vfs; rotate_every; active = 0; active_name = seg_name 0; active_records = 0;
-      next_gen = 1; write_errors = 0 }
+      next_gen = 1 }
   in
   (match List.rev (segments t) with
   | (n, _) :: _ ->
@@ -113,7 +111,6 @@ let create ?(rotate_every = 64) ~vfs () =
 
 let vfs t = t.vfs
 
-let write_errors t = t.write_errors
 
 (* ----------------------------------------------------------------- *)
 (* Append path *)
@@ -139,19 +136,19 @@ let seal_active t =
           (* A torn final line must not merge with the footer; the repair
              append may itself be torn, so the footer covers what it
              left. *)
-          absorb t (Vfs.append t.vfs ~name "\n");
+          absorb (Vfs.append t.vfs ~name "\n");
           Vfs.read t.vfs ~name
       | r -> r
     in
     (match content with
-    | Error e -> write_error t (Vfs.error_label e)
+    | Error e -> write_error (Vfs.error_label e)
     | Ok content ->
         (* The footer checksums the record region exactly as it sits on
            disk: "has this segment changed since sealing?" is a separate
            question from "is every record in it valid?", which the
            per-record CRCs answer. *)
-        absorb t (Vfs.append t.vfs ~name (seal_footer content));
-        absorb t (Vfs.fsync t.vfs ~name));
+        absorb (Vfs.append t.vfs ~name (seal_footer content));
+        absorb (Vfs.fsync t.vfs ~name));
     t.active <- t.active + 1;
     t.active_name <- seg_name t.active;
     t.active_records <- 0
@@ -160,8 +157,8 @@ let seal_active t =
 let put t b len =
   let name = t.active_name in
   if not (Vfs.exists t.vfs ~name) then
-    absorb t (Vfs.append t.vfs ~name (Printf.sprintf "bbr-seg v1 %d\n" t.active));
-  absorb t (Vfs.append_bytes t.vfs ~name b ~len);
+    absorb (Vfs.append t.vfs ~name (Printf.sprintf "bbr-seg v1 %d\n" t.active));
+  absorb (Vfs.append_bytes t.vfs ~name b ~len);
   t.active_records <- t.active_records + 1;
   if t.active_records >= t.rotate_every then seal_active t
 
@@ -170,7 +167,7 @@ let sync t =
   if Vfs.exists t.vfs ~name then
     match Vfs.fsync t.vfs ~name with
     | Ok () -> ()
-    | Error e -> write_error t ("fsync_" ^ Vfs.error_label e)
+    | Error e -> write_error ("fsync_" ^ Vfs.error_label e)
 
 let sink t = { Wal.put = (fun b len -> put t b len); sync = (fun () -> sync t) }
 
@@ -442,11 +439,11 @@ let checkpoint t ~cover body =
         if Obs_log.active () then Obs_log.count "bb_storage_checkpoints_total";
         Ok gen
     | Error e ->
-        write_error t (Vfs.error_label e);
+        write_error (Vfs.error_label e);
         Error "checkpoint rename failed"
   end
   else begin
-    (match wrote with Error e -> write_error t (Vfs.error_label e) | Ok () -> ());
+    (match wrote with Error e -> write_error (Vfs.error_label e) | Ok () -> ());
     Vfs.remove t.vfs ~name:shadow;
     if Obs_log.active () then Obs_log.count "bb_storage_checkpoint_failures_total";
     Error "checkpoint shadow failed verification; previous generations kept"

@@ -109,6 +109,3 @@ val bitrot_checkpoint : t -> string option
 (** Flip one seeded bit in the newest verifiable checkpoint slot — the
     disk-fault scenario's targeted corruption.  Returns the slot name
     hit, or [None] when no checkpoint exists. *)
-
-val write_errors : t -> int
-(** Disk errors absorbed on the write path since creation. *)

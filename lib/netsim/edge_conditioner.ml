@@ -89,7 +89,6 @@ let rate t = t.rate
 
 let backlog_bits t = t.backlog
 
-let backlog_packets t = Queue.length t.queue
 
 let released t = t.released
 

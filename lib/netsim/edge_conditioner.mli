@@ -43,8 +43,6 @@ val rate : t -> float
 val backlog_bits : t -> float
 (** Bits currently queued (including a packet being held for release). *)
 
-val backlog_packets : t -> int
-
 val released : t -> int
 (** Packets released into the core so far. *)
 

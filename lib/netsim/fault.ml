@@ -29,7 +29,6 @@ let pp_action ppf = function
   | Crash who -> Fmt.pf ppf "crash %s" who
   | Recover who -> Fmt.pf ppf "recover %s" who
 
-let pp_event ppf e = Fmt.pf ppf "t=%.4f %a" e.at pp_action e.action
 
 type hooks = {
   on_link_down : int -> unit;

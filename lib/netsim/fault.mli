@@ -31,10 +31,6 @@ val compare_events : event -> event -> int
 (** Order by time, injection id breaking ties — the canonical dispatch
     order {!install} enforces. *)
 
-val pp_action : Format.formatter -> action -> unit
-
-val pp_event : Format.formatter -> event -> unit
-
 type hooks = {
   on_link_down : int -> unit;
   on_link_up : int -> unit;

@@ -27,8 +27,6 @@ type discipline =
   | Rcedf  (** rate-controlled EDF: per-flow shaper + EDF (IntServ baseline) *)
   | Fifo
 
-val pp_discipline : discipline Fmt.t
-
 type t
 
 val create :

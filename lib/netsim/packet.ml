@@ -17,7 +17,6 @@ let current_link t =
     invalid_arg "Packet.current_link: past the last hop";
   t.path.(t.hop_ix)
 
-let at_last_hop t = t.hop_ix = Array.length t.path - 1
 
 let pp ppf t =
   Fmt.pf ppf "pkt(flow=%d seq=%d size=%g hop=%d/%d)" t.flow t.seq t.size t.hop_ix

@@ -20,6 +20,4 @@ val current_link : t -> Bbr_vtrs.Topology.link
 (** The link/scheduler the packet is currently at.  Raises
     [Invalid_argument] when the packet has left the last hop. *)
 
-val at_last_hop : t -> bool
-
 val pp : t Fmt.t

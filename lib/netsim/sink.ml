@@ -48,4 +48,3 @@ let flows t =
 
 let total_received t = t.total
 
-let mean_e2e s = if s.received = 0 then 0. else s.sum_e2e /. float_of_int s.received

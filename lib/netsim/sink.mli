@@ -21,5 +21,3 @@ val flows : t -> int list
 (** Flow ids seen, in ascending order. *)
 
 val total_received : t -> int
-
-val mean_e2e : flow_stats -> float

@@ -266,18 +266,7 @@ let null_span =
 
 let is_null sp = sp.sp_tracer = None
 
-let span_ctx sp =
-  match sp.sp_tracer with
-  | None -> None
-  | Some _ ->
-      Some { trace_id = sp.sp_trace; span_id = sp.sp_id; parent = sp.sp_parent }
-
 let ambient () = match !(slot ()) with Some t -> t.ambient | None -> []
-
-let ambient_span () =
-  match !(slot ()) with
-  | Some t -> ( match t.ambient with sp :: _ -> Some sp | [] -> None)
-  | None -> None
 
 let start_span ?sim_time ?wall_time ?(attrs = []) ?parent name =
   match !(slot ()) with

@@ -12,9 +12,9 @@
     id) — so all the work done on behalf of one request or one federation
     transaction assembles into a span tree.  Two ways to make spans:
 
-    - {!span} / {!with_span} for work that completes inside one call
-      frame.  [with_span] also makes the span {e ambient}: nested spans
-      and events recorded inside [f] become its children automatically.
+    - {!span} for work that completes inside one call frame.  It also
+      makes the span {e ambient}: nested spans and events recorded
+      inside [f] become its children automatically.
     - {!start_span} / {!finish_span} for work that crosses sim-time
       boundaries (an overload queue wait, a 2PC leg whose reply arrives
       in a later engine callback).  The handle can be stashed in a
@@ -126,11 +126,6 @@ val null_span : span
 (** The inert handle: parent to nothing, finishes silently.  What every
     span-creating helper returns when no tracer is installed. *)
 
-val is_null : span -> bool
-
-val span_ctx : span -> ctx option
-(** The context this span stamps on its own entry ([None] for null). *)
-
 val start_span :
   ?sim_time:float ->
   ?wall_time:float ->
@@ -166,19 +161,6 @@ val pop_ambient : span -> unit
     {!with_ambient}.  [pop_ambient] drops everything up to and including
     the span, so an unbalanced push (e.g. across a {!clear}) cannot
     wedge the stack.  Both are no-ops on null handles. *)
-
-val with_span :
-  ?sim_time:float ->
-  ?attrs:(string * string) list ->
-  ?parent:span ->
-  string ->
-  (span -> 'a) ->
-  'a
-(** [start_span] + [with_ambient] + [finish_span] around [f] (also on
-    exception). *)
-
-val ambient_span : unit -> span option
-(** The innermost ambient span on the installed tracer, if any. *)
 
 val ambient : unit -> span list
 (** The whole ambient stack, innermost first (diagnostics). *)
@@ -249,8 +231,6 @@ val durations : t -> name:string -> float array
 (** Wall durations of the {e retained} spans with this name, oldest
     first — feed to {!Bbr_util.Stats.percentile}.  Biased once
     {!evicted}[ > 0]. *)
-
-val span_names : t -> string list
 
 val span_stats : t -> (string * Bbr_util.Stats.t) list
 (** One accumulator per span name over the {e retained} entries; check

@@ -64,7 +64,3 @@ let expected t = List.filter (fun a -> a.expected) (anomalies t)
 
 let samples t = t.samples
 
-let pp_anomaly ppf a =
-  Fmt.pf ppf "[%.3f] %s%s: %s" a.at (kind_label a.kind)
-    (if a.expected then " (in fault window)" else " (GENUINE)")
-    a.detail

@@ -61,5 +61,3 @@ val expected : t -> anomaly list
 
 val samples : t -> int
 (** Number of probe rounds taken. *)
-
-val pp_anomaly : anomaly Fmt.t

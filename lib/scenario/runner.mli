@@ -64,9 +64,6 @@ type outcome = {
 val flows_lost : outcome -> int
 (** [max 0 (flows_at_crash - flows_restored)]. *)
 
-val slo_ok : outcome -> bool
-(** Every recovery-SLO measurement met its budget. *)
-
 val ok : outcome -> bool
 (** The scenario passed: no genuine anomalies, all SLOs met, final audit
     clean, promotion (if any) succeeded, no unresolved transactions, and

@@ -36,8 +36,6 @@ val baseline : t -> float
 val measure : t -> measurement list
 (** Three measurements per declared event, in declaration order. *)
 
-val breaches : t -> measurement list
-
 val ok : t -> bool
 
 val report : t -> measurement list

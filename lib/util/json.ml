@@ -254,4 +254,3 @@ let to_str = function Str s -> Some s | _ -> None
 
 let to_list = function Arr xs -> Some xs | _ -> None
 
-let to_obj = function Obj kvs -> Some kvs | _ -> None

@@ -16,8 +16,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 when fewer than two samples. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** Smallest sample; [infinity] when empty. *)
 

@@ -1,9 +1,5 @@
 type sched_class = Rate_based | Delay_based
 
-let pp_sched_class ppf = function
-  | Rate_based -> Fmt.string ppf "rate-based"
-  | Delay_based -> Fmt.string ppf "delay-based"
-
 type link = {
   link_id : int;
   src : string;

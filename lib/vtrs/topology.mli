@@ -12,8 +12,6 @@ type sched_class =
   | Rate_based  (** e.g. core-stateless virtual clock (C̄S-VC), VC, WFQ *)
   | Delay_based  (** e.g. VT-EDF, RC-EDF *)
 
-val pp_sched_class : sched_class Fmt.t
-
 type link = {
   link_id : int;  (** dense index, unique within the domain *)
   src : string;  (** upstream router name *)
@@ -30,9 +28,6 @@ type t
 (** A domain: a set of named routers and directed links. *)
 
 val create : unit -> t
-
-val add_node : t -> string -> unit
-(** Idempotent. *)
 
 val add_link :
   t ->
@@ -108,9 +103,6 @@ val set_link_state : t -> link_id:int -> up:bool -> unit
 
 val link_is_up : t -> link_id:int -> bool
 (** Links start up; [false] after [set_link_state ~up:false]. *)
-
-val down_links : t -> link list
-(** Currently-failed links, in insertion order. *)
 
 val state_version : t -> int
 (** A counter bumped on every up/down transition — lets path caches detect

@@ -20,8 +20,5 @@ val profile : int -> Bbr_vtrs.Traffic.t
 
 val bound : int -> [ `Loose | `Tight ] -> float
 
-val pkt_bits : float
-(** 1500 bytes in bits. *)
-
 val all_bounds : float list
 (** The eight distinct delay bounds of the table, ascending. *)
