@@ -366,7 +366,7 @@ let run_statistical () =
 (* Scaling ablations: admission cost vs M, bounds vs path length. *)
 
 let run_scaling () =
-  section "Scaling: Figure-4 O(M) scan vs exact O(M^2) oracle";
+  section "Scaling: Figure-4 O(M) scan vs exact oracle";
   let mk_mixed n =
     let capacity = float_of_int n *. 12_000. *. 4. in
     let edf = [ Vtedf.create ~capacity; Vtedf.create ~capacity ] in

@@ -2,7 +2,25 @@ module Traffic = Bbr_vtrs.Traffic
 module Delay = Bbr_vtrs.Delay
 module Vtedf = Bbr_vtrs.Vtedf
 module Topology = Bbr_vtrs.Topology
-module Fp = Bbr_util.Fp
+
+(* {!Bbr_util.Fp}'s comparisons, restated so that they inline: the dev
+   profile compiles with -opaque, where every call into another module
+   boxes its float arguments, and the loops below compare per class.
+   Same formula, same tolerance. *)
+module Fp = struct
+  let[@inline] tol a b =
+    Bbr_util.Fp.default_eps *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
+
+  let[@inline] leq a b = a <= b +. tol a b
+
+  let[@inline] geq a b = a >= b -. tol a b
+
+  let[@inline] lt a b = a < b -. tol a b
+
+  let[@inline] gt a b = a > b +. tol a b
+
+  let[@inline] approx a b = Float.abs (a -. b) <= tol a b
+end
 
 type path_state = {
   hops : int;
@@ -75,16 +93,22 @@ let merge_breakpoints ps =
     map;
   { m; md; ms }
 
-(* Shared precomputation for [mixed] and [mixed_reference]. *)
-type mixed_ctx = {
+(* Shared precomputation for [mixed] and [mixed_reference].  The request's
+   constants sit in a float-only record, stored unboxed, so that the
+   per-interval loops read them without boxing. *)
+type consts = {
   tval : float;  (* t^nu *)
   xi : float;  (* Xi^nu *)
   lmax : float;
   rho : float;
   r_cap : float;  (* min(peak, cres) *)
+  ub_tail : float;  (* upper bound on r from breakpoints with d >= t; can be < 0 *)
+}
+
+type mixed_ctx = {
+  c : consts;
   mg : merged;
   n_lt : int;  (* number of breakpoints with d < t (index of interval count - 1) *)
-  ub_tail : float;  (* upper bound on r from breakpoints with d >= t; can be < 0 *)
 }
 
 let make_ctx ?bps ps (p : Traffic.t) ~dreq =
@@ -124,78 +148,85 @@ let make_ctx ?bps ps (p : Traffic.t) ~dreq =
     else
       Ok
         {
-          tval;
-          xi;
-          lmax = p.Traffic.lmax;
-          rho = p.Traffic.rho;
-          r_cap = Float.min p.Traffic.peak ps.cres;
+          c =
+            {
+              tval;
+              xi;
+              lmax = p.Traffic.lmax;
+              rho = p.Traffic.rho;
+              r_cap = Float.min p.Traffic.peak ps.cres;
+              ub_tail = !ub_tail;
+            };
           mg;
           n_lt;
-          ub_tail = !ub_tail;
         }
   end
 
 (* Interval j (0-based, j in [0, n_lt]) covers candidate delays
    [lo_j, hi_j) with lo_j = d^{j-1} (0 for j = 0) and hi_j = d^j
    (t for j = n_lt). *)
-let interval_lo ctx j = if j = 0 then 0. else ctx.mg.md.(j - 1)
+let[@inline] interval_lo ctx j = if j = 0 then 0. else ctx.mg.md.(j - 1)
 
-let interval_hi ctx j = if j = ctx.n_lt then ctx.tval else ctx.mg.md.(j)
+let[@inline] interval_hi ctx j = if j = ctx.n_lt then ctx.c.tval else ctx.mg.md.(j)
 
-(* Lower bound on r from flows with delay parameter in [hi_j, t):
-   r >= (Xi + lmax - S^k) / (t - d^k) for k in [j, n_lt). *)
-let del_lower ctx j =
-  let lb = ref 0. in
-  for k = j to ctx.n_lt - 1 do
-    let bound = (ctx.xi +. ctx.lmax -. ctx.mg.ms.(k)) /. (ctx.tval -. ctx.mg.md.(k)) in
-    if bound > !lb then lb := bound
+(* Lower bound on r from flows with delay parameter in [hi_j, t), for
+   every interval j at once: r >= (Xi + lmax - S^k) / (t - d^k) for k in
+   [j, n_lt), 0 when there is none.  One right-to-left pass, as a suffix
+   max: max is exact, and starting from +0 and replacing only on a strict
+   [>] gives the same bits as taking each interval's max on its own. *)
+let del_lower ctx =
+  let n = ctx.n_lt in
+  let lb = Array.make (n + 1) 0. in
+  for k = n - 1 downto 0 do
+    let bound = (ctx.c.xi +. ctx.c.lmax -. ctx.mg.ms.(k)) /. (ctx.c.tval -. ctx.mg.md.(k)) in
+    lb.(k) <- (if bound > lb.(k + 1) then bound else lb.(k + 1))
   done;
-  !lb
+  lb
 
 (* The corresponding published upper-bound term of eq. (11); vacuous for
    candidates inside interval j (see DESIGN.md) but kept as printed. *)
 let del_upper ctx j =
-  let ub = ref ctx.ub_tail in
+  let ub = ref ctx.c.ub_tail in
   for k = j to ctx.n_lt - 1 do
-    let bound = (ctx.xi +. ctx.lmax) /. (ctx.tval -. ctx.mg.md.(k)) in
+    let bound = (ctx.c.xi +. ctx.c.lmax) /. (ctx.c.tval -. ctx.mg.md.(k)) in
     if bound < !ub then ub := bound
   done;
   !ub
 
-let delay_for ctx rate = Float.max 0. (ctx.tval -. (ctx.xi /. rate))
+let delay_for ctx rate = Float.max 0. (ctx.c.tval -. (ctx.c.xi /. rate))
 
 (* Figure-4 scan: from the rightmost interval [m*] leftwards, maintaining
    the R_del edges incrementally — moving one interval left adds exactly
    one breakpoint's constraints, which keeps the whole scan O(M) as the
    paper claims.  Theorem 1 gives both the early-accept rule (the
    delay-constraint lower edge is globally minimal) and the early-reject
-   rule. *)
+   rule.  Returns the minimal rate, [nan] when no interval yields one; the
+   delay is [delay_for] of it. *)
 let mixed_scan ctx =
-  let candidate = ref None in
-  let result = ref None in
+  let rate = ref nan in
   let j = ref ctx.n_lt in
   let stop = ref false in
-  let del_l_run = ref 0. and del_r_run = ref ctx.ub_tail in
+  let del_l_run = ref 0. and del_r_run = ref ctx.c.ub_tail in
   while (not !stop) && !j >= 0 do
     (* Entering interval j brings breakpoint j (delays in [d^j, t)) into
        the constraint set. *)
     if !j < ctx.n_lt then begin
-      let gap = ctx.tval -. ctx.mg.md.(!j) in
-      del_l_run := Float.max !del_l_run ((ctx.xi +. ctx.lmax -. ctx.mg.ms.(!j)) /. gap);
-      del_r_run := Float.min !del_r_run ((ctx.xi +. ctx.lmax) /. gap)
+      let gap = ctx.c.tval -. ctx.mg.md.(!j) in
+      del_l_run := Float.max !del_l_run ((ctx.c.xi +. ctx.c.lmax -. ctx.mg.ms.(!j)) /. gap);
+      del_r_run := Float.min !del_r_run ((ctx.c.xi +. ctx.c.lmax) /. gap)
     end;
     let lo_d = interval_lo ctx !j and hi_d = interval_hi ctx !j in
     let fea_l =
       let from_interval =
-        if ctx.tval -. lo_d > 0. then ctx.xi /. (ctx.tval -. lo_d) else infinity
+        if ctx.c.tval -. lo_d > 0. then ctx.c.xi /. (ctx.c.tval -. lo_d) else infinity
       in
-      Float.max ctx.rho from_interval
+      Float.max ctx.c.rho from_interval
     in
     let fea_r =
-      if !j = ctx.n_lt then ctx.r_cap
-      else if ctx.tval -. hi_d > 0. then
-        Float.min ctx.r_cap (ctx.xi /. (ctx.tval -. hi_d))
-      else ctx.r_cap
+      if !j = ctx.n_lt then ctx.c.r_cap
+      else if ctx.c.tval -. hi_d > 0. then
+        Float.min ctx.c.r_cap (ctx.c.xi /. (ctx.c.tval -. hi_d))
+      else ctx.c.r_cap
     in
     let del_l = !del_l_run in
     let del_r = !del_r_run in
@@ -203,11 +234,12 @@ let mixed_scan ctx =
     if Fp.leq lo hi then begin
       if Fp.lt fea_l del_l then begin
         (* Theorem 1: r = r_del^{m,l} is the globally minimal rate. *)
-        result := Some (del_l, delay_for ctx del_l);
+        rate := del_l;
         stop := true
       end
       else begin
-        candidate := Some (fea_l, delay_for ctx fea_l);
+        (* The leftmost candidate so far. *)
+        rate := fea_l;
         decr j
       end
     end
@@ -218,71 +250,99 @@ let mixed_scan ctx =
          emptiness caused by the interval membership edge
          [xi / (t - d^{m-1})] alone is recoverable further left. *)
       let break_now =
-        Fp.gt del_l del_r || Fp.lt fea_r del_l || Fp.lt fea_r ctx.rho
+        Fp.gt del_l del_r || Fp.lt fea_r del_l || Fp.lt fea_r ctx.c.rho
       in
       if break_now then stop := true else decr j
     end
   done;
-  match !result with Some r -> Some r | None -> !candidate
+  !rate
 
 (* ------------------------------------------------------------------ *)
-(* Exact reference oracle: evaluate every constraint per interval.    *)
+(* Exact reference oracle: every constraint per interval.              *)
 
 (* Smallest delay in [lo, hi) at which a packet of size [lmax] meets the
    candidate's own schedulability constraint at scheduler [edf]
-   (residual_service >= lmax); the residual service is linear within the
-   interval. *)
+   (residual_service >= lmax), [nan] when there is none; the residual
+   service is linear within the interval. *)
 let own_delay_in edf ~lmax ~lo ~hi =
   let g0 = Vtedf.residual_service edf ~at:lo in
-  if Fp.geq g0 lmax then Some lo
+  if Fp.geq g0 lmax then lo
   else begin
     let slope = Vtedf.capacity edf -. Vtedf.rate_below edf ~at:lo in
-    if slope <= 0. then None
+    if slope <= 0. then nan
     else
       let d = lo +. ((lmax -. g0) /. slope) in
-      if d < hi then Some d else None
+      if d < hi then d else nan
   end
 
+(* The smallest delay [>= acc] in [lo, hi) that meets the own-deadline
+   constraint at every scheduler of [edfs], [nan] when there is none. *)
+let rec own_delay edfs ~lmax ~lo ~hi acc =
+  match edfs with
+  | [] -> acc
+  | edf :: rest ->
+      let d = own_delay_in edf ~lmax ~lo ~hi in
+      if Float.is_nan d then nan else own_delay rest ~lmax ~lo ~hi (Float.max acc d)
+
+(* Interval j admits the least rate [r_lo_j = max (rho, xi / (t - dlo),
+   del_lower_j)], where [dlo] is the least delay in [lo_j, hi_j) meeting
+   the candidate's own deadline at every scheduler, provided [Fp.leq
+   r_lo_j r_hi_j]; the answer is the first interval's of least rate.
+   Evaluating every interval costs O(M^2 H).  This scan is O(M) in
+   practice: [del_lower] of every interval in one pass, and the
+   own-deadline search ([own_delay], O(M H)) only on intervals that can
+   still win.
+
+   [lb_j = max (rho, xi / (t - lo_j), del_lower_j)] is [<= r_lo_j] in
+   floats: [dlo >= lo_j], and subtraction, division and [Float.max] round
+   monotonically.  So interval j is skipped when an earlier interval's
+   rate is [<= lb_j] (it cannot replace the first minimum), or when
+   [Fp.leq lb_j r_hi_j] fails.  [Fp.leq a b] is [a <= b + eps max (1, |a|,
+   |b|)], and [a - eps max (1, |a|, |b|)] strictly increases with [a], so
+   it fails for [r_lo_j] too.  Rounding cannot undo that: the right side
+   moves with [a] by only about [eps] per unit of [a], at most one
+   rounding step between two floats an ulp apart, and two distinct floats
+   failing and passing would need two.
+
+   The tests keep the per-interval loop as the specification and check
+   this scan against it bit for bit. *)
 let mixed_reference_scan ps ctx =
-  let best = ref None in
-  for j = 0 to ctx.n_lt do
+  let n = ctx.n_lt in
+  let del_lower = del_lower ctx in
+  let found = ref false and best = ref 0. in
+  for j = 0 to n do
     let lo_d = interval_lo ctx j and hi_d = interval_hi ctx j in
-    (* Own-deadline constraint at each delay-based scheduler. *)
-    let d_own =
-      List.fold_left
-        (fun acc edf ->
-          match acc with
-          | None -> None
-          | Some d -> (
-              match own_delay_in edf ~lmax:ctx.lmax ~lo:lo_d ~hi:hi_d with
-              | None -> None
-              | Some d' -> Some (Float.max d d')))
-        (Some lo_d) ps.edf
+    let r_hi =
+      let from_interval =
+        if j = n then infinity
+        else if ctx.c.tval -. hi_d > 0. then ctx.c.xi /. (ctx.c.tval -. hi_d)
+        else infinity
+      in
+      Float.min ctx.c.r_cap (Float.min ctx.c.ub_tail from_interval)
     in
-    match d_own with
-    | None -> ()
-    | Some dlo ->
+    let lb =
+      let from_delay =
+        if ctx.c.tval -. lo_d > 0. then ctx.c.xi /. (ctx.c.tval -. lo_d) else infinity
+      in
+      Float.max ctx.c.rho (Float.max from_delay del_lower.(j))
+    in
+    if (not (!found && !best <= lb)) && Fp.leq lb r_hi then begin
+      let dlo = own_delay ps.edf ~lmax:ctx.c.lmax ~lo:lo_d ~hi:hi_d lo_d in
+      if not (Float.is_nan dlo) then begin
         let r_lo =
           let from_delay =
-            if ctx.tval -. dlo > 0. then ctx.xi /. (ctx.tval -. dlo) else infinity
+            if ctx.c.tval -. dlo > 0. then ctx.c.xi /. (ctx.c.tval -. dlo) else infinity
           in
-          Float.max ctx.rho (Float.max from_delay (del_lower ctx j))
+          Float.max ctx.c.rho (Float.max from_delay del_lower.(j))
         in
-        let r_hi =
-          let from_interval =
-            if j = ctx.n_lt then infinity
-            else if ctx.tval -. hi_d > 0. then ctx.xi /. (ctx.tval -. hi_d)
-            else infinity
-          in
-          Float.min ctx.r_cap (Float.min ctx.ub_tail from_interval)
-        in
-        if Fp.leq r_lo r_hi then begin
-          match !best with
-          | Some (r, _) when r <= r_lo -> ()
-          | _ -> best := Some (r_lo, delay_for ctx r_lo)
+        if Fp.leq r_lo r_hi && not (!found && !best <= r_lo) then begin
+          found := true;
+          best := r_lo
         end
+      end
+    end
   done;
-  !best
+  if !found then Some (!best, delay_for ctx !best) else None
 
 let classify_reject ps (p : Traffic.t) ctx =
   (* Distinguish "never admissible on this path" from load-dependent
@@ -296,35 +356,34 @@ let classify_reject ps (p : Traffic.t) ctx =
       0. ps.edf
   in
   if
-    ctx.tval <= d_floor
-    || Fp.gt (ctx.xi /. (ctx.tval -. d_floor)) p.Traffic.peak
+    ctx.c.tval <= d_floor
+    || Fp.gt (ctx.c.xi /. (ctx.c.tval -. d_floor)) p.Traffic.peak
   then Types.Delay_unachievable
   else if Fp.lt ps.cres p.Traffic.rho then Types.Insufficient_bandwidth
   else Types.Not_schedulable
 
+let reference ps p ctx =
+  match mixed_reference_scan ps ctx with
+  | Some pair -> Ok pair
+  | None -> Error (classify_reject ps p ctx)
+
 let mixed_reference ?bps ps p ~dreq =
   match make_ctx ?bps ps p ~dreq with
   | Error e -> Error e
-  | Ok ctx -> (
-      match mixed_reference_scan ps ctx with
-      | Some pair -> Ok pair
-      | None -> Error (classify_reject ps p ctx))
+  | Ok ctx -> reference ps p ctx
 
+(* The Figure-4 formulas omit the candidate's own-deadline constraint, so
+   the scan's pair can fail the exact check, and the scan can find none
+   where one exists: both fall back to the oracle, on the same context. *)
 let mixed ?bps ps p ~dreq =
   match make_ctx ?bps ps p ~dreq with
   | Error e -> Error e
-  | Ok ctx -> (
-      let fallback () = mixed_reference ?bps ps p ~dreq in
-      match mixed_scan ctx with
-      | Some (rate, delay) ->
-          if schedulable ps ~rate ~delay ~lmax:p.Traffic.lmax then Ok (rate, delay)
-          else fallback ()
-      | None -> (
-          (* The Figure-4 formulas can be conservative in corner cases
-             (own-deadline constraint): double-check with the oracle. *)
-          match fallback () with
-          | Ok pair -> Ok pair
-          | Error _ -> Error (classify_reject ps p ctx)))
+  | Ok ctx ->
+      let rate = mixed_scan ctx in
+      let delay = delay_for ctx rate in
+      if (not (Float.is_nan rate)) && schedulable ps ~rate ~delay ~lmax:ctx.c.lmax then
+        Ok (rate, delay)
+      else reference ps p ctx
 
 type interval_view = {
   index : int;
@@ -340,17 +399,18 @@ let intervals ?bps ps p ~dreq =
   match make_ctx ?bps ps p ~dreq with
   | Error _ -> []
   | Ok ctx ->
+      let del_lower = del_lower ctx in
       List.init (ctx.n_lt + 1) (fun j ->
           let lo_d = interval_lo ctx j and hi_d = interval_hi ctx j in
           let fea_l =
-            Float.max ctx.rho
-              (if ctx.tval -. lo_d > 0. then ctx.xi /. (ctx.tval -. lo_d) else infinity)
+            Float.max ctx.c.rho
+              (if ctx.c.tval -. lo_d > 0. then ctx.c.xi /. (ctx.c.tval -. lo_d) else infinity)
           in
           let fea_r =
-            if j = ctx.n_lt then ctx.r_cap
-            else if ctx.tval -. hi_d > 0. then
-              Float.min ctx.r_cap (ctx.xi /. (ctx.tval -. hi_d))
-            else ctx.r_cap
+            if j = ctx.n_lt then ctx.c.r_cap
+            else if ctx.c.tval -. hi_d > 0. then
+              Float.min ctx.c.r_cap (ctx.c.xi /. (ctx.c.tval -. hi_d))
+            else ctx.c.r_cap
           in
           {
             index = j + 1;
@@ -358,7 +418,7 @@ let intervals ?bps ps p ~dreq =
             d_hi = hi_d;
             fea_l;
             fea_r;
-            del_l = del_lower ctx j;
+            del_l = del_lower.(j);
             del_r = del_upper ctx j;
           })
 

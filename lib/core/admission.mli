@@ -10,9 +10,11 @@
       (Section 3.2, Figure 4): an O(M) scan over the [M] distinct delay
       values supported by the delay-based schedulers of the path, returning
       a rate–delay pair with the minimal feasible rate.
-    - {!mixed_reference} — an exact oracle that evaluates the VT-EDF
-      schedulability condition (eq. (5)) directly on every delay interval;
-      used to cross-validate {!mixed} and as a fallback.
+    - {!mixed_reference} — an exact oracle that adds the candidate's
+      own-deadline constraint of the VT-EDF schedulability condition
+      (eq. (5)) to every delay interval; {!mixed}'s fallback.  Also O(M)
+      in practice: it searches for the own deadline only on the intervals
+      whose cheap lower bound can still win.
 
     All tests are pure with respect to the MIBs: they never mutate
     reservation state. *)
@@ -60,12 +62,16 @@ val mixed :
   (float * float, Types.reject_reason) result
 (** Figure-4 algorithm: [(rate, delay)] with minimal [rate] on a mixed
     path.  Any returned pair is re-validated against the exact
-    schedulability condition; on the rare disagreement (the published
-    interval formulas omit the candidate's own-deadline constraint) the
-    result of {!mixed_reference} is returned instead.  [?bps] supplies a
-    pre-merged breakpoint table (from {!Admission_cache}); when absent the
-    table is rebuilt via {!merge_breakpoints}.  Raises [Invalid_argument]
-    when the path has no delay-based hop. *)
+    schedulability condition.  The published interval formulas omit the
+    candidate's own-deadline constraint, so the pair can fail it, and the
+    scan can find no pair where one exists; then the result of
+    {!mixed_reference} is returned instead.  That is not rare: on the
+    [mesh-perflow] benchmark 28 896 of 41 616 calls (69%, seed 1) fall
+    back, as do a quarter of the crowded populations its tests draw.
+    [?bps] supplies a pre-merged breakpoint table (from
+    {!Admission_cache}); when absent the table is rebuilt via
+    {!merge_breakpoints}.  Raises [Invalid_argument] when the path has no
+    delay-based hop. *)
 
 val mixed_reference :
   ?bps:merged ->
@@ -73,7 +79,11 @@ val mixed_reference :
   Bbr_vtrs.Traffic.t ->
   dreq:float ->
   (float * float, Types.reject_reason) result
-(** Exact reference implementation (see module doc). *)
+(** The exact oracle (see module doc): the minimal rate over every
+    interval's constraints, the candidate's own deadline at every
+    scheduler included, and the first interval's pair at that rate.  Bit
+    for bit the answer of evaluating every interval, which costs
+    O(M{^2} H); the tests keep that loop as its specification. *)
 
 val admit :
   ?bps:merged ->

@@ -1,4 +1,5 @@
 module Topology = Bbr_vtrs.Topology
+module Vtedf = Bbr_vtrs.Vtedf
 
 type kind =
   | Leaked_bandwidth
@@ -10,6 +11,7 @@ type kind =
   | Sla_mismatch
   | Stranded_segment
   | Orphan_prepare
+  | Unschedulable_link
 
 let kind_label = function
   | Leaked_bandwidth -> "leaked_bandwidth"
@@ -21,6 +23,7 @@ let kind_label = function
   | Sla_mismatch -> "sla_mismatch"
   | Stranded_segment -> "stranded_segment"
   | Orphan_prepare -> "orphan_prepare"
+  | Unschedulable_link -> "unschedulable_link"
 
 type violation = { kind : kind; subject : string; detail : string }
 
@@ -240,6 +243,25 @@ let lease_violations ?(now = 0.) leases broker =
               })
     leases
 
+(* Every delay-based link must still satisfy eq. (5) over the flows booked
+   on it: admission may only book a pair the exact check accepts. *)
+let schedulability_violations broker =
+  let nm = Broker.node_mib broker in
+  List.filter_map
+    (fun (l : Topology.link) ->
+      match (Node_mib.entry nm ~link_id:l.Topology.link_id).Node_mib.edf with
+      | Some edf when not (Vtedf.schedulable edf) ->
+          Some
+            {
+              kind = Unschedulable_link;
+              subject = Printf.sprintf "link %d" l.Topology.link_id;
+              detail =
+                Printf.sprintf "%d flows in %d delay classes at %.6g b/s violate eq. (5)"
+                  (Vtedf.flow_count edf) (Vtedf.class_count edf) (Vtedf.total_rate edf);
+            }
+      | _ -> None)
+    (Topology.links (Broker.topology broker))
+
 let check ?(eps = default_eps) ?now ?(leases = []) broker =
   if Obs_log.active () then Obs_log.count "bb_audit_runs_total";
   let { delta; orphans } = reconcile ~eps broker in
@@ -289,6 +311,7 @@ let check ?(eps = default_eps) ?now ?(leases = []) broker =
     @ membership_violations broker
     @ accounting_violations ~eps broker
     @ lease_violations ?now leases broker
+    @ schedulability_violations broker
   in
   List.iter count_violation violations;
   {

@@ -5,7 +5,8 @@
     path, every link's reserved rate must equal the sum of the flows and
     macroflows crossing it, and the aggregate owner/member tables must
     agree.  This module cross-checks flow MIB ⇄ path MIB ⇄ per-link
-    reserved-rate bookkeeping, reports violations (and counts them on the
+    reserved-rate bookkeeping, checks that every delay-based link is
+    still schedulable, reports violations (and counts them on the
     [bb_audit_violations_total{kind}] metric), and can repair the
     reconcilable ones — releasing leaked bandwidth, re-reserving missing
     bandwidth, dropping orphan records.
@@ -43,6 +44,10 @@ type kind =
           no coordinator transaction claiming it (lost BOOKED reply or a
           coordinator crash before the begin record survived); the reap
           sweep should have torn it down *)
+  | Unschedulable_link
+      (** a delay-based link whose booked flows violate eq. (5)
+          ({!Bbr_vtrs.Vtedf.schedulable} is false): admission let
+          through a pair the exact check refuses.  Not repairable. *)
 
 val kind_label : kind -> string
 (** Metric label value: ["leaked_bandwidth"], ["orphan_flow"], ... *)

@@ -1,7 +1,6 @@
 type flow_stats = {
   received : int;
   max_e2e : float;
-  sum_e2e : float;
   max_core : float;
   max_edge : float;
 }
@@ -14,7 +13,6 @@ let empty_stats =
   {
     received = 0;
     max_e2e = neg_infinity;
-    sum_e2e = 0.;
     max_core = neg_infinity;
     max_edge = neg_infinity;
   }
@@ -35,7 +33,6 @@ let receive t pkt =
     {
       received = prev.received + 1;
       max_e2e = Float.max prev.max_e2e e2e;
-      sum_e2e = prev.sum_e2e +. e2e;
       max_core = Float.max prev.max_core core;
       max_edge = Float.max prev.max_edge edge;
     };

@@ -4,7 +4,6 @@
 type flow_stats = {
   received : int;
   max_e2e : float;  (** max (arrival - born): source-to-egress delay *)
-  sum_e2e : float;
   max_core : float;  (** max (arrival - edge_exit): delay across the core *)
   max_edge : float;  (** max (edge_exit - born): delay in the edge shaper *)
 }

@@ -1,4 +1,15 @@
-module Fp = Bbr_util.Fp
+(* {!Bbr_util.Fp}'s comparisons, restated so that they inline: the dev
+   profile compiles with -opaque, where every call into another module
+   boxes its float arguments, and the checks below compare per class.
+   Same formula, same tolerance. *)
+module Fp = struct
+  let[@inline] tol a b =
+    Bbr_util.Fp.default_eps *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
+
+  let[@inline] leq a b = a <= b +. tol a b
+
+  let[@inline] geq a b = a >= b -. tol a b
+end
 
 type klass = {
   delay : float;
@@ -302,6 +313,13 @@ let schedulable t =
        !ok
      end
 
+(* The candidate's own constraint at [delay], a point strictly inside the
+   segment beginning at [prev]: demand grows linearly there, with no jump
+   at [delay] itself. *)
+let[@inline] own_ok t ~delay ~lmax demand rate_sum prev =
+  let at_delay = demand +. (rate_sum *. (delay -. prev)) in
+  Fp.geq ((t.cap *. delay) -. at_delay) lmax
+
 (* Single linear pass: walk the classes accumulating the demand, checking
    the candidate's own constraint at [t = delay] and the eq.-(5) constraint
    at every breakpoint >= [delay].  When [delay] coincides with a
@@ -310,12 +328,6 @@ let schedulable t =
 let can_admit t ~rate ~delay ~lmax =
   Fp.leq (t.total +. rate) t.cap
   && begin
-       (* Own constraint at a point strictly inside the segment beginning at
-          [prev]: demand grows linearly, no jump at [delay] itself. *)
-       let own_ok demand rate_sum prev =
-         let at_delay = demand +. (rate_sum *. (delay -. prev)) in
-         Fp.geq ((t.cap *. delay) -. at_delay) lmax
-       in
        let demand = ref 0. and rsum = ref 0. and prev = ref 0. in
        let own_done = ref false in
        let ok = ref true in
@@ -323,7 +335,7 @@ let can_admit t ~rate ~delay ~lmax =
        while !ok && !i < t.n do
          let dd = t.delays.(!i) in
          if (not !own_done) && dd > delay then
-           if own_ok !demand !rsum !prev then own_done := true
+           if own_ok t ~delay ~lmax !demand !rsum !prev then own_done := true
            else ok := false
          else begin
            let dm = !demand +. (!rsum *. (dd -. !prev)) +. t.lmaxs.(!i) in
@@ -338,7 +350,7 @@ let can_admit t ~rate ~delay ~lmax =
            else ok := false
          end
        done;
-       !ok && (!own_done || own_ok !demand !rsum !prev)
+       !ok && (!own_done || own_ok t ~delay ~lmax !demand !rsum !prev)
      end
 
 (* [residual_service] is piecewise linear in [at] with non-negative slope

@@ -288,6 +288,159 @@ let prop_oracle_rate_not_improvable =
                  Admission.schedulable ps ~rate:smaller ~delay:d ~lmax:12_000.)
                [ 0.; 0.25; 0.5; 0.75; 1. ]))
 
+(* ------------------------------------------------------------------ *)
+(* The exact oracle's specification: every constraint evaluated on every
+   interval, the own-deadline search included — O(M^2 H).  The library's
+   {!Admission.mixed_reference} prunes intervals that cannot win and must
+   agree with this bit for bit. *)
+
+module Fp = Bbr_util.Fp
+
+let naive_reference (ps : Admission.path_state) (p : Traffic.t) ~dreq =
+  let dh = float_of_int ps.Admission.delay_hops in
+  let ton = Traffic.t_on p in
+  let tval = (dreq -. ps.Admission.d_tot +. ton) /. dh in
+  let lmax = p.Traffic.lmax in
+  if tval <= 0. then Error Types.Delay_unachievable
+  else
+    let xi =
+      ((ton *. p.Traffic.peak) +. (float_of_int (ps.Admission.rate_hops + 1) *. lmax)) /. dh
+    in
+    let { Admission.m; md; ms } = Admission.merge_breakpoints ps in
+    let n_lt = Array.fold_left (fun c d -> if d < tval then c + 1 else c) 0 (Array.sub md 0 m) in
+    let ub_tail = ref infinity and feasible = ref true in
+    for k = n_lt to m - 1 do
+      if Fp.approx md.(k) tval then begin
+        if Fp.lt ms.(k) (xi +. lmax) then feasible := false
+      end
+      else
+        let bound = (ms.(k) -. xi -. lmax) /. (md.(k) -. tval) in
+        if bound < !ub_tail then ub_tail := bound
+    done;
+    if not !feasible then Error Types.Not_schedulable
+    else begin
+      let r_cap = Float.min p.Traffic.peak ps.Admission.cres in
+      let del_lower j =
+        let lb = ref 0. in
+        for k = j to n_lt - 1 do
+          let bound = (xi +. lmax -. ms.(k)) /. (tval -. md.(k)) in
+          if bound > !lb then lb := bound
+        done;
+        !lb
+      in
+      let own_delay_in edf ~lo ~hi =
+        let g0 = Vtedf.residual_service edf ~at:lo in
+        if Fp.geq g0 lmax then Some lo
+        else
+          let slope = Vtedf.capacity edf -. Vtedf.rate_below edf ~at:lo in
+          if slope <= 0. then None
+          else
+            let d = lo +. ((lmax -. g0) /. slope) in
+            if d < hi then Some d else None
+      in
+      let best = ref None in
+      for j = 0 to n_lt do
+        let lo_d = if j = 0 then 0. else md.(j - 1) in
+        let hi_d = if j = n_lt then tval else md.(j) in
+        let d_own =
+          List.fold_left
+            (fun acc edf ->
+              match acc with
+              | None -> None
+              | Some d -> (
+                  match own_delay_in edf ~lo:lo_d ~hi:hi_d with
+                  | None -> None
+                  | Some d' -> Some (Float.max d d')))
+            (Some lo_d) ps.Admission.edf
+        in
+        match d_own with
+        | None -> ()
+        | Some dlo ->
+            let r_lo =
+              let from_delay = if tval -. dlo > 0. then xi /. (tval -. dlo) else infinity in
+              Float.max p.Traffic.rho (Float.max from_delay (del_lower j))
+            in
+            let r_hi =
+              let from_interval =
+                if j = n_lt then infinity
+                else if tval -. hi_d > 0. then xi /. (tval -. hi_d)
+                else infinity
+              in
+              Float.min r_cap (Float.min !ub_tail from_interval)
+            in
+            if Fp.leq r_lo r_hi then begin
+              match !best with
+              | Some (r, _) when r <= r_lo -> ()
+              | _ -> best := Some (r_lo, Float.max 0. (tval -. (xi /. r_lo)))
+            end
+      done;
+      match !best with
+      | Some pair -> Ok pair
+      | None ->
+          let d_floor =
+            List.fold_left
+              (fun acc edf -> Float.max acc (lmax /. Vtedf.capacity edf))
+              0. ps.Admission.edf
+          in
+          if tval <= d_floor || Fp.gt (xi /. (tval -. d_floor)) p.Traffic.peak then
+            Error Types.Delay_unachievable
+          else if Fp.lt ps.Admission.cres p.Traffic.rho then Error Types.Insufficient_bandwidth
+          else Error Types.Not_schedulable
+    end
+
+(* Populations where the Figure-4 scan's pair often fails the exact check,
+   so that [mixed] falls back to the oracle: 50-250 flows of small rates
+   with continuous (hence distinct) delays.  Each flow crosses its own
+   subset of the delay-based hops (bit i of its mask: hop i), so the hops'
+   residual curves differ, as on a mesh, and the own-deadline search can
+   fail at one hop inside an interval another hop's breakpoints bound. *)
+let crowded_state_gen =
+  QCheck.Gen.(
+    let* q = int_range 0 4 in
+    let* dq = int_range 1 3 in
+    let* n_flows = int_range 50 250 in
+    let* flows =
+      list_repeat n_flows
+        (quad (float_range 500. 6_000.) (float_range 0.001 1.5) (float_range 100. 12_000.)
+           (int_range 1 7))
+    in
+    let* dreq = float_range 0.5 4. in
+    return (q, dq, flows, dreq))
+
+let build_crowded (q, dq, flows, _dreq) =
+  let capacity = 1.5e6 in
+  let edf = List.init dq (fun _ -> Vtedf.create ~capacity) in
+  List.iter
+    (fun (rate, delay, lmax, mask) ->
+      let hops = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) edf in
+      if hops <> [] && List.for_all (fun s -> Vtedf.can_admit s ~rate ~delay ~lmax) hops then
+        List.iter (fun s -> Vtedf.add s ~rate ~delay ~lmax) hops)
+    flows;
+  let cres =
+    List.fold_left (fun acc s -> Float.min acc (capacity -. Vtedf.total_rate s)) capacity edf
+  in
+  mk_state ~q ~dq ~cres ~edf ()
+
+let arb_crowded =
+  QCheck.make
+    ~print:(fun ((q, dq, flows, dreq), p) ->
+      Fmt.str "q=%d dq=%d flows=%d dreq=%h profile=%a" q dq (List.length flows) dreq
+        Traffic.pp p)
+    QCheck.Gen.(pair crowded_state_gen (oneof [ return type0; Gen.profile_gen ]))
+
+let prop_oracle_matches_spec =
+  QCheck.Test.make ~name:"oracle: bit for bit the naive per-interval spec" ~count:1000
+    arb_crowded (fun (((_, _, _, dreq) as spec), p) ->
+      let ps = build_crowded spec in
+      let bits (r, d) = (Int64.bits_of_float r, Int64.bits_of_float d) in
+      match (Admission.mixed_reference ps p ~dreq, naive_reference ps p ~dreq) with
+      | Ok a, Ok b -> bits a = bits b
+      | Error a, Error b -> a = b
+      | Ok (r, d), Error e ->
+          QCheck.Test.fail_reportf "oracle (%h, %h), spec %a" r d Types.pp_reject_reason e
+      | Error e, Ok (r, d) ->
+          QCheck.Test.fail_reportf "oracle %a, spec (%h, %h)" Types.pp_reject_reason e r d)
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
@@ -298,6 +451,7 @@ let () =
         prop_mixed_matches_oracle_any_profile;
         prop_oracle_sound;
         prop_oracle_rate_not_improvable;
+        prop_oracle_matches_spec;
       ]
   in
   Alcotest.run "admission"

@@ -8,6 +8,9 @@ module Types = Bbr_broker.Types
 module Broker = Bbr_broker.Broker
 module Journal = Bbr_broker.Journal
 module Path_mib = Bbr_broker.Path_mib
+module Node_mib = Bbr_broker.Node_mib
+module Routing = Bbr_broker.Routing
+module Admission = Bbr_broker.Admission
 module Admission_cache = Bbr_broker.Admission_cache
 module Audit = Bbr_broker.Audit
 module Snapshot = Bbr_broker.Snapshot
@@ -19,6 +22,7 @@ module Dynamic = Bbr_workload.Dynamic
 module Aggregate = Bbr_broker.Aggregate
 module Prng = Bbr_util.Prng
 module Engine = Bbr_netsim.Engine
+module Traffic = Bbr_vtrs.Traffic
 
 (* ------------------------------------------------------------------ *)
 (* VT-EDF flat-state regressions *)
@@ -617,6 +621,110 @@ let test_append_cost () =
   Alcotest.(check int) "every record on disk" (2 * records) (Journal.records_on_disk j)
 
 (* ------------------------------------------------------------------ *)
+(* Admission allocation *)
+
+(* Minor words per call of [f], after one warm-up call. *)
+let words_per_call f =
+  let calls = 64 in
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+(* [dq] 1.5 Mb/s VT-EDF hops behind 3 rate-based ones, each holding the
+   same [m] flows of 2 kb/s at distinct delays 6 ms apart. *)
+let crowded_path ~m ~dq =
+  let capacity = 1.5e6 in
+  let edf = List.init dq (fun _ -> Vtedf.create ~capacity) in
+  for i = 0 to m - 1 do
+    let rate = 2_000. and delay = 0.02 +. (0.006 *. float_of_int i) and lmax = 4_000. in
+    if not (List.for_all (fun s -> Vtedf.can_admit s ~rate ~delay ~lmax) edf) then
+      Alcotest.failf "flow %d does not fit" i;
+    List.iter (fun s -> Vtedf.add s ~rate ~delay ~lmax) edf
+  done;
+  {
+    Admission.hops = 3 + dq;
+    rate_hops = 3;
+    delay_hops = dq;
+    d_tot = float_of_int (3 + dq) *. (12_000. /. capacity);
+    cres = capacity -. (float_of_int m *. 2_000.);
+    edf;
+  }
+
+let type0 = Traffic.make ~sigma:60_000. ~rho:50_000. ~peak:100_000. ~lmax:12_000.
+
+(* The exact check walks every class without allocating per class. *)
+let test_can_admit_words_flat () =
+  let words m =
+    let edf = List.hd (crowded_path ~m ~dq:1).Admission.edf in
+    (* Below every class: the candidate meets each breakpoint. *)
+    let check () = Vtedf.can_admit edf ~rate:50_000. ~delay:0.01 ~lmax:12_000. in
+    Alcotest.(check bool) (Printf.sprintf "admissible at M = %d" m) true (check ());
+    words_per_call check
+  in
+  Alcotest.(check (float 0.)) "words at M = 200 equal words at M = 10" (words 10) (words 200)
+
+(* A decision that reaches the exact oracle costs O(M) words: its one
+   table of per-interval bounds and a constant.  At dreq 1.7 the Figure-4
+   pair fails the exact check and the oracle admits at the own-deadline
+   floor lmax/C; with the residual below rho no pair exists, and any
+   rejection past a non-empty interval table comes from the oracle. *)
+let test_fallback_words_linear () =
+  let m = 200 and dreq = 1.7 in
+  let ps = crowded_path ~m ~dq:2 in
+  let bps = Admission.merge_breakpoints ps in
+  let budget = float_of_int ((2 * m) + 64) in
+  let within name ps =
+    let w = words_per_call (fun () -> Admission.mixed ~bps ps type0 ~dreq) in
+    if w >= budget then
+      Alcotest.failf "%s: %.0f words a decision at M = %d (budget %.0f)" name w m budget
+  in
+  (match Admission.mixed ~bps ps type0 ~dreq with
+  | Ok (_, delay) ->
+      Alcotest.(check (float 1e-12)) "delay at the own-deadline floor" (12_000. /. 1.5e6) delay
+  | Error e -> Alcotest.failf "rejected: %a" Types.pp_reject_reason e);
+  within "admit" ps;
+  let starved = { ps with Admission.cres = 40_000. } in
+  Alcotest.(check bool) "interval table" true (Admission.intervals ~bps starved type0 ~dreq <> []);
+  (match Admission.mixed ~bps starved type0 ~dreq with
+  | Error Types.Insufficient_bandwidth -> ()
+  | _ -> Alcotest.fail "expected a bandwidth rejection");
+  within "reject" starved
+
+(* A routing memo miss allocates the path it returns and its memo entry,
+   not search arrays the size of the topology: every edge-to-edge pair of
+   the 128-node regional mesh, the memo emptied by a flap, picks the route
+   a fresh search picks. *)
+let test_routing_miss_words () =
+  let topo =
+    Topo_gen.regions (Prng.create ~seed:1) ~regions:8 ~nodes_per_region:16
+      ~delay_fraction:0.5 ()
+  in
+  let nodes = Array.of_list (Topo_gen.leaves topo) in
+  let routing = Routing.create topo (Path_mib.create (Node_mib.create topo)) in
+  let pairs f = Array.iter (fun a -> Array.iter (fun b -> if a <> b then f a b) nodes) nodes in
+  let route a b = Routing.path routing ~ingress:a ~egress:b in
+  pairs (fun a b -> ignore (route a b));
+  let link = (List.hd (Topology.links topo)).Topology.link_id in
+  Topology.set_link_state topo ~link_id:link ~up:false;
+  Topology.set_link_state topo ~link_id:link ~up:true;
+  let misses = ref 0 in
+  let w0 = Gc.minor_words () in
+  pairs (fun a b ->
+      incr misses;
+      ignore (route a b));
+  let words = (Gc.minor_words () -. w0) /. float_of_int !misses in
+  let n = Topology.num_nodes topo in
+  if words >= float_of_int n then
+    Alcotest.failf "%.1f words a memo miss on %d nodes" words n;
+  pairs (fun a b ->
+      let memo = Option.map (fun (i : Path_mib.info) -> i.Path_mib.links) (route a b) in
+      if memo <> Routing.shortest_path topo ~ingress:a ~egress:b then
+        Alcotest.failf "%s -> %s: memoized route differs from a fresh search" a b)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let props =
@@ -635,6 +743,12 @@ let () =
             test_tolerant_class_match;
           Alcotest.test_case "breakpoints_into = breakpoints" `Quick
             test_breakpoints_into_matches_list;
+          Alcotest.test_case "can_admit words flat in M" `Quick test_can_admit_words_flat;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "oracle fallback words linear in M" `Quick
+            test_fallback_words_linear;
         ] );
       ( "cache",
         [
@@ -656,6 +770,8 @@ let () =
         ] );
       ( "path_mib",
         [ Alcotest.test_case "find by id" `Quick test_path_mib_find ] );
+      ( "routing",
+        [ Alcotest.test_case "memo miss words below nodes" `Quick test_routing_miss_words ] );
       ( "journal",
         [ Alcotest.test_case "admit append cost fixed" `Quick test_append_cost ] );
       ("properties", props);

@@ -96,7 +96,7 @@ let arb_flow_spec =
 let prop_conservative_never_beats_oracle =
   (* Whatever the conservative O(1) bound admits, the exact test agrees:
      the reservation satisfies the VT-EDF schedulability condition and the
-     exact O(M^2) oracle also finds the flow placeable. *)
+     exact oracle also finds the flow placeable. *)
   QCheck.Test.make ~count:300 ~name:"conservative admit implies exact admit"
     arb_flow_spec
     (fun (sigma, rho, peak, lmax, dreq, booked) ->

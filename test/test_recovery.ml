@@ -460,6 +460,27 @@ let test_audit_repair_is_stable () =
   Alcotest.(check bool) "still clean" true (Audit.ok remaining);
   Alcotest.(check string) "state untouched" digest (Audit.mib_digest broker)
 
+(* A delay class booked past the exact check: at t = 1 ms the link serves
+   1 500 bits against a 12 000-bit packet due.  Nothing repairs it. *)
+let test_audit_detects_unschedulable_link () =
+  let topo = Topology.create () in
+  ignore (Topology.add_link topo ~src:"A" ~dst:"B" ~capacity:1.5e6 Topology.Delay_based);
+  let broker = Broker.create topo in
+  (match Broker.request broker (req ~dreq:2.44 ()) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "rejected: %a" Types.pp_reject_reason e);
+  let clean = Audit.check broker in
+  if not (Audit.ok clean) then Alcotest.failf "expected a clean audit: %a" Audit.pp_report clean;
+  (match (Node_mib.entry (Broker.node_mib broker) ~link_id:0).Node_mib.edf with
+  | Some edf -> Bbr_vtrs.Vtedf.add edf ~rate:1_000. ~delay:0.001 ~lmax:12_000.
+  | None -> Alcotest.fail "expected a delay-based link");
+  let kinds r = List.map (fun (v : Audit.violation) -> v.Audit.kind) r.Audit.violations in
+  Alcotest.(check bool) "detected" true
+    (kinds (Audit.check broker) = [ Audit.Unschedulable_link ]);
+  let { Audit.remaining; _ } = Audit.repair broker in
+  Alcotest.(check bool) "still reported after repair" true
+    (List.mem Audit.Unschedulable_link (kinds remaining))
+
 (* ------------------------------------------------------------------ *)
 (* Fuzz: the recovery decoders never raise *)
 
@@ -684,6 +705,8 @@ let () =
             test_audit_detects_and_repairs_orphan;
           Alcotest.test_case "repair is stable on clean state" `Quick
             test_audit_repair_is_stable;
+          Alcotest.test_case "detects an unschedulable link" `Quick
+            test_audit_detects_unschedulable_link;
         ] );
       ( "fuzz",
         [
