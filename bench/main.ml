@@ -960,8 +960,9 @@ let run_overload_bench () =
   Fmt.pr "@.wrote BENCH_overload.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Fast-path admission throughput: the incremental per-path caches vs
-   rebuilding path state and the merged breakpoint table per request.
+(* Fast-path admission throughput: the cached per-link and per-path
+   breakpoint tables vs building path state and the merged table per
+   request.
    Writes BENCH_admission_throughput.json. *)
 
 module Topo_gen = Bbr_workload.Topo_gen
@@ -969,7 +970,7 @@ module Audit = Bbr_broker.Audit
 module Prng = Bbr_util.Prng
 
 let run_admission_throughput () =
-  section "Admission throughput: incremental fast path vs per-request rebuild";
+  section "Admission throughput: cached fast path vs per-request rebuild";
   let scale =
     match Sys.getenv_opt "BBR_BENCH_SCALE" with
     | Some s -> ( try max 1 (int_of_string s) with _ -> 1)

@@ -31,21 +31,24 @@ type path_state = {
   edf : Vtedf.t list;
 }
 
-let path_state node_mib path_mib (info : Path_mib.info) =
-  let edf =
-    List.filter_map
-      (fun (l : Topology.link) ->
-        (Node_mib.entry node_mib ~link_id:l.Topology.link_id).Node_mib.edf)
-      info.Path_mib.links
-  in
+let path_state_of (info : Path_mib.info) ~cres ~edf =
   {
     hops = info.Path_mib.hops;
     rate_hops = info.Path_mib.rate_hops;
     delay_hops = info.Path_mib.delay_hops;
     d_tot = info.Path_mib.d_tot;
-    cres = Path_mib.residual path_mib info;
+    cres;
     edf;
   }
+
+let path_state node_mib path_mib (info : Path_mib.info) =
+  path_state_of info
+    ~cres:(Path_mib.residual path_mib info)
+    ~edf:
+      (List.filter_map
+         (fun (l : Topology.link) ->
+           (Node_mib.entry node_mib ~link_id:l.Topology.link_id).Node_mib.edf)
+         info.Path_mib.links)
 
 let rate_based ps (p : Traffic.t) ~dreq =
   if ps.delay_hops <> 0 then
@@ -66,32 +69,74 @@ let schedulable ps ~rate ~delay ~lmax =
 (* ------------------------------------------------------------------ *)
 (* Mixed rate/delay-based paths (Section 3.2).                        *)
 
-(* The merged breakpoint table: every distinct delay value [d^m] supported
-   across the delay-based schedulers of the path, with the minimal residual
-   service [S^m] of the path at [d^m] (paper, Section 3.2).  Kept as
-   parallel arrays so an admission cache can maintain the table in place
-   and hand it to {!mixed} without re-merging. *)
-type merged = { m : int; md : float array; ms : float array }
+(* Breakpoint tables (Section 3.2): one per delay-based scheduler, and
+   the path's merged one with every distinct delay [d^m] across them and
+   the minimal residual service [S^m] at it.  The first [n] entries of the
+   parallel arrays are the table; longer buffers let a cache refill them
+   in place. *)
+type table = { mutable n : int; mutable d : float array; mutable s : float array }
+
+let table () = { n = 0; d = [||]; s = [||] }
+
+let reserve a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0.
+
+let fill tb edf =
+  let n = Vtedf.class_count edf in
+  tb.d <- reserve tb.d n;
+  tb.s <- reserve tb.s n;
+  tb.n <- Vtedf.breakpoints_into edf ~d:tb.d ~s:tb.s
+
+(* H-way merge: each round takes the smallest pending delay across the
+   tables and combines every table's entry at that delay with [Float.min],
+   in table order.  A scheduler's delays are strictly increasing, so each
+   table contributes at most one entry a round. *)
+let merge tables ~into =
+  let h = Array.length tables in
+  let cursor = Array.make h 0 in
+  let total = Array.fold_left (fun acc tb -> acc + tb.n) 0 tables in
+  into.d <- reserve into.d total;
+  into.s <- reserve into.s total;
+  let m = ref 0 in
+  let exhausted = ref false in
+  while not !exhausted do
+    let best = ref nan in
+    for i = 0 to h - 1 do
+      let tb = tables.(i) in
+      if cursor.(i) < tb.n then
+        let d = tb.d.(cursor.(i)) in
+        if Float.is_nan !best || d < !best then best := d
+    done;
+    if Float.is_nan !best then exhausted := true
+    else begin
+      let d = !best in
+      let s = ref infinity in
+      for i = 0 to h - 1 do
+        let tb = tables.(i) in
+        if cursor.(i) < tb.n && tb.d.(cursor.(i)) = d then begin
+          s := Float.min !s tb.s.(cursor.(i));
+          cursor.(i) <- cursor.(i) + 1
+        end
+      done;
+      into.d.(!m) <- d;
+      into.s.(!m) <- !s;
+      incr m
+    end
+  done;
+  into.n <- !m
 
 let merge_breakpoints ps =
-  let module M = Map.Make (Float) in
-  let merge acc edf =
-    List.fold_left
-      (fun acc (d, s) ->
-        M.update d (function None -> Some s | Some s0 -> Some (Float.min s0 s)) acc)
-      acc (Vtedf.breakpoints edf)
+  let tables =
+    Array.of_list
+      (List.map
+         (fun edf ->
+           let tb = table () in
+           fill tb edf;
+           tb)
+         ps.edf)
   in
-  let map = List.fold_left merge M.empty ps.edf in
-  let m = M.cardinal map in
-  let md = Array.make (max 1 m) 0. and ms = Array.make (max 1 m) 0. in
-  let i = ref 0 in
-  M.iter
-    (fun d s ->
-      md.(!i) <- d;
-      ms.(!i) <- s;
-      incr i)
-    map;
-  { m; md; ms }
+  let mg = table () in
+  merge tables ~into:mg;
+  mg
 
 (* Shared precomputation for [mixed] and [mixed_reference].  The request's
    constants sit in a float-only record, stored unboxed, so that the
@@ -107,7 +152,7 @@ type consts = {
 
 type mixed_ctx = {
   c : consts;
-  mg : merged;
+  mg : table;
   n_lt : int;  (* number of breakpoints with d < t (index of interval count - 1) *)
 }
 
@@ -125,8 +170,8 @@ let make_ctx ?bps ps (p : Traffic.t) ~dreq =
     let mg = match bps with Some mg -> mg | None -> merge_breakpoints ps in
     let n_lt =
       let count = ref 0 in
-      for k = 0 to mg.m - 1 do
-        if mg.md.(k) < tval then incr count
+      for k = 0 to mg.n - 1 do
+        if mg.d.(k) < tval then incr count
       done;
       !count
     in
@@ -134,8 +179,8 @@ let make_ctx ?bps ps (p : Traffic.t) ~dreq =
        candidate: r (d^k - t) + Xi + lmax <= S^k. *)
     let ub_tail = ref infinity in
     let feasible = ref true in
-    for k = n_lt to mg.m - 1 do
-      let d = mg.md.(k) and s = mg.ms.(k) in
+    for k = n_lt to mg.n - 1 do
+      let d = mg.d.(k) and s = mg.s.(k) in
       if Fp.approx d tval then begin
         if Fp.lt s (xi +. p.Traffic.lmax) then feasible := false
       end
@@ -165,9 +210,9 @@ let make_ctx ?bps ps (p : Traffic.t) ~dreq =
 (* Interval j (0-based, j in [0, n_lt]) covers candidate delays
    [lo_j, hi_j) with lo_j = d^{j-1} (0 for j = 0) and hi_j = d^j
    (t for j = n_lt). *)
-let[@inline] interval_lo ctx j = if j = 0 then 0. else ctx.mg.md.(j - 1)
+let[@inline] interval_lo ctx j = if j = 0 then 0. else ctx.mg.d.(j - 1)
 
-let[@inline] interval_hi ctx j = if j = ctx.n_lt then ctx.c.tval else ctx.mg.md.(j)
+let[@inline] interval_hi ctx j = if j = ctx.n_lt then ctx.c.tval else ctx.mg.d.(j)
 
 (* Lower bound on r from flows with delay parameter in [hi_j, t), for
    every interval j at once: r >= (Xi + lmax - S^k) / (t - d^k) for k in
@@ -178,7 +223,7 @@ let del_lower ctx =
   let n = ctx.n_lt in
   let lb = Array.make (n + 1) 0. in
   for k = n - 1 downto 0 do
-    let bound = (ctx.c.xi +. ctx.c.lmax -. ctx.mg.ms.(k)) /. (ctx.c.tval -. ctx.mg.md.(k)) in
+    let bound = (ctx.c.xi +. ctx.c.lmax -. ctx.mg.s.(k)) /. (ctx.c.tval -. ctx.mg.d.(k)) in
     lb.(k) <- (if bound > lb.(k + 1) then bound else lb.(k + 1))
   done;
   lb
@@ -188,7 +233,7 @@ let del_lower ctx =
 let del_upper ctx j =
   let ub = ref ctx.c.ub_tail in
   for k = j to ctx.n_lt - 1 do
-    let bound = (ctx.c.xi +. ctx.c.lmax) /. (ctx.c.tval -. ctx.mg.md.(k)) in
+    let bound = (ctx.c.xi +. ctx.c.lmax) /. (ctx.c.tval -. ctx.mg.d.(k)) in
     if bound < !ub then ub := bound
   done;
   !ub
@@ -211,8 +256,8 @@ let mixed_scan ctx =
     (* Entering interval j brings breakpoint j (delays in [d^j, t)) into
        the constraint set. *)
     if !j < ctx.n_lt then begin
-      let gap = ctx.c.tval -. ctx.mg.md.(!j) in
-      del_l_run := Float.max !del_l_run ((ctx.c.xi +. ctx.c.lmax -. ctx.mg.ms.(!j)) /. gap);
+      let gap = ctx.c.tval -. ctx.mg.d.(!j) in
+      del_l_run := Float.max !del_l_run ((ctx.c.xi +. ctx.c.lmax -. ctx.mg.s.(!j)) /. gap);
       del_r_run := Float.min !del_r_run ((ctx.c.xi +. ctx.c.lmax) /. gap)
     end;
     let lo_d = interval_lo ctx !j and hi_d = interval_hi ctx !j in

@@ -28,25 +28,41 @@ type path_state = {
   edf : Bbr_vtrs.Vtedf.t list;  (** delay-based schedulers along the path *)
 }
 
+val path_state_of :
+  Path_mib.info -> cres:float -> edf:Bbr_vtrs.Vtedf.t list -> path_state
+(** The path's state over the given residual and delay-based schedulers,
+    in path order: the one constructor, for callers whose schedulers are
+    not in a {!Node_mib.t} (the sharded router's replicas). *)
+
 val path_state : Node_mib.t -> Path_mib.t -> Path_mib.info -> path_state
 (** Snapshot view of a path assembled from the MIBs. *)
 
-(** The merged breakpoint table of a mixed path: every distinct delay value
-    [d^m] supported across the delay-based schedulers, ascending, with the
-    minimal residual service [S^m] of the path at [d^m] (Section 3.2).
-    Parallel arrays of which only the first [m] entries are meaningful, so
-    a cache can maintain the table incrementally in oversized buffers and
-    hand it to {!mixed} without re-merging per request. *)
-type merged = {
-  m : int;  (** number of merged breakpoints *)
-  md : float array;  (** distinct delays, ascending *)
-  ms : float array;  (** minimal residual service at each delay *)
-}
+(** A breakpoint table (Section 3.2): delays [d^m], ascending, with
+    residual services [S^m], in the first [n] entries of [d] and [s].  One
+    delay-based scheduler's table is {!fill}ed from it; a mixed path's
+    merged table holds every distinct delay across the path's schedulers
+    with the path's minimal [S^m] there.  The buffers may be longer than
+    [n], so a cache can refill them in place. *)
+type table = { mutable n : int; mutable d : float array; mutable s : float array }
 
-val merge_breakpoints : path_state -> merged
-(** Builds the merged table from scratch — the uncached reference.  A table
-    supplied via [?bps] below must be element-wise identical to this one
-    for the cache to be digest-neutral. *)
+val table : unit -> table
+(** An empty table with no buffers. *)
+
+val fill : table -> Bbr_vtrs.Vtedf.t -> unit
+(** Recomputes the scheduler's table in full
+    ({!Bbr_vtrs.Vtedf.breakpoints_into}), growing the buffers when they
+    are short. *)
+
+val merge : table array -> into:table -> unit
+(** Merges per-scheduler tables into [into]: every distinct delay once,
+    its [S] the minimum over the tables holding it.  O(M H); allocates
+    only a cursor per table, and buffers when [into]'s are short. *)
+
+val merge_breakpoints : path_state -> table
+(** The path's merged table, {!fill}ed and {!merge}d into fresh buffers:
+    what {!mixed} builds when no [?bps] is handed in.  A table supplied
+    via [?bps] must be element-wise identical to this one for the cache
+    to be digest-neutral. *)
 
 val rate_based :
   path_state -> Bbr_vtrs.Traffic.t -> dreq:float -> (float, Types.reject_reason) result
@@ -55,7 +71,7 @@ val rate_based :
     hops. *)
 
 val mixed :
-  ?bps:merged ->
+  ?bps:table ->
   path_state ->
   Bbr_vtrs.Traffic.t ->
   dreq:float ->
@@ -68,13 +84,12 @@ val mixed :
     {!mixed_reference} is returned instead.  That is not rare: on the
     [mesh-perflow] benchmark 28 896 of 41 616 calls (69%, seed 1) fall
     back, as do a quarter of the crowded populations its tests draw.
-    [?bps] supplies a pre-merged breakpoint table (from
-    {!Admission_cache}); when absent the table is rebuilt via
-    {!merge_breakpoints}.  Raises [Invalid_argument] when the path has no
-    delay-based hop. *)
+    [?bps] supplies the path's merged table (from {!Admission_cache});
+    when absent it is built by {!merge_breakpoints}.  Raises
+    [Invalid_argument] when the path has no delay-based hop. *)
 
 val mixed_reference :
-  ?bps:merged ->
+  ?bps:table ->
   path_state ->
   Bbr_vtrs.Traffic.t ->
   dreq:float ->
@@ -86,7 +101,7 @@ val mixed_reference :
     O(M{^2} H); the tests keep that loop as its specification. *)
 
 val admit :
-  ?bps:merged ->
+  ?bps:table ->
   path_state ->
   Bbr_vtrs.Traffic.t ->
   dreq:float ->
@@ -130,7 +145,7 @@ type interval_view = {
 }
 
 val intervals :
-  ?bps:merged ->
+  ?bps:table ->
   path_state ->
   Bbr_vtrs.Traffic.t ->
   dreq:float ->

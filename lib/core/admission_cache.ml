@@ -1,27 +1,21 @@
 module Vtedf = Bbr_vtrs.Vtedf
 module Topology = Bbr_vtrs.Topology
 
-(* Per-link breakpoint cache, shared by every path crossing the link.  It
-   is the single consumer of the link scheduler's incremental
-   {!Vtedf.refresh_breakpoints} API: a flow add/remove recomputes only the
-   suffix of the table starting at the touched delay class. *)
+(* Per-link breakpoint table, shared by every path crossing the link and
+   refilled in full when the scheduler's version moved. *)
 type link_cache = {
   edf : Vtedf.t;
-  mutable synced : int;  (* Vtedf version at last refresh; -1 = cold *)
-  mutable n : int;  (* valid breakpoints in the buffers *)
-  mutable d : float array;
-  mutable s : float array;
-  mutable dem : float array;  (* demand prefix sums (refresh state) *)
-  mutable rcum : float array;  (* cumulative-rate prefix sums (refresh state) *)
+  mutable synced : int;  (* Vtedf version at last fill; -1 = cold *)
+  table : Admission.table;
 }
 
 type entry = {
   info : Path_mib.info;
   lcaches : link_cache array;  (* delay-based links only, path order *)
-  idx : int array;  (* merge cursors, one per lcache (scratch) *)
+  tables : Admission.table array;  (* the lcaches' tables, same order *)
   vstamps : int array;  (* Vtedf versions at last merge *)
   mutable ps : Admission.path_state;  (* static fields; [cres] as last read *)
-  mutable mg : Admission.merged;
+  mg : Admission.table;
 }
 
 type stats = { paths : int; hits : int; link_refreshes : int; merges : int }
@@ -51,17 +45,7 @@ let link_cache_of t link_id edf =
   match Hashtbl.find_opt t.links link_id with
   | Some lc -> lc
   | None ->
-      let lc =
-        {
-          edf;
-          synced = -1;
-          n = 0;
-          d = Array.make 8 0.;
-          s = Array.make 8 0.;
-          dem = Array.make 8 0.;
-          rcum = Array.make 8 0.;
-        }
-      in
+      let lc = { edf; synced = -1; table = Admission.table () } in
       Hashtbl.replace t.links link_id lc;
       lc
 
@@ -83,85 +67,28 @@ let entry_of t (info : Path_mib.info) =
         {
           info;
           lcaches;
-          idx = Array.make (max 1 (Array.length lcaches)) 0;
+          tables = Array.map (fun lc -> lc.table) lcaches;
           (* stale stamps: the first query merges *)
           vstamps = Array.map (fun _ -> -1) lcaches;
           ps = Admission.path_state t.node_mib t.path_mib info;
-          mg = { Admission.m = 0; md = [||]; ms = [||] };
+          mg = Admission.table ();
         }
       in
       Hashtbl.replace t.entries info.Path_mib.path_id e;
       e
 
-let grow_f a n =
-  let len = Array.length a in
-  if len >= n then a
-  else begin
-    let b = Array.make (max n (2 * len)) 0. in
-    (* preserve the prefix: the incremental refresh resumes from it *)
-    Array.blit a 0 b 0 len;
-    b
-  end
-
 let refresh_link t lc =
   let v = Vtedf.version lc.edf in
   if v <> lc.synced then begin
     t.link_refreshes <- t.link_refreshes + 1;
-    let n = Vtedf.class_count lc.edf in
-    lc.d <- grow_f lc.d n;
-    lc.s <- grow_f lc.s n;
-    lc.dem <- grow_f lc.dem n;
-    lc.rcum <- grow_f lc.rcum n;
-    let n, _from =
-      Vtedf.refresh_breakpoints lc.edf ~since:lc.synced ~d:lc.d ~s:lc.s
-        ~dem:lc.dem ~rcum:lc.rcum
-    in
-    lc.n <- n;
+    Admission.fill lc.table lc.edf;
     lc.synced <- v
   end
 
-(* H-way merge of the per-link tables into the path's merged table.  Equal
-   delays combine with [Float.min] in path-link order — element-wise
-   identical to the [Float Map] merge of {!Admission.merge_breakpoints}. *)
 let remerge t e =
   t.merges <- t.merges + 1;
-  let h = Array.length e.lcaches in
-  let total = ref 0 in
-  for i = 0 to h - 1 do
-    total := !total + e.lcaches.(i).n;
-    e.idx.(i) <- 0
-  done;
-  let md = grow_f e.mg.Admission.md !total in
-  let ms = grow_f e.mg.Admission.ms !total in
-  let m = ref 0 in
-  let exhausted = ref false in
-  while not !exhausted do
-    (* smallest pending delay across the links *)
-    let best = ref nan in
-    for i = 0 to h - 1 do
-      let lc = e.lcaches.(i) in
-      if e.idx.(i) < lc.n then
-        let d = lc.d.(e.idx.(i)) in
-        if Float.is_nan !best || d < !best then best := d
-    done;
-    if Float.is_nan !best then exhausted := true
-    else begin
-      let d = !best in
-      let s = ref infinity in
-      for i = 0 to h - 1 do
-        let lc = e.lcaches.(i) in
-        if e.idx.(i) < lc.n && lc.d.(e.idx.(i)) = d then begin
-          s := Float.min !s lc.s.(e.idx.(i));
-          e.idx.(i) <- e.idx.(i) + 1
-        end
-      done;
-      md.(!m) <- d;
-      ms.(!m) <- !s;
-      incr m
-    end
-  done;
-  e.mg <- { Admission.m = !m; md; ms };
-  for i = 0 to h - 1 do
+  Admission.merge e.tables ~into:e.mg;
+  for i = 0 to Array.length e.lcaches - 1 do
     e.vstamps.(i) <- e.lcaches.(i).synced
   done
 

@@ -54,7 +54,7 @@ val create :
   t
 (** [method_] defaults to {!Aggregate.Feedback}; [classes] to none;
     [policy] to allow-all; [time] to {!immediate_time}.  [fast_path]
-    (default [true]) backs the exact admission test with the incremental
+    (default [true]) backs the exact admission test with the cached
     breakpoint tables of {!Admission_cache}; it is digest-neutral —
     decisions and MIB digests are identical either way — so [false] is the
     reference the differential tests compare against, and the uncached
@@ -138,7 +138,9 @@ val request :
     single-broker id sequence exactly.
 
     [admission] selects the admissibility test on mixed paths: [`Exact]
-    (the default) runs the Figure-4 O(M) scan ({!Admission.admit});
+    (the default) runs {!Admission.admit}: the Figure-4 O(M) scan, with
+    the exact oracle ({!Admission.mixed_reference}) as its fallback when
+    the scan's pair fails the exact check or the scan finds none;
     [`Conservative] runs the O(1) rate-only bound
     ({!Admission.conservative}) — the degraded mode the {!Overload}
     brownout controller switches to under sustained load.  Both are

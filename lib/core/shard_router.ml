@@ -95,17 +95,12 @@ let two_phase t ~flow (req : Types.request) (info : Path_mib.info) groups =
     Hashtbl.find prepared l.Topology.link_id
   in
   let ps =
-    {
-      Admission.hops = info.Path_mib.hops;
-      rate_hops = info.Path_mib.rate_hops;
-      delay_hops = info.Path_mib.delay_hops;
-      d_tot = info.Path_mib.d_tot;
-      cres =
-        List.fold_left
-          (fun acc l -> Float.min acc (snap l).Shard.p_residual)
-          infinity info.Path_mib.links;
-      edf = List.filter_map (fun l -> (snap l).Shard.p_edf) info.Path_mib.links;
-    }
+    Admission.path_state_of info
+      ~cres:
+        (List.fold_left
+           (fun acc l -> Float.min acc (snap l).Shard.p_residual)
+           infinity info.Path_mib.links)
+      ~edf:(List.filter_map (fun l -> (snap l).Shard.p_edf) info.Path_mib.links)
   in
   match Admission.admit ps req.Types.profile ~dreq:req.Types.dreq with
   | Error e -> Error e

@@ -21,9 +21,7 @@ type klass = {
 (* Flat sorted parallel arrays, one slot per distinct delay class.  The
    admission hot path queries this structure once per hop per request, so
    class updates are in place and the query loops below allocate nothing.
-   [version] counts mutations; [dirty_low]/[clean_version] describe the
-   window of classes touched since the (single) incremental breakpoint
-   consumer last called {!refresh_breakpoints}. *)
+   [version] counts mutations. *)
 type t = {
   cap : float;
   mutable n : int;  (* live classes: the paper's M *)
@@ -35,8 +33,6 @@ type t = {
   mutable total : float;
   mutable flows : int;
   mutable version : int;
-  mutable clean_version : int;
-  mutable dirty_low : float;  (* infinity when no mutation is pending *)
 }
 
 let initial_slots = 8
@@ -54,8 +50,6 @@ let create ~capacity =
     total = 0.;
     flows = 0;
     version = 0;
-    clean_version = 0;
-    dirty_low = infinity;
   }
 
 let capacity t = t.cap
@@ -82,15 +76,6 @@ let classes t =
         :: acc)
   in
   go (t.n - 1) []
-
-(* First index whose delay is >= [d] ([t.n] when none). *)
-let lower_bound t d =
-  let lo = ref 0 and hi = ref t.n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.delays.(mid) < d then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 (* Class membership must be a {e pure function of the delay value}.
    Exact [=] grouping splits one logical class under float noise
@@ -124,10 +109,6 @@ let key_lower_bound t k =
 let locate t k =
   let i = key_lower_bound t k in
   if i < t.n && t.keys.(i) = k then Ok i else Error i
-
-let mark t ~low =
-  t.version <- t.version + 1;
-  if low < t.dirty_low then t.dirty_low <- low
 
 let grow t =
   let len = Array.length t.delays in
@@ -183,11 +164,9 @@ let add t ~rate ~delay ~lmax =
   | Ok i ->
       t.rates.(i) <- t.rates.(i) +. rate;
       t.lmaxs.(i) <- t.lmaxs.(i) +. lmax;
-      t.counts.(i) <- t.counts.(i) + 1;
-      mark t ~low:(Float.min t.delays.(i) delay)
-  | Error i ->
-      insert_at t i ~key:(canon delay) ~rate ~delay ~lmax;
-      mark t ~low:delay);
+      t.counts.(i) <- t.counts.(i) + 1
+  | Error i -> insert_at t i ~key:(canon delay) ~rate ~delay ~lmax);
+  t.version <- t.version + 1;
   t.total <- t.total +. rate;
   t.flows <- t.flows + 1
 
@@ -195,14 +174,13 @@ let remove t ~rate ~delay ~lmax =
   match locate t (canon delay) with
   | Error _ -> invalid_arg "Vtedf.remove: no flow with this delay"
   | Ok i ->
-      let low = Float.min t.delays.(i) delay in
       if t.counts.(i) = 1 then delete_at t i
       else begin
         t.rates.(i) <- t.rates.(i) -. rate;
         t.lmaxs.(i) <- t.lmaxs.(i) -. lmax;
         t.counts.(i) <- t.counts.(i) - 1
       end;
-      mark t ~low;
+      t.version <- t.version + 1;
       t.total <- t.total -. rate;
       t.flows <- t.flows - 1
 
@@ -226,29 +204,9 @@ let rate_below t ~at =
 
 let residual_service t ~at = (t.cap *. at) -. demand t ~at
 
-let breakpoints t =
-  let rec go i acc demand rate_sum prev =
-    if i = t.n then List.rev acc
-    else
-      let dd = t.delays.(i) in
-      let demand = demand +. (rate_sum *. (dd -. prev)) +. t.lmaxs.(i) in
-      go (i + 1)
-        ((dd, (t.cap *. dd) -. demand) :: acc)
-        demand
-        (rate_sum +. t.rates.(i))
-        dd
-  in
-  go 0 [] 0. 0. 0.
-
-let check_buffers name len arrays =
-  List.iter
-    (fun a ->
-      if Array.length a < len then
-        invalid_arg (name ^ ": buffer shorter than class_count"))
-    arrays
-
 let breakpoints_into t ~d ~s =
-  check_buffers "Vtedf.breakpoints_into" t.n [ d; s ];
+  if Array.length d < t.n || Array.length s < t.n then
+    invalid_arg "Vtedf.breakpoints_into: buffer shorter than class_count";
   let demand = ref 0. and rsum = ref 0. and prev = ref 0. in
   for i = 0 to t.n - 1 do
     let dd = t.delays.(i) in
@@ -260,33 +218,6 @@ let breakpoints_into t ~d ~s =
     prev := dd
   done;
   t.n
-
-let refresh_breakpoints t ~since ~d ~s ~dem ~rcum =
-  check_buffers "Vtedf.refresh_breakpoints" t.n [ d; s; dem; rcum ];
-  let from =
-    if since >= t.clean_version then
-      if t.dirty_low = infinity then t.n else lower_bound t t.dirty_low
-    else 0 (* the caller is staler than the dirty window: full rebuild *)
-  in
-  (* Classes below [from] are untouched, so the buffered prefix accumulators
-     still equal what a full recompute would produce there. *)
-  let demand = ref (if from = 0 then 0. else dem.(from - 1)) in
-  let rsum = ref (if from = 0 then 0. else rcum.(from - 1)) in
-  let prev = ref (if from = 0 then 0. else d.(from - 1)) in
-  for i = from to t.n - 1 do
-    let dd = t.delays.(i) in
-    let dm = !demand +. (!rsum *. (dd -. !prev)) +. t.lmaxs.(i) in
-    d.(i) <- dd;
-    dem.(i) <- dm;
-    s.(i) <- (t.cap *. dd) -. dm;
-    rcum.(i) <- !rsum +. t.rates.(i);
-    demand := dm;
-    rsum := rcum.(i);
-    prev := dd
-  done;
-  t.clean_version <- t.version;
-  t.dirty_low <- infinity;
-  (t.n, from)
 
 let schedulable t =
   Fp.leq t.total t.cap
@@ -353,32 +284,6 @@ let can_admit t ~rate ~delay ~lmax =
        !ok && (!own_done || own_ok t ~delay ~lmax !demand !rsum !prev)
      end
 
-(* [residual_service] is piecewise linear in [at] with non-negative slope
-   between breakpoints (slope = capacity minus the rates of earlier classes)
-   and a downward jump of [sum_lmax] at each breakpoint; we scan segments in
-   order for the first point where it reaches [lmax]. *)
-let min_feasible_delay t ~lmax =
-  let solve_segment ~start ~value ~slope ~limit =
-    (* Smallest d in [start, limit) with value + slope (d - start) >= lmax;
-       [limit = infinity] for the last segment. *)
-    if Fp.geq value lmax then Some start
-    else if slope <= 0. then None
-    else
-      let d = start +. ((lmax -. value) /. slope) in
-      if d < limit then Some d else None
-  in
-  let rec scan i start value slope =
-    if i = t.n then solve_segment ~start ~value ~slope ~limit:infinity
-    else
-      let dd = t.delays.(i) in
-      match solve_segment ~start ~value ~slope ~limit:dd with
-      | Some d -> Some d
-      | None ->
-          let at_bp = value +. (slope *. (dd -. start)) -. t.lmaxs.(i) in
-          scan (i + 1) dd at_bp (slope -. t.rates.(i))
-  in
-  scan 0 0. 0. t.cap
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>VT-EDF capacity=%g total_rate=%g flows=%d" t.cap t.total
     t.flows;
@@ -392,8 +297,7 @@ let pp ppf t =
 (* A deep replica of the scheduler state.  The sharded broker's 2PC
    coordinator admits multi-shard paths against copies gathered from the
    owning shards, so it can run the exact Section-3.2 decision procedure
-   without touching another domain's live arrays.  The copy starts with a
-   clean dirty window: it is a fresh single-consumer cache root. *)
+   without touching another domain's live arrays. *)
 let copy t =
   {
     cap = t.cap;
@@ -406,6 +310,4 @@ let copy t =
     total = t.total;
     flows = t.flows;
     version = t.version;
-    clean_version = t.version;
-    dirty_low = infinity;
   }

@@ -43,9 +43,9 @@ val class_count : t -> int
     the {!classes} list. *)
 
 val version : t -> int
-(** Mutation counter: incremented by every {!add} and {!remove}.  Caches
-    keyed on a scheduler's state compare a remembered version against this
-    to detect staleness (see {!refresh_breakpoints}). *)
+(** Mutation counter: incremented by every {!add} and {!remove}.  A cache
+    of anything computed from the population (such as a {!breakpoints_into}
+    table) is current while the version it remembers equals this one. *)
 
 val add : t -> rate:float -> delay:float -> lmax:float -> unit
 (** Registers a flow.  No schedulability check is made — callers decide via
@@ -75,39 +75,12 @@ val residual_service : t -> at:float -> float
     interval of length [at].  At a breakpoint [d^m] this is the paper's
     [S_i^k]. *)
 
-val breakpoints : t -> (float * float) list
-(** [(d^m, S at d^m)] for every distinct delay, ascending, computed in one
-    linear pass — the O(M) building block of the Section-3.2 admission
-    algorithm. *)
-
 val breakpoints_into : t -> d:float array -> s:float array -> int
-(** Allocation-free {!breakpoints}: writes the delays into [d] and the
-    residual services into [s] and returns [class_count].  The values are
-    identical to those of {!breakpoints}.  Raises [Invalid_argument] when a
-    buffer is shorter than {!class_count}. *)
-
-val refresh_breakpoints :
-  t ->
-  since:int ->
-  d:float array ->
-  s:float array ->
-  dem:float array ->
-  rcum:float array ->
-  int * int
-(** Incremental {!breakpoints_into} for a {e single} caching consumer.
-    [d]/[s] are the breakpoint buffers; [dem]/[rcum] persist the running
-    demand and cumulative-rate prefix sums between calls.  [since] is the
-    {!version} observed by the caller's previous refresh ([-1] for a cold
-    cache).  Only entries from the first delay class touched since [since]
-    onward are recomputed — a flow add/remove updates the suffix of the
-    table starting at its own class, so a mutation at the largest delay
-    costs O(1).  Returns [(class_count, from)] where [from] is the first
-    recomputed index ([from = class_count] when nothing changed).  Values
-    are identical to a full {!breakpoints_into}.  Because the call resets
-    the internal dirty window, at most one cache per scheduler may use this
-    API (ours is the per-link cache shared by all paths crossing the link).
-    Raises [Invalid_argument] when a buffer is shorter than
-    {!class_count}. *)
+(** [(d^m, S at d^m)] for every distinct delay, ascending, computed in one
+    linear pass without allocating — the O(M) building block of the
+    Section-3.2 admission algorithm: writes the delays into [d] and the
+    residual services into [s] and returns {!class_count}.  Raises
+    [Invalid_argument] when a buffer is shorter than {!class_count}. *)
 
 val schedulable : t -> bool
 (** Exact check of eq. (5) over the current population. *)
@@ -119,18 +92,10 @@ val can_admit : t -> rate:float -> delay:float -> lmax:float -> bool
     breakpoint [d^m >= delay].  Assumes the current population is
     schedulable. *)
 
-val min_feasible_delay : t -> lmax:float -> float option
-(** Smallest delay parameter [d] such that a {e zero-rate} flow of maximum
-    packet size [lmax] would be schedulable at [t = d]
-    ([residual_service d >= lmax]); the true minimum feasible delay for a
-    positive-rate candidate is at least this.  [None] if no such delay
-    exists (the scheduler is saturated). *)
-
 val copy : t -> t
 (** A deep, independent replica of the current population (identical
-    {!breakpoints}, {!demand}, {!can_admit} answers).  Used by the sharded
-    broker's coordinator to run exact cross-shard admission on state
-    gathered from owning domains.  The replica's incremental-refresh
-    window starts clean. *)
+    {!breakpoints_into}, {!demand}, {!can_admit} answers).  Used by the
+    sharded broker's coordinator to run exact cross-shard admission on
+    state gathered from owning domains. *)
 
 val pp : t Fmt.t

@@ -306,7 +306,7 @@ let naive_reference (ps : Admission.path_state) (p : Traffic.t) ~dreq =
     let xi =
       ((ton *. p.Traffic.peak) +. (float_of_int (ps.Admission.rate_hops + 1) *. lmax)) /. dh
     in
-    let { Admission.m; md; ms } = Admission.merge_breakpoints ps in
+    let { Admission.n = m; d = md; s = ms } = Admission.merge_breakpoints ps in
     let n_lt = Array.fold_left (fun c d -> if d < tval then c + 1 else c) 0 (Array.sub md 0 m) in
     let ub_tail = ref infinity and feasible = ref true in
     for k = n_lt to m - 1 do

@@ -1,5 +1,5 @@
-(* Fast-path admission engine: flat VT-EDF regressions, incremental
-   breakpoint refresh, cached/uncached differential equivalence,
+(* Fast-path admission engine: flat VT-EDF regressions, breakpoint
+   tables and their merge, cached/uncached differential equivalence,
    per-decision cost counts, batched requests and group commit. *)
 
 module Topology = Bbr_vtrs.Topology
@@ -45,6 +45,20 @@ let test_tolerant_class_match () =
     (Invalid_argument "Vtedf.remove: no flow with this delay") (fun () ->
       Vtedf.remove t ~rate:10. ~delay:0.7 ~lmax:100.)
 
+(* The specification of a scheduler's breakpoint table: [(d^m, S at
+   d^m)] for every class, ascending, one linear pass over {!Vtedf.classes}
+   with the same arithmetic as {!Vtedf.breakpoints_into}. *)
+let breakpoints t =
+  let cap = Vtedf.capacity t in
+  let rec go acc demand rate_sum prev = function
+    | [] -> List.rev acc
+    | (k : Vtedf.klass) :: rest ->
+        let dd = k.Vtedf.delay in
+        let demand = demand +. (rate_sum *. (dd -. prev)) +. k.Vtedf.sum_lmax in
+        go ((dd, (cap *. dd) -. demand) :: acc) demand (rate_sum +. k.Vtedf.sum_rate) dd rest
+  in
+  go [] 0. 0. 0. (Vtedf.classes t)
+
 let test_breakpoints_into_matches_list () =
   let t = Vtedf.create ~capacity:2e6 in
   let prng = Prng.create ~seed:11 in
@@ -57,7 +71,7 @@ let test_breakpoints_into_matches_list () =
   let d = Array.make n 0. and s = Array.make n 0. in
   let n' = Vtedf.breakpoints_into t ~d ~s in
   Alcotest.(check int) "count" n n';
-  let bps = Vtedf.breakpoints t in
+  let bps = breakpoints t in
   Alcotest.(check int) "list length" n (List.length bps);
   List.iteri
     (fun i (bd, bs) ->
@@ -66,82 +80,85 @@ let test_breakpoints_into_matches_list () =
           bd bs)
     bps
 
-(* Incremental refresh must be bit-identical to a full recompute after
-   any interleaving of adds, removes and skipped refreshes. *)
-let prop_refresh_incremental =
+(* The specification of a path's merged table: every scheduler's
+   breakpoints folded into a [Float] map, equal delays combined with
+   [Float.min]. *)
+let map_merge edfs =
+  let module M = Map.Make (Float) in
+  let merge acc edf =
+    List.fold_left
+      (fun acc (d, s) ->
+        M.update d (function None -> Some s | Some s0 -> Some (Float.min s0 s)) acc)
+      acc (breakpoints edf)
+  in
+  M.bindings (List.fold_left merge M.empty edfs)
+
+let same_table (tb : Admission.table) spec =
+  let bits = Int64.bits_of_float in
+  tb.Admission.n = List.length spec
+  && List.for_all2
+       (fun i (d, s) ->
+         bits tb.Admission.d.(i) = bits d && bits tb.Admission.s.(i) = bits s)
+       (List.init tb.Admission.n Fun.id)
+       spec
+
+(* {!Admission.merge} equals the map merge bit for bit: fresh
+   ({!Admission.merge_breakpoints}) and refilled in place after adds and
+   removes, as the cache does it.  1 to 4 schedulers of different
+   capacities draw delays from one grid, so they share delays; some stay
+   empty. *)
+let prop_merge_equals_map =
   let arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 1_000_000) in
-  QCheck.Test.make ~name:"refresh_breakpoints equals full recompute" ~count:200
-    arb (fun seed ->
+  QCheck.Test.make ~name:"merge equals the Float map merge bit for bit" ~count:300 arb
+    (fun seed ->
       let prng = Prng.create ~seed in
-      let t = Vtedf.create ~capacity:1e6 in
-      let d = ref (Array.make 8 0.)
-      and s = ref (Array.make 8 0.)
-      and dem = ref (Array.make 8 0.)
-      and rcum = ref (Array.make 8 0.) in
-      let ensure buf n =
-        if Array.length !buf < n then begin
-          let nb = Array.make (max n ((2 * Array.length !buf) + 1)) 0. in
-          Array.blit !buf 0 nb 0 (Array.length !buf);
-          buf := nb
-        end
+      let h = 1 + Prng.int prng ~bound:4 in
+      let edf =
+        List.init h (fun i -> Vtedf.create ~capacity:(1e6 *. float_of_int (i + 1)))
       in
-      let synced = ref (-1) in
-      let live = ref [] in
-      let ok = ref true in
-      for _ = 1 to 80 do
-        (if !live <> [] && Prng.float prng < 0.4 then begin
-           let i = Prng.int prng ~bound:(List.length !live) in
-           let rate, delay, lmax = List.nth !live i in
-           live := List.filteri (fun j _ -> j <> i) !live;
-           (* remove with float noise on the delay, as admission does *)
-           Vtedf.remove t ~rate ~delay:(delay *. (1. +. 1e-13)) ~lmax
-         end
-         else begin
-           let base = 0.1 *. float_of_int (1 + Prng.int prng ~bound:12) in
-           let delay =
-             if Prng.float prng < 0.3 then base *. (1. +. 1e-12) else base
-           in
-           let rate = Prng.float_range prng ~lo:10. ~hi:5000. in
-           let lmax = Prng.float_range prng ~lo:64. ~hi:1500. in
-           Vtedf.add t ~rate ~delay ~lmax;
-           live := (rate, delay, lmax) :: !live
-         end);
-        (* Sometimes let mutations pile up before the next refresh. *)
-        if Prng.float prng < 0.7 then begin
-          let m = Vtedf.class_count t in
-          ensure d m;
-          ensure s m;
-          ensure dem m;
-          ensure rcum m;
-          let n, from =
-            Vtedf.refresh_breakpoints t ~since:!synced ~d:!d ~s:!s ~dem:!dem
-              ~rcum:!rcum
-          in
-          synced := Vtedf.version t;
-          ok := !ok && n = m && from <= n;
-          let fd = Array.make (max 1 m) 0. and fs = Array.make (max 1 m) 0. in
-          let n' = Vtedf.breakpoints_into t ~d:fd ~s:fs in
-          ok := !ok && n = n';
-          for i = 0 to n - 1 do
-            ok := !ok && !d.(i) = fd.(i) && !s.(i) = fs.(i)
-          done
-        end
-      done;
-      (* A refresh with nothing changed recomputes nothing. *)
-      let m = Vtedf.class_count t in
-      ensure d m;
-      ensure s m;
-      ensure dem m;
-      ensure rcum m;
-      let _ =
-        Vtedf.refresh_breakpoints t ~since:!synced ~d:!d ~s:!s ~dem:!dem
-          ~rcum:!rcum
+      let live = Array.make h [] in
+      let step () =
+        List.iteri
+          (fun i t ->
+            (* about one scheduler in five sits out a round *)
+            if Prng.float prng >= 0.2 then
+              for _ = 1 to Prng.int prng ~bound:30 do
+                if live.(i) <> [] && Prng.float prng < 0.4 then begin
+                  let k = Prng.int prng ~bound:(List.length live.(i)) in
+                  let rate, delay, lmax = List.nth live.(i) k in
+                  live.(i) <- List.filteri (fun j _ -> j <> k) live.(i);
+                  Vtedf.remove t ~rate ~delay ~lmax
+                end
+                else begin
+                  let delay = 0.1 *. float_of_int (1 + Prng.int prng ~bound:12) in
+                  let rate = Prng.float_range prng ~lo:10. ~hi:5000. in
+                  let lmax = Prng.float_range prng ~lo:64. ~hi:1500. in
+                  Vtedf.add t ~rate ~delay ~lmax;
+                  live.(i) <- (rate, delay, lmax) :: live.(i)
+                end
+              done)
+          edf
       in
-      let n, from =
-        Vtedf.refresh_breakpoints t ~since:(Vtedf.version t) ~d:!d ~s:!s
-          ~dem:!dem ~rcum:!rcum
+      let ps =
+        {
+          Admission.hops = h;
+          rate_hops = 0;
+          delay_hops = h;
+          d_tot = 0.;
+          cres = 1e6;
+          edf;
+        }
       in
-      !ok && from = n)
+      let tables = Array.of_list (List.map (fun _ -> Admission.table ()) edf) in
+      let into = Admission.table () in
+      let round () =
+        step ();
+        List.iteri (fun i t -> Admission.fill tables.(i) t) edf;
+        Admission.merge tables ~into;
+        let spec = map_merge edf in
+        same_table into spec && same_table (Admission.merge_breakpoints ps) spec
+      in
+      round () && round () && round ())
 
 (* ------------------------------------------------------------------ *)
 (* Cached vs uncached differential equivalence (the tentpole property) *)
@@ -292,8 +309,8 @@ let test_cache_hits () =
   Alcotest.(check int) "no re-merge on a hit" before.Admission_cache.merges
     s.Admission_cache.merges;
   (* A teardown on the path, with no query in between: the next query
-     hands out the residual as it is now.  The cache here is the only one
-     over an uncached broker's MIBs. *)
+     hands out the residual as it is now, from a cache over an uncached
+     broker's MIBs. *)
   let plain = Broker.create ~fast_path:false (Fig8.topology `Mixed) in
   let cache = Admission_cache.create (Broker.node_mib plain) (Broker.path_mib plain) in
   let flows = List.init 6 (fun _ -> fst (Result.get_ok (Broker.request plain req))) in
@@ -623,19 +640,25 @@ let test_append_cost () =
 (* ------------------------------------------------------------------ *)
 (* Admission allocation *)
 
-(* Minor words per call of [f], after one warm-up call. *)
+(* Words allocated per call of [f], after one warm-up call: minor words
+   plus the arrays too large for the minor heap, which go straight to the
+   major heap. *)
 let words_per_call f =
   let calls = 64 in
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
   ignore (Sys.opaque_identity (f ()));
-  let w0 = Gc.minor_words () in
+  let w0 = allocated () in
   for _ = 1 to calls do
     ignore (Sys.opaque_identity (f ()))
   done;
-  (Gc.minor_words () -. w0) /. float_of_int calls
+  (allocated () -. w0) /. float_of_int calls
 
-(* [dq] 1.5 Mb/s VT-EDF hops behind 3 rate-based ones, each holding the
-   same [m] flows of 2 kb/s at distinct delays 6 ms apart. *)
-let crowded_path ~m ~dq =
+(* [dq] 1.5 Mb/s VT-EDF hops behind [rq] rate-based ones, each holding
+   the same [m] flows of 2 kb/s at distinct delays 6 ms apart. *)
+let crowded_path ?(rq = 3) ~m ~dq () =
   let capacity = 1.5e6 in
   let edf = List.init dq (fun _ -> Vtedf.create ~capacity) in
   for i = 0 to m - 1 do
@@ -645,10 +668,10 @@ let crowded_path ~m ~dq =
     List.iter (fun s -> Vtedf.add s ~rate ~delay ~lmax) edf
   done;
   {
-    Admission.hops = 3 + dq;
-    rate_hops = 3;
+    Admission.hops = rq + dq;
+    rate_hops = rq;
     delay_hops = dq;
-    d_tot = float_of_int (3 + dq) *. (12_000. /. capacity);
+    d_tot = float_of_int (rq + dq) *. (12_000. /. capacity);
     cres = capacity -. (float_of_int m *. 2_000.);
     edf;
   }
@@ -658,7 +681,7 @@ let type0 = Traffic.make ~sigma:60_000. ~rho:50_000. ~peak:100_000. ~lmax:12_000
 (* The exact check walks every class without allocating per class. *)
 let test_can_admit_words_flat () =
   let words m =
-    let edf = List.hd (crowded_path ~m ~dq:1).Admission.edf in
+    let edf = List.hd (crowded_path ~m ~dq:1 ()).Admission.edf in
     (* Below every class: the candidate meets each breakpoint. *)
     let check () = Vtedf.can_admit edf ~rate:50_000. ~delay:0.01 ~lmax:12_000. in
     Alcotest.(check bool) (Printf.sprintf "admissible at M = %d" m) true (check ());
@@ -673,7 +696,7 @@ let test_can_admit_words_flat () =
    rejection past a non-empty interval table comes from the oracle. *)
 let test_fallback_words_linear () =
   let m = 200 and dreq = 1.7 in
-  let ps = crowded_path ~m ~dq:2 in
+  let ps = crowded_path ~m ~dq:2 () in
   let bps = Admission.merge_breakpoints ps in
   let budget = float_of_int ((2 * m) + 64) in
   let within name ps =
@@ -692,6 +715,25 @@ let test_fallback_words_linear () =
   | Error Types.Insufficient_bandwidth -> ()
   | _ -> Alcotest.fail "expected a bandwidth rejection");
   within "reject" starved
+
+(* An uncached decision builds the path's merged table into fresh
+   buffers, two per scheduler and two for the path: O(M) words, whether
+   the Figure-4 pair holds (dreq 1.7) or the oracle places the flow at
+   the own-deadline floor (dreq 1.0).  The sharded router's two-phase
+   admit decides this way. *)
+let test_uncached_words_linear () =
+  let m = 200 in
+  let ps = crowded_path ~rq:0 ~m ~dq:2 () in
+  let budget = float_of_int ((10 * m) + 64) in
+  List.iter
+    (fun dreq ->
+      if Result.is_error (Admission.admit ps type0 ~dreq) then
+        Alcotest.failf "dreq %g: rejected" dreq;
+      let w = words_per_call (fun () -> Admission.admit ps type0 ~dreq) in
+      if w >= budget then
+        Alcotest.failf "dreq %g: %.0f words a decision at M = %d (budget %.0f)" dreq w m
+          budget)
+    [ 1.7; 1.0 ]
 
 (* A routing memo miss allocates the path it returns and its memo entry,
    not search arrays the size of the topology: every edge-to-edge pair of
@@ -730,7 +772,7 @@ let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
       [
-        prop_refresh_incremental;
+        prop_merge_equals_map;
         prop_cached_equals_uncached;
         prop_restore_digest_neutral;
       ]
@@ -749,6 +791,8 @@ let () =
         [
           Alcotest.test_case "oracle fallback words linear in M" `Quick
             test_fallback_words_linear;
+          Alcotest.test_case "uncached admit words linear in M" `Quick
+            test_uncached_words_linear;
         ] );
       ( "cache",
         [

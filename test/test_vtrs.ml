@@ -404,33 +404,6 @@ let test_vtedf_can_admit_capacity () =
   Alcotest.(check bool) "slope violation" false
     (Vtedf.can_admit s ~rate:20_000. ~delay:2. ~lmax:1_000.)
 
-let test_vtedf_min_feasible_delay () =
-  let s = Vtedf.create ~capacity:100_000. in
-  (* Empty scheduler: smallest d with C*d >= lmax. *)
-  (match Vtedf.min_feasible_delay s ~lmax:12_000. with
-  | Some d -> check_float "empty" 0.12 d
-  | None -> Alcotest.fail "expected delay");
-  Vtedf.add s ~rate:50_000. ~delay:0.5 ~lmax:12_000.;
-  match Vtedf.min_feasible_delay s ~lmax:12_000. with
-  | Some d ->
-      (* The found point must genuinely offer lmax residual service. *)
-      Alcotest.(check bool) "feasible point" true
-        (Vtedf.residual_service s ~at:d >= 12_000. -. 1e-6)
-  | None -> Alcotest.fail "expected delay"
-
-let test_vtedf_saturated_min_delay () =
-  let s = Vtedf.create ~capacity:100_000. in
-  Vtedf.add s ~rate:100_000. ~delay:0.2 ~lmax:8_000.;
-  (* After 0.2 the slope is zero: a residual of 12000 is unreachable beyond
-     what accrued before the breakpoint. *)
-  (match Vtedf.min_feasible_delay s ~lmax:20_000. with
-  | Some _ -> Alcotest.fail "expected saturation"
-  | None -> ());
-  (* but a small packet still fits before the breakpoint *)
-  match Vtedf.min_feasible_delay s ~lmax:5_000. with
-  | Some d -> Alcotest.(check bool) "before breakpoint" true (d <= 0.2)
-  | None -> Alcotest.fail "expected delay"
-
 (* A random population of admitted flows must keep eq. (5) holding — adding
    only via can_admit preserves schedulability. *)
 let prop_vtedf_can_admit_sound =
@@ -537,8 +510,6 @@ let () =
           Alcotest.test_case "demand formula" `Quick test_vtedf_demand_formula;
           Alcotest.test_case "own-deadline boundary" `Quick test_vtedf_can_admit_boundary;
           Alcotest.test_case "capacity slope" `Quick test_vtedf_can_admit_capacity;
-          Alcotest.test_case "min feasible delay" `Quick test_vtedf_min_feasible_delay;
-          Alcotest.test_case "saturated min delay" `Quick test_vtedf_saturated_min_delay;
         ] );
       ("properties", props);
     ]
