@@ -86,43 +86,68 @@ let fill tb edf =
   tb.s <- reserve tb.s n;
   tb.n <- Vtedf.breakpoints_into edf ~d:tb.d ~s:tb.s
 
-(* H-way merge: each round takes the smallest pending delay across the
-   tables and combines every table's entry at that delay with [Float.min],
-   in table order.  A scheduler's delays are strictly increasing, so each
-   table contributes at most one entry a round. *)
-let merge tables ~into =
-  let h = Array.length tables in
-  let cursor = Array.make h 0 in
-  let total = Array.fold_left (fun acc tb -> acc + tb.n) 0 tables in
-  into.d <- reserve into.d total;
-  into.s <- reserve into.s total;
-  let m = ref 0 in
-  let exhausted = ref false in
-  while not !exhausted do
-    let best = ref nan in
-    for i = 0 to h - 1 do
-      let tb = tables.(i) in
-      if cursor.(i) < tb.n then
-        let d = tb.d.(cursor.(i)) in
-        if Float.is_nan !best || d < !best then best := d
-    done;
-    if Float.is_nan !best then exhausted := true
-    else begin
-      let d = !best in
-      let s = ref infinity in
-      for i = 0 to h - 1 do
-        let tb = tables.(i) in
-        if cursor.(i) < tb.n && tb.d.(cursor.(i)) = d then begin
-          s := Float.min !s tb.s.(cursor.(i));
-          cursor.(i) <- cursor.(i) + 1
-        end
-      done;
-      into.d.(!m) <- d;
-      into.s.(!m) <- !s;
-      incr m
+(* Merges tables [a] and [b] into [into]'s buffers, which must hold
+   [a.n + b.n] entries, in one tight pass: each delay once, [Float.min] of
+   the two services at a delay both hold.  A scheduler's delays are
+   strictly increasing, and so are the result's. *)
+let merge2 a b into =
+  let i = ref 0 and j = ref 0 and m = ref 0 in
+  while !i < a.n && !j < b.n do
+    let x = a.d.(!i) and y = b.d.(!j) in
+    if x < y then begin
+      into.d.(!m) <- x;
+      into.s.(!m) <- a.s.(!i);
+      incr i
     end
+    else if y < x then begin
+      into.d.(!m) <- y;
+      into.s.(!m) <- b.s.(!j);
+      incr j
+    end
+    else begin
+      into.d.(!m) <- x;
+      into.s.(!m) <- Float.min a.s.(!i) b.s.(!j);
+      incr i;
+      incr j
+    end;
+    incr m
   done;
-  into.n <- !m
+  let m = !m in
+  Array.blit a.d !i into.d m (a.n - !i);
+  Array.blit a.s !i into.s m (a.n - !i);
+  let m = m + a.n - !i in
+  Array.blit b.d !j into.d m (b.n - !j);
+  Array.blit b.s !j into.s m (b.n - !j);
+  into.n <- m + b.n - !j
+
+(* H - 1 successive two-way merges, alternating between [into] and
+   [scratch] so the last lands in [into]; each pass grows its output's
+   buffers to the sum of its inputs when short.  Without NaNs
+   [Float.min] is associative and commutative, so the grouping does not
+   change a bit of the result. *)
+let merge tables ~scratch ~into =
+  let h = Array.length tables in
+  if h = 0 then into.n <- 0
+  else if h = 1 then begin
+    let tb = tables.(0) in
+    into.d <- reserve into.d tb.n;
+    into.s <- reserve into.s tb.n;
+    Array.blit tb.d 0 into.d 0 tb.n;
+    Array.blit tb.s 0 into.s 0 tb.n;
+    into.n <- tb.n
+  end
+  else begin
+    let acc = ref tables.(0) in
+    for k = 1 to h - 1 do
+      (* the k-th merge writes to [into] iff h - 1 - k is even *)
+      let out = if (h - 1 - k) land 1 = 0 then into else scratch in
+      let tb = tables.(k) in
+      out.d <- reserve out.d (!acc.n + tb.n);
+      out.s <- reserve out.s (!acc.n + tb.n);
+      merge2 !acc tb out;
+      acc := out
+    done
+  end
 
 let merge_breakpoints ps =
   let tables =
@@ -135,7 +160,7 @@ let merge_breakpoints ps =
          ps.edf)
   in
   let mg = table () in
-  merge tables ~into:mg;
+  merge tables ~scratch:(table ()) ~into:mg;
   mg
 
 (* Shared precomputation for [mixed] and [mixed_reference].  The request's

@@ -53,10 +53,17 @@ val fill : table -> Bbr_vtrs.Vtedf.t -> unit
     ({!Bbr_vtrs.Vtedf.breakpoints_into}), growing the buffers when they
     are short. *)
 
-val merge : table array -> into:table -> unit
+val merge : table array -> scratch:table -> into:table -> unit
 (** Merges per-scheduler tables into [into]: every distinct delay once,
-    its [S] the minimum over the tables holding it.  O(M H); allocates
-    only a cursor per table, and buffers when [into]'s are short. *)
+    its [S] the minimum over the tables holding it ([Float.min]).  One
+    table is a blit; [H >= 2] tables take [H - 1] successive two-way
+    merges, alternating between [scratch] and [into] so the last lands
+    in [into].  A pass reads its two inputs once and writes at most the
+    [M] entries of the merged table, so a merge costs O((H - 1) M).
+    The result is bit for bit the same for any grouping.  Allocates
+    nothing unless [into]'s or [scratch]'s buffers are short, when they
+    grow; [scratch] is used only for [H >= 3].  The buffers are the
+    caller's, so calls on separate domains share no state. *)
 
 val merge_breakpoints : path_state -> table
 (** The path's merged table, {!fill}ed and {!merge}d into fresh buffers:

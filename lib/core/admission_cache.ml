@@ -28,6 +28,7 @@ type t = {
   mutable hits : int;
   mutable link_refreshes : int;
   mutable merges : int;
+  scratch : Admission.table;  (* every entry's merge scratch *)
 }
 
 let create node_mib path_mib =
@@ -39,6 +40,7 @@ let create node_mib path_mib =
     hits = 0;
     link_refreshes = 0;
     merges = 0;
+    scratch = Admission.table ();
   }
 
 let link_cache_of t link_id edf =
@@ -87,7 +89,7 @@ let refresh_link t lc =
 
 let remerge t e =
   t.merges <- t.merges + 1;
-  Admission.merge e.tables ~into:e.mg;
+  Admission.merge e.tables ~scratch:t.scratch ~into:e.mg;
   for i = 0 to Array.length e.lcaches - 1 do
     e.vstamps.(i) <- e.lcaches.(i).synced
   done

@@ -12,22 +12,26 @@ type link = {
   psi : float;
 }
 
+(* Router names to indices, compared with [String.equal]: a lookup in a
+   polymorphic [Hashtbl] spends about half its time in [compare]. *)
+module Names = Hashtbl.Make (String)
+
 type t = {
   mutable node_order : string list;  (* reversed insertion order *)
-  node_ix : (string, int) Hashtbl.t;  (* name -> dense index, insertion order *)
+  node_ix : int Names.t;  (* name -> dense index, insertion order *)
   mutable out : link list array;  (* node index -> out-links, insertion order *)
   mutable link_order : link list;  (* reversed insertion order *)
   mutable by_id : link option array;  (* dense: index = link_id *)
   by_endpoints : (string * string, link) Hashtbl.t;
   mutable next_id : int;
   mutable down : bool array;  (* link_id -> currently failed; sized as by_id *)
-  mutable state_version : int;  (* bumped on every up/down transition *)
+  mutable state_version : int;  (* bumped on every added link and up/down transition *)
 }
 
 let create () =
   {
     node_order = [];
-    node_ix = Hashtbl.create 16;
+    node_ix = Names.create 16;
     out = Array.make 8 [];
     link_order = [];
     by_id = Array.make 8 None;
@@ -43,16 +47,16 @@ let grow a fill =
   Array.blit a 0 g 0 (Array.length a);
   g
 
-let mem_node t name = Hashtbl.mem t.node_ix name
+let mem_node t name = Names.mem t.node_ix name
 
-let num_nodes t = Hashtbl.length t.node_ix
+let num_nodes t = Names.length t.node_ix
 
-let node_ix t name = Hashtbl.find t.node_ix name
+let node_ix t name = Names.find t.node_ix name
 
 let add_node t name =
   if not (mem_node t name) then begin
     let ix = num_nodes t in
-    Hashtbl.replace t.node_ix name ix;
+    Names.replace t.node_ix name ix;
     t.node_order <- name :: t.node_order;
     if ix >= Array.length t.out then t.out <- grow t.out []
   end
@@ -79,6 +83,7 @@ let add_link t ~src ~dst ~capacity ?(prop_delay = 0.) ?psi sched =
   end;
   t.by_id.(link.link_id) <- Some link;
   Hashtbl.replace t.by_endpoints (src, dst) link;
+  t.state_version <- t.state_version + 1;
   link
 
 let nodes t = List.rev t.node_order
@@ -96,7 +101,7 @@ let find_link t ~src ~dst = Hashtbl.find_opt t.by_endpoints (src, dst)
 let out_links_ix t ix = t.out.(ix)
 
 let out_links t name =
-  match Hashtbl.find_opt t.node_ix name with Some ix -> t.out.(ix) | None -> []
+  match Names.find_opt t.node_ix name with Some ix -> t.out.(ix) | None -> []
 
 let link_is_up t ~link_id = not (link_id >= 0 && link_id < t.next_id && t.down.(link_id))
 

@@ -105,8 +105,8 @@ val link_is_up : t -> link_id:int -> bool
 (** Links start up; [false] after [set_link_state ~up:false]. *)
 
 val state_version : t -> int
-(** A counter bumped on every up/down transition — lets path caches detect
-    staleness without subscribing to events. *)
+(** A counter bumped on every added link and every up/down transition —
+    lets path caches detect staleness without subscribing to events. *)
 
 (** {1 Path-level quantities}
 

@@ -104,20 +104,31 @@ let same_table (tb : Admission.table) spec =
 
 (* {!Admission.merge} equals the map merge bit for bit: fresh
    ({!Admission.merge_breakpoints}) and refilled in place after adds and
-   removes, as the cache does it.  1 to 4 schedulers of different
-   capacities draw delays from one grid, so they share delays; some stay
-   empty. *)
+   removes, as the cache does it.  1 to 6 schedulers of different
+   capacities, so one table (a blit), two (one two-way merge) and three
+   or more (successive merges through the scratch table) are all drawn.
+   Their delays come from one grid, so they share delays, and some
+   rounds add one delay to every scheduler; some stay empty. *)
 let prop_merge_equals_map =
   let arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 1_000_000) in
   QCheck.Test.make ~name:"merge equals the Float map merge bit for bit" ~count:300 arb
     (fun seed ->
       let prng = Prng.create ~seed in
-      let h = 1 + Prng.int prng ~bound:4 in
+      let h = 1 + Prng.int prng ~bound:6 in
       let edf =
         List.init h (fun i -> Vtedf.create ~capacity:(1e6 *. float_of_int (i + 1)))
       in
       let live = Array.make h [] in
+      let add i t ~rate ~delay ~lmax =
+        Vtedf.add t ~rate ~delay ~lmax;
+        live.(i) <- (rate, delay, lmax) :: live.(i)
+      in
       let step () =
+        (* about one round in three puts one delay in every table *)
+        if Prng.float prng < 0.3 then begin
+          let delay = 0.1 *. float_of_int (1 + Prng.int prng ~bound:12) in
+          List.iteri (fun i t -> add i t ~rate:50. ~delay ~lmax:500.) edf
+        end;
         List.iteri
           (fun i t ->
             (* about one scheduler in five sits out a round *)
@@ -133,8 +144,7 @@ let prop_merge_equals_map =
                   let delay = 0.1 *. float_of_int (1 + Prng.int prng ~bound:12) in
                   let rate = Prng.float_range prng ~lo:10. ~hi:5000. in
                   let lmax = Prng.float_range prng ~lo:64. ~hi:1500. in
-                  Vtedf.add t ~rate ~delay ~lmax;
-                  live.(i) <- (rate, delay, lmax) :: live.(i)
+                  add i t ~rate ~delay ~lmax
                 end
               done)
           edf
@@ -150,11 +160,11 @@ let prop_merge_equals_map =
         }
       in
       let tables = Array.of_list (List.map (fun _ -> Admission.table ()) edf) in
-      let into = Admission.table () in
+      let into = Admission.table () and scratch = Admission.table () in
       let round () =
         step ();
         List.iteri (fun i t -> Admission.fill tables.(i) t) edf;
-        Admission.merge tables ~into;
+        Admission.merge tables ~scratch ~into;
         let spec = map_merge edf in
         same_table into spec && same_table (Admission.merge_breakpoints ps) spec
       in
@@ -766,6 +776,27 @@ let test_routing_miss_words () =
       if memo <> Routing.shortest_path topo ~ingress:a ~egress:b then
         Alcotest.failf "%s -> %s: memoized route differs from a fresh search" a b)
 
+(* A routing hit reads the ingress's memo row: two router-name lookups
+   and no allocation, for every edge-to-edge pair of the regional mesh. *)
+let test_routing_hit_words () =
+  let topo =
+    Topo_gen.regions (Prng.create ~seed:1) ~regions:8 ~nodes_per_region:16
+      ~delay_fraction:0.5 ()
+  in
+  let nodes = Array.of_list (Topo_gen.leaves topo) in
+  let routing = Routing.create topo (Path_mib.create (Node_mib.create topo)) in
+  let all_pairs () =
+    for i = 0 to Array.length nodes - 1 do
+      for j = 0 to Array.length nodes - 1 do
+        ignore
+          (Sys.opaque_identity (Routing.path routing ~ingress:nodes.(i) ~egress:nodes.(j)))
+      done
+    done
+  in
+  (* the counters' own reads allocate; an empty call measures them *)
+  Alcotest.(check (float 0.))
+    "words a hit" (words_per_call Fun.id) (words_per_call all_pairs)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -815,7 +846,10 @@ let () =
       ( "path_mib",
         [ Alcotest.test_case "find by id" `Quick test_path_mib_find ] );
       ( "routing",
-        [ Alcotest.test_case "memo miss words below nodes" `Quick test_routing_miss_words ] );
+        [
+          Alcotest.test_case "memo miss words below nodes" `Quick test_routing_miss_words;
+          Alcotest.test_case "memo hit allocates nothing" `Quick test_routing_hit_words;
+        ] );
       ( "journal",
         [ Alcotest.test_case "admit append cost fixed" `Quick test_append_cost ] );
       ("properties", props);

@@ -250,6 +250,61 @@ let prop_routing_matches_reference =
       in
       agrees topology && agrees (Topology.copy topology))
 
+(* The routing memo (per-ingress trees and rows) answers what a fresh
+   search answers, under random sequences of link failures and restores
+   on regional domains: every ordered pair, [None] for self, unknown and
+   unreachable routers, and the same registered path for a repeated ask
+   within one state version.  A random subset of pairs is asked before
+   each state change, so stale trees and rows would be read after it. *)
+let prop_routing_memo_matches_fresh =
+  QCheck.Test.make ~name:"memoized routing equals a fresh search under flaps" ~count:60
+    (QCheck.make
+       ~print:(fun (seed, regions, per, steps) ->
+         Printf.sprintf "seed=%d regions=%d nodes_per_region=%d steps=%d" seed regions per
+           steps)
+       QCheck.Gen.(
+         let* seed = int_range 1 1_000_000 in
+         let* regions = int_range 1 4 in
+         let* per = int_range 2 6 in
+         let* steps = int_range 1 12 in
+         return (seed, regions, per, steps)))
+    (fun (seed, regions, per, steps) ->
+      let module Path_mib = Bbr_broker.Path_mib in
+      let module Routing = Bbr_broker.Routing in
+      let prng = Prng.create ~seed in
+      let topology =
+        Topo_gen.regions prng ~regions ~nodes_per_region:per ~extra_links:(per / 2) ()
+      in
+      let routing =
+        Routing.create topology (Path_mib.create (Node_mib.create topology))
+      in
+      let nodes = "nowhere" :: Topology.nodes topology in
+      let links = Array.of_list (Topology.links topology) in
+      let ok = ref true in
+      let check ingress egress =
+        let memo = Routing.path routing ~ingress ~egress in
+        let fresh = Routing.shortest_path topology ~ingress ~egress in
+        let again = Routing.path routing ~ingress ~egress in
+        let id = Option.map (fun (i : Path_mib.info) -> i.Path_mib.path_id) in
+        ok :=
+          !ok
+          && Option.map (fun (i : Path_mib.info) -> link_ids i.Path_mib.links) memo
+             = Option.map link_ids fresh
+          && id memo = id again
+          && ((ingress <> egress && ingress <> "nowhere" && egress <> "nowhere")
+             || memo = None)
+      in
+      for _ = 1 to steps do
+        List.iter
+          (fun a -> List.iter (fun b -> if Prng.float prng < 0.3 then check a b) nodes)
+          nodes;
+        let l = links.(Prng.int prng ~bound:(Array.length links)) in
+        Topology.set_link_state topology ~link_id:l.Topology.link_id
+          ~up:(not (Topology.link_is_up topology ~link_id:l.Topology.link_id));
+        List.iter (fun a -> List.iter (check a) nodes) nodes
+      done;
+      !ok)
+
 (* Deterministic generator sanity checks. *)
 
 let test_chain () =
@@ -338,6 +393,7 @@ let () =
         prop_teardown_all_restores_blank;
         prop_snapshot_survives_storm;
         prop_routing_matches_reference;
+        prop_routing_memo_matches_fresh;
       ]
   in
   Alcotest.run "random_topology"
