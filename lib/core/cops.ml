@@ -86,7 +86,13 @@ let note_pending t = Metrics.set_gauge "bb_cops_pending" (float_of_int t.pending
    bumping [gen]), forgets the PDP's recorded decision (a busy verdict
    must not be replayed from the duplicate cache), waits the jittered
    [retry_after], and re-enters the REQ path.  After [busy_retries]
-   consecutive busy verdicts the PEP gives up and delivers the error. *)
+   consecutive busy verdicts the PEP gives up and delivers the error.
+   Each DEC carries the [gen] of the REQ that produced it, so a copy of a
+   busy verdict whose attempt has already backed off (a duplicate on the
+   wire, or the PDP's replay to a duplicate REQ) is dropped: one busy
+   verdict costs one backoff.  The PDP replays a recorded busy verdict
+   only to a REQ of the attempt it answered; a later attempt is decided
+   afresh, or its replies would all be stale. *)
 let exchange t ~decide ~busy ~accepted ~on_decision =
   t.pending <- t.pending + 1;
   note_pending t;
@@ -113,8 +119,8 @@ let exchange t ~decide ~busy ~accepted ~on_decision =
   in
   let gen = ref 0 in
   let busy_left = ref (match t.rel with Some r -> r.busy_retries | None -> 0) in
-  let rec deliver_decision dec =
-    if not !resolved then begin
+  let rec deliver_decision g dec =
+    if (not !resolved) && not (g <> !gen && Option.is_some (busy dec)) then begin
       match (t.rel, if !busy_left > 0 then busy dec else None) with
       | Some r, Some retry_after ->
           busy_left := !busy_left - 1;
@@ -151,12 +157,12 @@ let exchange t ~decide ~busy ~accepted ~on_decision =
           (* The PEP reports successful installation of the decision. *)
           if accepted dec then send t (fun () -> ())
     end
-  and pdp_decide () =
+  and pdp_decide g =
     match !decided with
-    | Some (pdp, dec) when pdp == t.broker ->
+    | Some (pdp, dg, dec) when pdp == t.broker && (dg = g || Option.is_none (busy dec)) ->
         t.duplicates <- t.duplicates + 1;
         Metrics.count "bb_cops_duplicates_total";
-        send t (fun () -> deliver_decision dec)
+        send t (fun () -> deliver_decision dg dec)
     | _ -> (
         match !deciding with
         | Some pdp when pdp == t.broker ->
@@ -173,14 +179,14 @@ let exchange t ~decide ~busy ~accepted ~on_decision =
                     (match !deciding with
                     | Some pdp when pdp == b -> deciding := None
                     | _ -> ());
-                    if b == t.broker then decided := Some (b, dec);
-                    send t (fun () -> deliver_decision dec))))
+                    if b == t.broker then decided := Some (b, g, dec);
+                    send t (fun () -> deliver_decision g dec))))
   and attempt g timeout =
     if (not !resolved) && g = !gen then begin
       send t (fun () ->
           (* REQ arrived at the PDP: decide and send DEC back.  A crashed
              PDP consumes the message without answering. *)
-          if t.pdp_up then pdp_decide ());
+          if t.pdp_up then pdp_decide g);
       match t.rel with
       | None -> ()
       | Some r ->
