@@ -1,8 +1,8 @@
 (* Path-oriented admission control at work (paper Section 3.2).
 
    Fills the mixed Figure-8 path with per-flow requests and prints, for
-   every admission, the rate-delay pair the O(M) Figure-4 algorithm picked
-   and the number of distinct delay values M it had to examine — contrast
+   every admission, the rate-delay pair the O(M) exact interval evaluation
+   picked and the number of distinct delay values M it had to examine — contrast
    with the IntServ baseline, which runs one local test per hop and books
    per-flow state at every router.
 

@@ -7,14 +7,13 @@
     - {!rate_based} — paths with only rate-based schedulers (Section 3.1):
       a closed-form O(1) test returning the minimal feasible reserved rate.
     - {!mixed} — paths mixing rate- and delay-based schedulers
-      (Section 3.2, Figure 4): an O(M) scan over the [M] distinct delay
-      values supported by the delay-based schedulers of the path, returning
-      a rate–delay pair with the minimal feasible rate.
-    - {!mixed_reference} — an exact oracle that adds the candidate's
-      own-deadline constraint of the VT-EDF schedulability condition
-      (eq. (5)) to every delay interval; {!mixed}'s fallback.  Also O(M)
-      in practice: it searches for the own deadline only on the intervals
-      whose cheap lower bound can still win.
+      (Section 3.2): one exact evaluation of the [M + 1] intervals cut by
+      the [M] distinct delay values of the path's delay-based schedulers,
+      returning a rate–delay pair with the minimal feasible rate.  Unlike
+      the paper's Figure-4 scan it adds the candidate's own-deadline
+      constraint of the VT-EDF schedulability condition (eq. (5)) to every
+      interval, and it is still O(M) in practice.  The published interval
+      formulas survive only as the Figure-5 table of {!intervals}.
 
     All tests are pure with respect to the MIBs: they never mutate
     reservation state. *)
@@ -83,29 +82,21 @@ val mixed :
   Bbr_vtrs.Traffic.t ->
   dreq:float ->
   (float * float, Types.reject_reason) result
-(** Figure-4 algorithm: [(rate, delay)] with minimal [rate] on a mixed
-    path.  Any returned pair is re-validated against the exact
-    schedulability condition.  The published interval formulas omit the
-    candidate's own-deadline constraint, so the pair can fail it, and the
-    scan can find no pair where one exists; then the result of
-    {!mixed_reference} is returned instead.  That is not rare: on the
-    [mesh-perflow] benchmark 28 896 of 41 616 calls (69%, seed 1) fall
-    back, as do a quarter of the crowded populations its tests draw.
-    [?bps] supplies the path's merged table (from {!Admission_cache});
-    when absent it is built by {!merge_breakpoints}.  Raises
-    [Invalid_argument] when the path has no delay-based hop. *)
-
-val mixed_reference :
-  ?bps:table ->
-  path_state ->
-  Bbr_vtrs.Traffic.t ->
-  dreq:float ->
-  (float * float, Types.reject_reason) result
-(** The exact oracle (see module doc): the minimal rate over every
-    interval's constraints, the candidate's own deadline at every
-    scheduler included, and the first interval's pair at that rate.  Bit
-    for bit the answer of evaluating every interval, which costs
-    O(M{^2} H); the tests keep that loop as its specification. *)
+(** The exact mixed-path test: [(rate, delay)] with minimal [rate], or
+    why none exists.  Interval [j] admits the least rate
+    [max (rho, Xi / (t - d_own), del_lower_j)] within its upper edge,
+    where [d_own] is the least delay in the interval that meets the
+    candidate's own deadline at every scheduler; the answer is the first
+    interval of least rate, so any returned pair satisfies
+    {!schedulable}.  Evaluating every interval costs O(M{^2} H).  This
+    test computes [del_lower] of every interval in one pass and searches
+    for the own deadline (O(M H)) only on intervals whose cheap lower
+    bound — the same formula at the interval's left edge — can still beat
+    the best rate so far, which prunes nothing that could win; the tests
+    keep the full loop as its specification and check this one bit for
+    bit.  [?bps] supplies the path's merged table (from
+    {!Admission_cache}); when absent it is built by {!merge_breakpoints}.
+    Raises [Invalid_argument] when the path has no delay-based hop. *)
 
 val admit :
   ?bps:table ->
@@ -138,9 +129,10 @@ val schedulable : path_state -> rate:float -> delay:float -> lmax:float -> bool
 
 (** {1 Introspection} *)
 
-(** One delay interval of the Figure-4 scan, with the two rate ranges of
-    eqs. (10) and (11).  Exposed for diagnostics and for reproducing the
-    monotonicity illustration of the paper's Figure 5. *)
+(** One delay interval with the two rate ranges of the published
+    eqs. (10) and (11), which omit the own-deadline term {!mixed} adds.
+    Exposed for diagnostics and for reproducing the monotonicity
+    illustration of the paper's Figure 5. *)
 type interval_view = {
   index : int;  (** [m], 1-based from the leftmost interval *)
   d_lo : float;  (** [d^{m-1}] *)
@@ -157,6 +149,6 @@ val intervals :
   Bbr_vtrs.Traffic.t ->
   dreq:float ->
   interval_view list
-(** The interval table the Figure-4 scan walks, left to right.  Empty when
+(** The published interval table, left to right.  Empty when
     the request is trivially unachievable.  Raises [Invalid_argument] on a
     path without delay-based hops. *)

@@ -138,9 +138,9 @@ val request :
     single-broker id sequence exactly.
 
     [admission] selects the admissibility test on mixed paths: [`Exact]
-    (the default) runs {!Admission.admit}: the Figure-4 O(M) scan, with
-    the exact oracle ({!Admission.mixed_reference}) as its fallback when
-    the scan's pair fails the exact check or the scan finds none;
+    (the default) runs {!Admission.admit}: one exact O(M) evaluation of
+    the path's delay intervals ({!Admission.mixed}), which includes the
+    candidate's own-deadline term the paper's Figure-4 formulas omit;
     [`Conservative] runs the O(1) rate-only bound
     ({!Admission.conservative}) — the degraded mode the {!Overload}
     brownout controller switches to under sustained load.  Both are

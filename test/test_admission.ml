@@ -1,6 +1,6 @@
 (* Tests for the path-oriented admission control algorithms (paper
-   Section 3), including cross-validation of the O(M) Figure-4 algorithm
-   against the exact oracle. *)
+   Section 3), including a bit-for-bit check of the O(M) mixed-path test
+   against its O(M^2 H) per-interval specification. *)
 
 module Admission = Bbr_broker.Admission
 module Types = Bbr_broker.Types
@@ -68,7 +68,7 @@ let test_rate_based_meets_bound_exactly () =
   | Error _ -> Alcotest.fail "expected admission"
 
 (* ------------------------------------------------------------------ *)
-(* Mixed paths (Section 3.2, Figure 4) *)
+(* Mixed paths (Section 3.2) *)
 
 let test_mixed_empty_schedulers () =
   let ps = mk_state ~q:3 ~dq:2 () in
@@ -133,32 +133,9 @@ let test_mixed_fills_like_paper () =
   Alcotest.(check bool) "rates nondecreasing overall" true
     (List.hd !rates >= List.nth !rates 26)
 
-let test_mixed_minimality_vs_oracle_on_fill () =
-  (* At every step of the fill the fast algorithm must agree with the
-     exact oracle. *)
-  let capacity = 1.5e6 in
-  let edf = [ Vtedf.create ~capacity; Vtedf.create ~capacity ] in
-  let reserved = ref 0. in
-  let continue = ref true in
-  let step = ref 0 in
-  while !continue && !step < 40 do
-    incr step;
-    let ps = mk_state ~q:3 ~dq:2 ~cres:(capacity -. !reserved) ~edf () in
-    let fast = Admission.mixed ps type0 ~dreq:2.19 in
-    let exact = Admission.mixed_reference ps type0 ~dreq:2.19 in
-    (match (fast, exact) with
-    | Ok (rf, df), Ok (re, _) ->
-        Alcotest.(check (float 1.)) (Printf.sprintf "step %d minimal rate" !step) re rf;
-        List.iter (fun s -> Vtedf.add s ~rate:rf ~delay:df ~lmax:12_000.) edf;
-        reserved := !reserved +. rf
-    | Error _, Error _ -> continue := false
-    | Ok _, Error _ -> Alcotest.fail "fast admitted what oracle rejected"
-    | Error _, Ok _ -> Alcotest.fail "fast rejected what oracle admitted")
-  done
-
 (* ------------------------------------------------------------------ *)
-(* Randomized cross-validation: the Figure-4 algorithm against the exact
-   oracle on random scheduler populations. *)
+(* Randomized properties of the mixed test on random scheduler
+   populations. *)
 
 let random_state_gen =
   QCheck.Gen.(
@@ -208,20 +185,6 @@ let prop_mixed_sound =
                ~delay_hops:ps.Admission.delay_hops ~rate ~delay ~d_tot:ps.Admission.d_tot
              <= dreq +. 1e-6)
 
-let prop_mixed_agrees_with_oracle =
-  QCheck.Test.make ~name:"mixed: decision and minimal rate match the oracle" ~count:500
-    arb_random_state (fun ((_, _, _, dreq) as spec) ->
-      let ps = build_state spec in
-      match (Admission.mixed ps type0 ~dreq, Admission.mixed_reference ps type0 ~dreq) with
-      | Ok (rf, _), Ok (re, _) -> Float.abs (rf -. re) <= 1e-3 *. Float.max 1. re
-      | Error _, Error _ -> true
-      | Ok _, Error _ -> false
-      | Error _, Ok (re, de) ->
-          (* The published interval formulas may be conservative; a
-             disagreement is only acceptable if the fast path fell back —
-             which it does internally — so this case must not occur. *)
-          QCheck.Test.fail_reportf "fast rejected, oracle found (%g, %g)" re de)
-
 let prop_mixed_sound_any_profile =
   QCheck.Test.make ~name:"mixed: sound for arbitrary candidate profiles" ~count:500
     (QCheck.pair arb_random_state Gen.arb_profile)
@@ -238,31 +201,11 @@ let prop_mixed_sound_any_profile =
                ~d_tot:ps.Admission.d_tot
              <= dreq +. 1e-6)
 
-let prop_mixed_matches_oracle_any_profile =
-  QCheck.Test.make ~name:"mixed: matches oracle for arbitrary profiles" ~count:500
-    (QCheck.pair arb_random_state Gen.arb_profile)
-    (fun (((_, _, _, dreq) as spec), profile) ->
-      let ps = build_state spec in
-      match (Admission.mixed ps profile ~dreq, Admission.mixed_reference ps profile ~dreq)
-      with
-      | Ok (rf, _), Ok (re, _) -> Float.abs (rf -. re) <= 1e-3 *. Float.max 1. re
-      | Error _, Error _ -> true
-      | Ok _, Error _ -> false
-      | Error _, Ok _ -> false)
-
-let prop_oracle_sound =
-  QCheck.Test.make ~name:"oracle: any admitted pair is exactly schedulable" ~count:500
-    arb_random_state (fun ((_, _, _, dreq) as spec) ->
-      let ps = build_state spec in
-      match Admission.mixed_reference ps type0 ~dreq with
-      | Error _ -> true
-      | Ok (rate, delay) -> Admission.schedulable ps ~rate ~delay ~lmax:12_000.)
-
-let prop_oracle_rate_not_improvable =
+let prop_mixed_rate_not_improvable =
   QCheck.Test.make ~name:"oracle: rate cannot be reduced by 5%" ~count:300
     arb_random_state (fun ((_, _, _, dreq) as spec) ->
       let ps = build_state spec in
-      match Admission.mixed_reference ps type0 ~dreq with
+      match Admission.mixed ps type0 ~dreq with
       | Error _ -> true
       | Ok (rate, _) ->
           let smaller = rate *. 0.95 in
@@ -289,10 +232,10 @@ let prop_oracle_rate_not_improvable =
                [ 0.; 0.25; 0.5; 0.75; 1. ]))
 
 (* ------------------------------------------------------------------ *)
-(* The exact oracle's specification: every constraint evaluated on every
-   interval, the own-deadline search included — O(M^2 H).  The library's
-   {!Admission.mixed_reference} prunes intervals that cannot win and must
-   agree with this bit for bit. *)
+(* The mixed test's specification: every constraint evaluated on every
+   interval, the own-deadline search included — O(M^2 H).
+   {!Admission.mixed} prunes intervals that cannot win and must agree with
+   this bit for bit. *)
 
 module Fp = Bbr_util.Fp
 
@@ -388,9 +331,10 @@ let naive_reference (ps : Admission.path_state) (p : Traffic.t) ~dreq =
           else Error Types.Not_schedulable
     end
 
-(* Populations where the Figure-4 scan's pair often fails the exact check,
-   so that [mixed] falls back to the oracle: 50-250 flows of small rates
-   with continuous (hence distinct) delays.  Each flow crosses its own
+(* Populations where the own-deadline term often decides: 50-250 flows
+   of small rates with continuous (hence distinct) delays; the published
+   interval formulas, which omit it, pick a pair that fails the exact
+   check on many of them.  Each flow crosses its own
    subset of the delay-based hops (bit i of its mask: hop i), so the hops'
    residual curves differ, as on a mesh, and the own-deadline search can
    fail at one hop inside an interval another hop's breakpoints bound. *)
@@ -428,30 +372,27 @@ let arb_crowded =
         Traffic.pp p)
     QCheck.Gen.(pair crowded_state_gen (oneof [ return type0; Gen.profile_gen ]))
 
-let prop_oracle_matches_spec =
+let prop_mixed_matches_spec =
   QCheck.Test.make ~name:"oracle: bit for bit the naive per-interval spec" ~count:1000
     arb_crowded (fun (((_, _, _, dreq) as spec), p) ->
       let ps = build_crowded spec in
       let bits (r, d) = (Int64.bits_of_float r, Int64.bits_of_float d) in
-      match (Admission.mixed_reference ps p ~dreq, naive_reference ps p ~dreq) with
+      match (Admission.mixed ps p ~dreq, naive_reference ps p ~dreq) with
       | Ok a, Ok b -> bits a = bits b
       | Error a, Error b -> a = b
       | Ok (r, d), Error e ->
-          QCheck.Test.fail_reportf "oracle (%h, %h), spec %a" r d Types.pp_reject_reason e
+          QCheck.Test.fail_reportf "mixed (%h, %h), spec %a" r d Types.pp_reject_reason e
       | Error e, Ok (r, d) ->
-          QCheck.Test.fail_reportf "oracle %a, spec (%h, %h)" Types.pp_reject_reason e r d)
+          QCheck.Test.fail_reportf "mixed %a, spec (%h, %h)" Types.pp_reject_reason e r d)
 
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
       [
         prop_mixed_sound;
-        prop_mixed_agrees_with_oracle;
         prop_mixed_sound_any_profile;
-        prop_mixed_matches_oracle_any_profile;
-        prop_oracle_sound;
-        prop_oracle_rate_not_improvable;
-        prop_oracle_matches_spec;
+        prop_mixed_rate_not_improvable;
+        prop_mixed_matches_spec;
       ]
   in
   Alcotest.run "admission"
@@ -473,8 +414,6 @@ let () =
           Alcotest.test_case "capacity" `Quick test_mixed_respects_capacity;
           Alcotest.test_case "meets e2e bound" `Quick test_mixed_result_meets_e2e_bound;
           Alcotest.test_case "27-flow fill (Table 2)" `Quick test_mixed_fills_like_paper;
-          Alcotest.test_case "fill agrees with oracle" `Quick
-            test_mixed_minimality_vs_oracle_on_fill;
         ] );
       ("properties", props);
     ]

@@ -699,12 +699,12 @@ let test_can_admit_words_flat () =
   in
   Alcotest.(check (float 0.)) "words at M = 200 equal words at M = 10" (words 10) (words 200)
 
-(* A decision that reaches the exact oracle costs O(M) words: its one
-   table of per-interval bounds and a constant.  At dreq 1.7 the Figure-4
-   pair fails the exact check and the oracle admits at the own-deadline
-   floor lmax/C; with the residual below rho no pair exists, and any
-   rejection past a non-empty interval table comes from the oracle. *)
-let test_fallback_words_linear () =
+(* A mixed decision over a cached table costs O(M) words: its one table
+   of per-interval lower bounds and a constant.  At dreq 1.7 the flow is
+   admitted at the own-deadline floor lmax/C; with the residual below rho
+   no pair exists, and the rejection is decided past a non-empty interval
+   table. *)
+let test_mixed_words_linear () =
   let m = 200 and dreq = 1.7 in
   let ps = crowded_path ~m ~dq:2 () in
   let bps = Admission.merge_breakpoints ps in
@@ -727,9 +727,8 @@ let test_fallback_words_linear () =
   within "reject" starved
 
 (* An uncached decision builds the path's merged table into fresh
-   buffers, two per scheduler and two for the path: O(M) words, whether
-   the Figure-4 pair holds (dreq 1.7) or the oracle places the flow at
-   the own-deadline floor (dreq 1.0).  The sharded router's two-phase
+   buffers, two per scheduler and two for the path: O(M) words, at
+   dreq 1.7 and at dreq 1.0.  The sharded router's two-phase
    admit decides this way. *)
 let test_uncached_words_linear () =
   let m = 200 in
@@ -820,8 +819,7 @@ let () =
         ] );
       ( "admission",
         [
-          Alcotest.test_case "oracle fallback words linear in M" `Quick
-            test_fallback_words_linear;
+          Alcotest.test_case "mixed words linear in M" `Quick test_mixed_words_linear;
           Alcotest.test_case "uncached admit words linear in M" `Quick
             test_uncached_words_linear;
         ] );
