@@ -82,11 +82,6 @@ let pop t =
     Some top.value
   end
 
-let pop_exn t =
-  match pop t with
-  | Some v -> v
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
-
 let clear t =
   t.len <- 0;
   t.next_seq <- 0

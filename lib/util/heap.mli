@@ -24,9 +24,6 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Remove and return the highest-priority element. *)
 
-val pop_exn : 'a t -> 'a
-(** Like {!pop} but raises [Invalid_argument] on an empty heap. *)
-
 val clear : 'a t -> unit
 
 val to_list : 'a t -> 'a list

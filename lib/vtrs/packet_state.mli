@@ -26,13 +26,11 @@ val init : rate:float -> delay:float -> lmax:float -> edge_departure:float -> t
     time the packet leaves the edge conditioner and enters the first core
     hop ([omega = a_hat_1]). *)
 
-val virtual_delay : t -> Topology.sched_class -> float
-(** Per-hop virtual delay [d~_i]: [lmax/rate + delta] at a rate-based hop,
-    [delay] at a delay-based hop. *)
-
 val virtual_finish : t -> Topology.sched_class -> float
 (** Virtual finish time [nu~ = omega + d~] at the current hop — the quantity
-    core-stateless schedulers use as the service priority. *)
+    core-stateless schedulers use as the service priority.  The per-hop
+    virtual delay [d~] is [lmax/rate + delta] at a rate-based hop and
+    [delay] at a delay-based hop. *)
 
 val advance : t -> link:Topology.link -> t
 (** Concatenation rule, paper eq. (1): the state the packet carries into the

@@ -68,8 +68,6 @@ val out_links : t -> string -> link list
     currently marked down — the physical topology does not shrink).  A
     lookup in a per-node adjacency index; [[]] for an unknown router. *)
 
-val mem_node : t -> string -> bool
-
 (** {1 Dense node indices}
 
     Routers are numbered [0 .. num_nodes - 1] in insertion order, so path

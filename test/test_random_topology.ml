@@ -174,7 +174,8 @@ let reference_out_links topology name =
   List.filter (fun (l : Topology.link) -> l.Topology.src = name) (Topology.links topology)
 
 let reference_bfs topology ~ingress ~egress =
-  if not (Topology.mem_node topology ingress && Topology.mem_node topology egress)
+  let nodes = Topology.nodes topology in
+  if not (List.mem ingress nodes && List.mem egress nodes)
   then None
   else if ingress = egress then None
   else begin

@@ -167,11 +167,6 @@ let test_heap_clear () =
   Alcotest.(check bool) "empty after clear" true (Heap.is_empty h);
   Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
 
-let test_heap_pop_exn () =
-  let h = Heap.create ~leq:(fun (a : int) b -> a <= b) in
-  Alcotest.check_raises "pop_exn empty" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
-
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains any list in sorted order" ~count:200
     QCheck.(list int)
@@ -298,7 +293,6 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_on_ties;
           Alcotest.test_case "peek" `Quick test_heap_peek;
           Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "pop_exn" `Quick test_heap_pop_exn;
         ] );
       ( "fp",
         [

@@ -254,9 +254,10 @@ let test_topology_is_path () =
 
 let test_packet_state_virtual_delay () =
   let st = Packet_state.init ~rate:50_000. ~delay:0.1 ~lmax:12_000. ~edge_departure:3. in
-  check_float "rate-based d~" (12_000. /. 50_000.) (Packet_state.virtual_delay st Topology.Rate_based);
-  check_float "delay-based d~" 0.1 (Packet_state.virtual_delay st Topology.Delay_based);
-  check_float "virtual finish" (3. +. 0.24) (Packet_state.virtual_finish st Topology.Rate_based)
+  (* omega is the edge departure, 3 s; d~ is lmax/rate or the delay. *)
+  check_float "rate-based d~" (12_000. /. 50_000.)
+    (Packet_state.virtual_finish st Topology.Rate_based -. 3.);
+  check_float "delay-based d~" 0.1 (Packet_state.virtual_finish st Topology.Delay_based -. 3.)
 
 let test_packet_state_advance () =
   let t = Topology.create () in
