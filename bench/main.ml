@@ -1502,7 +1502,11 @@ let run_storage () =
     detection_rate;
   let t0 = Sys.time () in
   let scrub_report = Storage.scrub (Storage.create ~vfs:(Vfs.copy vfs) ()) in
-  let scrub_s = Sys.time () -. t0 in
+  (* Printed, not written: the artifact holds counts only, so it
+     regenerates byte for byte. *)
+  Fmt.pr "scrub of the pristine store: %d segments in %.6g s@."
+    scrub_report.Storage.segments_checked
+    (Sys.time () -. t0);
   let segments =
     List.length
       (List.filter (fun f -> String.length f > 4 && String.sub f 0 4 = "seg-") files)
@@ -1532,10 +1536,9 @@ let run_storage () =
     "  \"totals\": { \"trials\": %d, \"silent\": %d, \"raised\": %d, \
      \"unrecoverable\": %d, \"sealed_detection_rate\": %.6g },\n"
     (total 0) (total 3) (total 4) (total 5) detection_rate;
-  pf "  \"scrub\": { \"segments_checked\": %d, \"clean\": %b, \"seconds\": %.6g }\n}\n"
+  pf "  \"scrub\": { \"segments_checked\": %d, \"clean\": %b }\n}\n"
     scrub_report.Storage.segments_checked
-    (Storage.scrub_clean scrub_report)
-    scrub_s;
+    (Storage.scrub_clean scrub_report);
   let oc = open_out "BENCH_storage.json" in
   output_string oc (Buffer.contents b);
   close_out oc;

@@ -57,5 +57,3 @@ let release t ~link_id amount =
   notify t ~link_id
 
 let on_change t hook = t.hooks <- hook :: t.hooks
-
-let total_reserved t = Array.fold_left (fun acc s -> acc +. s.reserved) 0. t.states

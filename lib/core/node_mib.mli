@@ -40,6 +40,3 @@ val on_change : t -> (link_id:int -> unit) -> unit
     product module subscribes: [C_res] is read on demand
     ({!Path_mib.residual}), so the hook serves only external probes that
     count link changes. *)
-
-val total_reserved : t -> float
-(** Sum over links (diagnostics). *)

@@ -1,6 +1,6 @@
 (* Tests for the path-oriented admission control algorithms (paper
    Section 3), including a bit-for-bit check of the O(M) mixed-path test
-   against its O(M^2 H) per-interval specification. *)
+   against the reference broker's O(M^2 H) per-interval evaluation. *)
 
 module Admission = Bbr_broker.Admission
 module Types = Bbr_broker.Types
@@ -232,104 +232,21 @@ let prop_mixed_rate_not_improvable =
                [ 0.; 0.25; 0.5; 0.75; 1. ]))
 
 (* ------------------------------------------------------------------ *)
-(* The mixed test's specification: every constraint evaluated on every
+(* The mixed test against its specification: the reference broker's
+   per-interval evaluation ({!Model.mixed}), every constraint on every
    interval, the own-deadline search included — O(M^2 H).
    {!Admission.mixed} prunes intervals that cannot win and must agree with
-   this bit for bit. *)
+   it bit for bit. *)
 
-module Fp = Bbr_util.Fp
-
-let naive_reference (ps : Admission.path_state) (p : Traffic.t) ~dreq =
-  let dh = float_of_int ps.Admission.delay_hops in
-  let ton = Traffic.t_on p in
-  let tval = (dreq -. ps.Admission.d_tot +. ton) /. dh in
-  let lmax = p.Traffic.lmax in
-  if tval <= 0. then Error Types.Delay_unachievable
-  else
-    let xi =
-      ((ton *. p.Traffic.peak) +. (float_of_int (ps.Admission.rate_hops + 1) *. lmax)) /. dh
-    in
-    let { Admission.n = m; d = md; s = ms } = Admission.merge_breakpoints ps in
-    let n_lt = Array.fold_left (fun c d -> if d < tval then c + 1 else c) 0 (Array.sub md 0 m) in
-    let ub_tail = ref infinity and feasible = ref true in
-    for k = n_lt to m - 1 do
-      if Fp.approx md.(k) tval then begin
-        if Fp.lt ms.(k) (xi +. lmax) then feasible := false
-      end
-      else
-        let bound = (ms.(k) -. xi -. lmax) /. (md.(k) -. tval) in
-        if bound < !ub_tail then ub_tail := bound
-    done;
-    if not !feasible then Error Types.Not_schedulable
-    else begin
-      let r_cap = Float.min p.Traffic.peak ps.Admission.cres in
-      let del_lower j =
-        let lb = ref 0. in
-        for k = j to n_lt - 1 do
-          let bound = (xi +. lmax -. ms.(k)) /. (tval -. md.(k)) in
-          if bound > !lb then lb := bound
-        done;
-        !lb
-      in
-      let own_delay_in edf ~lo ~hi =
-        let g0 = Vtedf.residual_service edf ~at:lo in
-        if Fp.geq g0 lmax then Some lo
-        else
-          let slope = Vtedf.capacity edf -. Vtedf.rate_below edf ~at:lo in
-          if slope <= 0. then None
-          else
-            let d = lo +. ((lmax -. g0) /. slope) in
-            if d < hi then Some d else None
-      in
-      let best = ref None in
-      for j = 0 to n_lt do
-        let lo_d = if j = 0 then 0. else md.(j - 1) in
-        let hi_d = if j = n_lt then tval else md.(j) in
-        let d_own =
-          List.fold_left
-            (fun acc edf ->
-              match acc with
-              | None -> None
-              | Some d -> (
-                  match own_delay_in edf ~lo:lo_d ~hi:hi_d with
-                  | None -> None
-                  | Some d' -> Some (Float.max d d')))
-            (Some lo_d) ps.Admission.edf
-        in
-        match d_own with
-        | None -> ()
-        | Some dlo ->
-            let r_lo =
-              let from_delay = if tval -. dlo > 0. then xi /. (tval -. dlo) else infinity in
-              Float.max p.Traffic.rho (Float.max from_delay (del_lower j))
-            in
-            let r_hi =
-              let from_interval =
-                if j = n_lt then infinity
-                else if tval -. hi_d > 0. then xi /. (tval -. hi_d)
-                else infinity
-              in
-              Float.min r_cap (Float.min !ub_tail from_interval)
-            in
-            if Fp.leq r_lo r_hi then begin
-              match !best with
-              | Some (r, _) when r <= r_lo -> ()
-              | _ -> best := Some (r_lo, Float.max 0. (tval -. (xi /. r_lo)))
-            end
-      done;
-      match !best with
-      | Some pair -> Ok pair
-      | None ->
-          let d_floor =
-            List.fold_left
-              (fun acc edf -> Float.max acc (lmax /. Vtedf.capacity edf))
-              0. ps.Admission.edf
-          in
-          if tval <= d_floor || Fp.gt (xi /. (tval -. d_floor)) p.Traffic.peak then
-            Error Types.Delay_unachievable
-          else if Fp.lt ps.Admission.cres p.Traffic.rho then Error Types.Insufficient_bandwidth
-          else Error Types.Not_schedulable
-    end
+(* What the model reads of a path state: its schedulers' classes. *)
+let model_path (ps : Admission.path_state) =
+  {
+    Model.rate_hops = ps.Admission.rate_hops;
+    delay_hops = ps.Admission.delay_hops;
+    d_tot = ps.Admission.d_tot;
+    cres = ps.Admission.cres;
+    hops = List.map Lockstep.hop ps.Admission.edf;
+  }
 
 (* Populations where the own-deadline term often decides: 50-250 flows
    of small rates with continuous (hence distinct) delays; the published
@@ -377,7 +294,7 @@ let prop_mixed_matches_spec =
     arb_crowded (fun (((_, _, _, dreq) as spec), p) ->
       let ps = build_crowded spec in
       let bits (r, d) = (Int64.bits_of_float r, Int64.bits_of_float d) in
-      match (Admission.mixed ps p ~dreq, naive_reference ps p ~dreq) with
+      match (Admission.mixed ps p ~dreq, Model.mixed (model_path ps) p ~dreq) with
       | Ok a, Ok b -> bits a = bits b
       | Error a, Error b -> a = b
       | Ok (r, d), Error e ->

@@ -131,22 +131,24 @@ let test_fail_link_reroutes_all () =
 
 let test_fail_link_drops_when_no_alternative () =
   let t, primary_id = two_path () in
-  let broker = Broker.create t in
+  let broker = Broker.create t and model = Model.create t in
   (match Broker.request broker (req ()) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "unexpected: %a" Types.pp_reject_reason e);
+  ignore (Model.request model (req ()));
   (* Take the backup down first; then the primary's victims have nowhere
      to go. *)
   let backup_id =
     (Option.get (Topology.find_link t ~src:"A" ~dst:"M2")).Topology.link_id
   in
   Topology.set_link_state t ~link_id:backup_id ~up:false;
+  ignore (Model.fail_link model ~link_id:backup_id);
   let r = Broker.fail_link broker ~link_id:primary_id in
   Alcotest.(check int) "dropped" 1 (Broker.dropped_count r);
   Alcotest.(check int) "nothing rerouted" 0 (Broker.recovered_count r);
   Alcotest.(check int) "released" 0 (Broker.per_flow_count broker);
-  Alcotest.(check (float 1e-9)) "no stranded bandwidth" 0.
-    (Node_mib.total_reserved (Broker.node_mib broker));
+  ignore (Model.fail_link model ~link_id:primary_id);
+  Lockstep.ledgers_match ~what:"no stranded bandwidth" model [ broker ];
   (* The dropped flow's eventual DRQ is a harmless no-op. *)
   List.iter (fun f -> Broker.teardown broker f) r.Broker.perflow_dropped
 
@@ -443,8 +445,8 @@ let test_snapshot_restore_atomic () =
       if not (is_infix ~affix:"flow 1" e && is_infix ~affix:"over capacity" e) then
         Alcotest.failf "second line must be refused for capacity, got: %s" e);
   Alcotest.(check int) "target untouched" 0 (Broker.per_flow_count target);
-  Alcotest.(check (float 1e-9)) "no bandwidth booked" 0.
-    (Node_mib.total_reserved (Broker.node_mib target));
+  Lockstep.ledgers_match ~what:"no bandwidth booked" (Model.create (Broker.topology target))
+    [ target ];
   (* Malformed numerics are a parse error, not an exception. *)
   (match Snapshot.restore target "bbr-snapshot v2\nadmit 0 oops 1 1 1 1 A B 1 0 0" with
   | Ok _ -> Alcotest.fail "malformed float must be rejected"
