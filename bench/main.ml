@@ -852,7 +852,7 @@ let run_recovery () =
   Fmt.pr "%-20s %10s %10s %16s@." "" "p50" "p95" "minor words/op";
   Fmt.pr "%-20s %10.2f %10.2f %16.1f@." "journal disabled" p50_off p95_off woff;
   Fmt.pr "%-20s %10.2f %10.2f %16.1f@." "journal enabled" p50_on p95_on won;
-  Fmt.pr "@.durability overhead at p95: %+.1f%%  (budget: <= 10%%)@." overhead;
+  Fmt.pr "@.durability overhead at p95: %+.1f%%  (budget: <= 75%%)@." overhead;
   Fmt.pr
     "(with no journal attached the mutation hook is a load + branch and@.";
   Fmt.pr "allocates nothing: disabled equals the unjournaled broker exactly)@.";

@@ -161,12 +161,9 @@ let recover_from ~make st =
         match restored with
         | Error _ -> go rest
         | Ok restored -> (
-            let tail = Storage.tail_from st ~cover in
-            match
-              Journal.replay standby (Journal.text_of_lines tail.Storage.lines)
-            with
-            | Error _ -> go rest
-            | Ok { Journal.applied; warning } ->
+            match Journal.replay_from standby st ~cover with
+            | _, Error _ -> go rest
+            | tail, Ok { Journal.applied; warning } ->
                 let truncated =
                   match tail.Storage.truncated with
                   | Some _ as why -> why

@@ -101,80 +101,70 @@ let encode ~seq ~at m =
   Linebuf.contents b
 
 (* --------------------------------------------------------------- *)
-(* Decoding.  All helpers return options; nothing here may raise.  *)
+(* Decoding.  Each field is read in place by {!Linebuf}'s reader,
+   which turns a malformed one into [None]; nothing here may raise. *)
 
-let links_of_str s =
-  if s = "" then Some []
-  else
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | p :: rest -> (
-          match int_of_string_opt p with
-          | Some id -> go (id :: acc) rest
-          | None -> None)
-    in
-    go [] parts
+(* The reader's twins of the writers above: each field after the first
+   follows a single space. *)
+let get_int r =
+  Linebuf.expect r ' ';
+  Linebuf.read_int r
 
-let decode_payload fields : Broker.mutation option =
-  let fl = float_of_string in
+let get_float r =
+  Linebuf.expect r ' ';
+  Linebuf.read_hfloat r
+
+let get_word r =
+  Linebuf.expect r ' ';
+  Linebuf.read_word r
+
+let get_links r =
+  Linebuf.expect r ' ';
+  Linebuf.read_ints r
+
+(* Fields are read in the order they were written: [let] fixes it. *)
+let get_request r =
+  let sigma = get_float r in
+  let rho = get_float r in
+  let peak = get_float r in
+  let lmax = get_float r in
+  let dreq = get_float r in
+  let ingress = get_word r in
+  let egress = get_word r in
+  { Types.profile = Traffic.make ~sigma ~rho ~peak ~lmax; dreq; ingress; egress }
+
+let get_booking r =
+  let flow = get_int r in
+  let request = get_request r in
+  let rate = get_float r in
+  let delay = get_float r in
+  let links = get_links r in
+  { Broker.flow; request; rate; delay; links }
+
+let decode_payload r : Broker.mutation option =
   match
-    match fields with
-    | [ (("admit" | "admitseg") as tag); flow; sigma; rho; peak; lmax; dreq; ingress; egress;
-        rate; delay; links ] ->
-        Option.map
-          (fun links ->
-            let b =
-              {
-                Broker.flow = int_of_string flow;
-                request =
-                  {
-                    Types.profile =
-                      Traffic.make ~sigma:(fl sigma) ~rho:(fl rho) ~peak:(fl peak)
-                        ~lmax:(fl lmax);
-                    dreq = fl dreq;
-                    ingress;
-                    egress;
-                  };
-                rate = fl rate;
-                delay = fl delay;
-                links;
-              }
-            in
-            if tag = "admit" then Broker.Admit b else Broker.Admit_segment b)
-          (links_of_str links)
-    | [ "admitc"; flow; class_id; sigma; rho; peak; lmax; dreq; ingress; egress ] ->
-        Some
-          (Broker.Admit_class
-             {
-               flow = int_of_string flow;
-               class_id = int_of_string class_id;
-               request =
-                 {
-                   Types.profile =
-                     Traffic.make ~sigma:(fl sigma) ~rho:(fl rho) ~peak:(fl peak)
-                       ~lmax:(fl lmax);
-                   dreq = fl dreq;
-                   ingress;
-                   egress;
-                 };
-             })
-    | [ "drop"; flow ] -> Some (Broker.Teardown (int_of_string flow))
-    | [ "dropc"; flow ] -> Some (Broker.Teardown_class (int_of_string flow))
-    | [ "qempty"; class_id; links ] ->
-        Option.map
-          (fun links -> Broker.Queue_emptied { class_id = int_of_string class_id; links })
-          (links_of_str links)
-    | [ "evac"; class_id; links ] ->
-        Option.map
-          (fun links -> Broker.Evacuated { class_id = int_of_string class_id; links })
-          (links_of_str links)
-    | [ "linkdown"; link_id ] -> Some (Broker.Link_failed (int_of_string link_id))
-    | [ "linkup"; link_id ] -> Some (Broker.Link_restored (int_of_string link_id))
+    match Linebuf.read_word r with
+    | "admit" -> Some (Broker.Admit (get_booking r))
+    | "admitseg" -> Some (Broker.Admit_segment (get_booking r))
+    | "admitc" ->
+        let flow = get_int r in
+        let class_id = get_int r in
+        Some (Broker.Admit_class { flow; class_id; request = get_request r })
+    | "drop" -> Some (Broker.Teardown (get_int r))
+    | "dropc" -> Some (Broker.Teardown_class (get_int r))
+    | "qempty" ->
+        let class_id = get_int r in
+        Some (Broker.Queue_emptied { class_id; links = get_links r })
+    | "evac" ->
+        let class_id = get_int r in
+        Some (Broker.Evacuated { class_id; links = get_links r })
+    | "linkdown" -> Some (Broker.Link_failed (get_int r))
+    | "linkup" -> Some (Broker.Link_restored (get_int r))
     | _ -> None
   with
-  | exception _ -> None
   | v -> v
+  (* A well-formed record of an impossible profile. *)
+  | exception Invalid_argument _ -> None
 
 let parse text = Wal.parse ~header ~decode_payload text
 
@@ -234,23 +224,44 @@ let apply broker (m : Broker.mutation) =
       Topology.set_link_state (Broker.topology broker) ~link_id ~up:true;
       Ok ()
 
+(* A truncated tail is a countable event, not just prose: the fleet
+   watches bb_journal_truncations_total, nobody greps warning strings. *)
+let count_truncation warning =
+  if warning <> None && Obs_log.active () then Obs_log.count "bb_journal_truncations_total"
+
+let apply_caught broker m = try apply broker m with exn -> Error (Printexc.to_string exn)
+
 let replay broker text =
   match parse text with
   | Error e -> Error e
   | Ok (entries, warning) ->
-      (* A truncated tail is a countable event, not just prose: the
-         fleet watches bb_journal_truncations_total, nobody greps warning
-         strings. *)
-      if warning <> None && Obs_log.active () then
-        Obs_log.count "bb_journal_truncations_total";
+      count_truncation warning;
       let rec go n = function
         | [] -> Ok { applied = n; warning }
         | (_at, m) :: rest -> (
-            match (try apply broker m with exn -> Error (Printexc.to_string exn)) with
+            match apply_caught broker m with
             | Ok () -> go (n + 1) rest
             | Error msg -> Error msg)
       in
       go 0 entries
+
+let replay_from broker store ~cover =
+  let chain = Wal.chain ~decode_payload in
+  let warning = ref None in
+  let outcome, tail =
+    Storage.fold_tail store ~cover ~init:(Ok 0) (fun acc b ~pos ~len ->
+        match acc with
+        | Ok n when !warning = None -> (
+            match Wal.next_record chain b ~pos ~len with
+            | Error w ->
+                warning := Some w;
+                acc
+            | Ok (_at, m) -> (
+                match apply_caught broker m with Ok () -> Ok (n + 1) | Error _ as e -> e))
+        | _ -> acc)
+  in
+  count_truncation !warning;
+  (tail, Result.map (fun applied -> { applied; warning = !warning }) outcome)
 
 (* --------------------------------------------------------------- *)
 (* The writer: the generic {!Wal} machinery specialized to broker

@@ -133,6 +133,17 @@ val replay : Broker.t -> string -> (replay_outcome, string) result
     which case the broker may be partially updated — replay into a fresh
     broker, as {!Failover.promote} does.  Never raises. *)
 
+val replay_from :
+  Broker.t -> Storage.t -> cover:int -> Storage.tail * (replay_outcome, string) result
+(** {!replay} of the store's intact record suffix from [cover] (what
+    {!Storage.tail_from} returns), without building a text or copying a
+    line: the store checks each line's CRC where it sits and hands it
+    over ({!Storage.fold_tail}), and the record is decoded there and
+    applied ({!Wal.next_record}) — one CRC and one decode a record.  A
+    malformed record truncates with a warning, as in {!replay}.  The
+    [tail] reports what the store found (its [lines] are empty).  Never
+    raises. *)
+
 val encode : seq:int -> at:float -> Broker.mutation -> string
 (** One record line (without the newline) — exposed for fuzzing. *)
 
@@ -146,9 +157,11 @@ val payload : Broker.mutation -> string
 (** {!write_payload} as a string — the form in which a {!Snapshot} saves
     a booked per-flow reservation (an [Admit] payload). *)
 
-val decode_payload : string list -> Broker.mutation option
-(** Decode a payload split on single spaces; [None] when malformed.
-    Never raises. *)
+val decode_payload : Bbr_util.Linebuf.reader -> Broker.mutation option
+(** Read a payload {!write_payload} wrote, in place, up to the end of
+    its fields — the caller checks that nothing follows, as {!Wal} does
+    for a record and {!Snapshot} for an [admit] line; [None] when
+    malformed.  Never raises. *)
 
 val text_of_lines : string list -> string
 (** A parseable journal text from raw record lines (as {!Storage.tail}

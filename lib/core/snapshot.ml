@@ -94,43 +94,75 @@ type macro = {
 
 type entry = Next of int | Admit of Broker.mutation | Macro of macro
 
-let ints_of_str s = List.map int_of_string (String.split_on_char ',' s)
+(* The reader's side of {!profile}, after its space: [sigma,rho,peak,lmax]. *)
+let read_profile r =
+  let sigma = Linebuf.read_hfloat r in
+  Linebuf.expect r ',';
+  let rho = Linebuf.read_hfloat r in
+  Linebuf.expect r ',';
+  let peak = Linebuf.read_hfloat r in
+  Linebuf.expect r ',';
+  let lmax = Linebuf.read_hfloat r in
+  Traffic.make ~sigma ~rho ~peak ~lmax
 
-let profile_of_str s =
-  match List.map float_of_string (String.split_on_char ',' s) with
-  | [ sigma; rho; peak; lmax ] -> Traffic.make ~sigma ~rho ~peak ~lmax
-  | _ -> failwith "profile"
+let get_float r =
+  Linebuf.expect r ' ';
+  Linebuf.read_hfloat r
+
+let get_int r =
+  Linebuf.expect r ' ';
+  Linebuf.read_int r
+
+(* A decoder that must read the whole of [s]. *)
+let whole s f =
+  Linebuf.read s ~pos:0 ~len:(String.length s) (fun r ->
+      match f r with Some _ as v when Linebuf.at_end r -> v | _ -> None)
+
+let get_macro r =
+  let class_id = get_int r in
+  Linebuf.expect r ' ';
+  let links = Linebuf.read_ints r in
+  Linebuf.expect r ' ';
+  let profile =
+    match Linebuf.read_word r with
+    | "-" -> Some None
+    | w -> Option.map Option.some (whole w (fun r -> Some (read_profile r)))
+  in
+  match profile with
+  | None -> None
+  | Some profile ->
+      let base = get_float r in
+      let conting = get_float r in
+      let edge_bound = get_float r in
+      let rec grants acc = if Linebuf.at_end r then List.rev acc else grants (get_float r :: acc) in
+      Some
+        { class_id; links; profile; base; conting; edge_bound; grants = grants [];
+          members = [] }
 
 (* Prepend one line's entry to [acc] (newest first); a member line joins
-   the macroflow above it.  Raises on a malformed line. *)
+   the macroflow above it.  [None] (or an exception) on a malformed
+   line.  Per-flow lines are the journal's [admit] payloads, read by its
+   decoder. *)
 let parse_line acc line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "" ] -> acc
-  | [ "next"; n ] -> Next (int_of_string n) :: acc
-  | "admit" :: _ as fields -> (
-      match Journal.decode_payload fields with
-      | Some (Broker.Admit _ as m) -> Admit m :: acc
-      | _ -> failwith "admit")
-  | "macro" :: class_id :: links :: profile :: base :: conting :: edge_bound :: grants ->
-      Macro
-        {
-          class_id = int_of_string class_id;
-          links = ints_of_str links;
-          profile = (if profile = "-" then None else Some (profile_of_str profile));
-          base = float_of_string base;
-          conting = float_of_string conting;
-          edge_bound = float_of_string edge_bound;
-          grants = List.map float_of_string grants;
-          members = [];
-        }
-      :: acc
-  | [ "member"; flow; profile ] -> (
-      match acc with
-      | Macro m :: rest ->
-          Macro { m with members = (int_of_string flow, profile_of_str profile) :: m.members }
-          :: rest
-      | _ -> failwith "member outside a macroflow")
-  | _ -> failwith "malformed"
+  let line = String.trim line in
+  if line = "" then Some acc
+  else if String.starts_with ~prefix:"admit " line then
+    match whole line Journal.decode_payload with
+    | Some (Broker.Admit _ as m) -> Some (Admit m :: acc)
+    | _ -> None
+  else
+    whole line (fun r ->
+        match Linebuf.read_word r with
+        | "next" -> Some (Next (get_int r) :: acc)
+        | "macro" -> Option.map (fun m -> Macro m :: acc) (get_macro r)
+        | "member" -> (
+            let flow = get_int r in
+            Linebuf.expect r ' ';
+            let p = read_profile r in
+            match acc with
+            | Macro m :: rest -> Some (Macro { m with members = (flow, p) :: m.members } :: rest)
+            | _ -> None)
+        | _ -> None)
 
 let parse text : (entry list, string) result =
   match String.split_on_char '\n' text with
@@ -143,8 +175,9 @@ let parse text : (entry list, string) result =
                  acc)
         | line :: lines -> (
             match parse_line acc line with
-            | acc -> go acc lines
-            | exception _ -> Error (Printf.sprintf "unparseable snapshot line: %S" line))
+            | Some acc -> go acc lines
+            | None | (exception _) ->
+                Error (Printf.sprintf "unparseable snapshot line: %S" line))
       in
       go [] rest
   | first :: _ -> Error (Printf.sprintf "bad snapshot header: %S" (String.trim first))

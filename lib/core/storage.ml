@@ -1,19 +1,33 @@
 module Vfs = Bbr_util.Vfs
 module Crc32 = Bbr_util.Crc32
 module Flight = Bbr_obs.Flight
+module Linebuf = Bbr_util.Linebuf
 
 type t = {
   vfs : Vfs.t;
   rotate_every : int;
   mutable active : int;  (* segment number currently appended to *)
-  mutable active_name : string;  (* [seg_name active], kept off the append path *)
+  mutable active_name : string;  (* [seg_name active] *)
+  mutable active_h : Vfs.handle;  (* [active_name], resolved once a segment *)
   mutable active_records : int;  (* appends since the last rotation *)
   mutable next_gen : int;
 }
 
 let seg_prefix = "seg-"
 let seg_suffix = ".log"
-let seg_name n = Printf.sprintf "%s%06d%s" seg_prefix n seg_suffix
+
+(* [seg-%06d.log]. *)
+let seg_name n =
+  let b = Linebuf.create 16 in
+  Linebuf.add_string b seg_prefix;
+  let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+  for _ = digits n to 5 do
+    Linebuf.add_char b '0'
+  done;
+  Linebuf.add_int b n;
+  Linebuf.add_string b seg_suffix;
+  Linebuf.contents b
+
 let slot_a = "ckpt.a"
 let slot_b = "ckpt.b"
 let shadow = "ckpt.tmp"
@@ -93,16 +107,21 @@ let slots_present t =
 
 (* ----------------------------------------------------------------- *)
 
+(* Make segment [n] the one appended to. *)
+let activate t n =
+  t.active <- n;
+  t.active_name <- seg_name n;
+  t.active_h <- Vfs.handle t.vfs ~name:t.active_name;
+  t.active_records <- 0
+
 let create ?(rotate_every = 64) ~vfs () =
   if rotate_every < 1 then invalid_arg "Storage.create: rotate_every must be >= 1";
   let t =
-    { vfs; rotate_every; active = 0; active_name = seg_name 0; active_records = 0;
-      next_gen = 1 }
+    { vfs; rotate_every; active = 0; active_name = seg_name 0;
+      active_h = Vfs.handle vfs ~name:(seg_name 0); active_records = 0; next_gen = 1 }
   in
   (match List.rev (segments t) with
-  | (n, _) :: _ ->
-      t.active <- n + 1;
-      t.active_name <- seg_name t.active
+  | (n, _) :: _ -> activate t (n + 1)
   | [] -> ());
   List.iter
     (fun (g, _, _) -> if g >= t.next_gen then t.next_gen <- g + 1)
@@ -115,57 +134,67 @@ let vfs t = t.vfs
 (* ----------------------------------------------------------------- *)
 (* Append path *)
 
-(* The segment's record region (everything after its header line) as it
-   sits on disk: newline count and CRC, computed in place. *)
-let seal_footer content =
-  let len = String.length content in
-  let start = match String.index_opt content '\n' with None -> len | Some nl -> nl + 1 in
-  let count = ref 0 in
-  for i = start to len - 1 do
-    if String.unsafe_get content i = '\n' then incr count
-  done;
-  Printf.sprintf "seal %d %s\n" !count
-    (Crc32.to_hex (Crc32.substring content ~pos:start ~len:(len - start)))
+(* A segment's first line, [bbr-seg v1 <n>], without its newline. *)
+let seg_header n =
+  let b = Linebuf.create 32 in
+  Linebuf.add_string b "bbr-seg v1 ";
+  Linebuf.add_int b n;
+  b
+
+let append_buf t b = absorb (Vfs.handle_append t.active_h (Linebuf.bytes b) ~len:(Linebuf.length b))
+
+(* The footer of a segment's record region (everything after its header
+   line) as it sits on disk, [seal <newlines> <crc32>]: count and CRC
+   computed in place. *)
+let seal_footer data len =
+  let start = min len (Linebuf.index_newline data ~pos:0 ~stop:len + 1) in
+  let rec count pos n =
+    let e = Linebuf.index_newline data ~pos ~stop:len in
+    if e = len then n else count (e + 1) (n + 1)
+  in
+  let b = Linebuf.create 32 in
+  Linebuf.add_string b "seal ";
+  Linebuf.add_int b (count start 0);
+  Linebuf.add_string b " 00000000\n";
+  Crc32.blit_hex (Crc32.bytes data ~pos:start ~len:(len - start)) (Linebuf.bytes b)
+    ~pos:(Linebuf.length b - 9);
+  b
 
 let seal_active t =
   let name = t.active_name in
-  if Vfs.exists t.vfs ~name then begin
-    let content =
-      match Vfs.read t.vfs ~name with
-      | Ok c when String.length c > 0 && c.[String.length c - 1] <> '\n' ->
-          (* A torn final line must not merge with the footer; the repair
-             append may itself be torn, so the footer covers what it
-             left. *)
-          absorb (Vfs.append t.vfs ~name "\n");
-          Vfs.read t.vfs ~name
-      | r -> r
-    in
-    (match content with
-    | Error e -> write_error (Vfs.error_label e)
-    | Ok content ->
+  if Vfs.handle_exists t.active_h then begin
+    (match Vfs.view t.vfs ~name with
+    | Some (data, len) when len > 0 && Bytes.get data (len - 1) <> '\n' ->
+        (* A torn final line must not merge with the footer; the repair
+           append may itself be torn, so the footer covers what it
+           left. *)
+        absorb (Vfs.append t.vfs ~name "\n")
+    | _ -> ());
+    (match Vfs.view t.vfs ~name with
+    | None -> ()
+    | Some (data, len) ->
         (* The footer checksums the record region exactly as it sits on
            disk: "has this segment changed since sealing?" is a separate
            question from "is every record in it valid?", which the
            per-record CRCs answer. *)
-        absorb (Vfs.append t.vfs ~name (seal_footer content));
-        absorb (Vfs.fsync t.vfs ~name));
-    t.active <- t.active + 1;
-    t.active_name <- seg_name t.active;
-    t.active_records <- 0
+        append_buf t (seal_footer data len);
+        absorb (Vfs.handle_fsync t.active_h));
+    activate t (t.active + 1)
   end
 
 let put t b len =
-  let name = t.active_name in
-  if not (Vfs.exists t.vfs ~name) then
-    absorb (Vfs.append t.vfs ~name (Printf.sprintf "bbr-seg v1 %d\n" t.active));
-  absorb (Vfs.append_bytes t.vfs ~name b ~len);
+  if not (Vfs.handle_exists t.active_h) then begin
+    let h = seg_header t.active in
+    Linebuf.add_char h '\n';
+    append_buf t h
+  end;
+  absorb (Vfs.handle_append t.active_h b ~len);
   t.active_records <- t.active_records + 1;
   if t.active_records >= t.rotate_every then seal_active t
 
 let sync t =
-  let name = t.active_name in
-  if Vfs.exists t.vfs ~name then
-    match Vfs.fsync t.vfs ~name with
+  if Vfs.handle_exists t.active_h then
+    match Vfs.handle_fsync t.active_h with
     | Ok () -> ()
     | Error e -> write_error ("fsync_" ^ Vfs.error_label e)
 
@@ -178,53 +207,70 @@ type seg_info = {
   sg_header_ok : bool;
   sg_sealed : bool;
   sg_seal_ok : bool;  (* meaningless unless [sg_sealed] *)
-  sg_lines : string list;  (* record region, raw lines *)
+  sg_data : Bytes.t;  (* the file's bytes, in place: valid until it is next written *)
+  sg_lines : (int * int * int) list;
+      (* record region, non-empty lines: start, length, and sequence
+         number if CRC-clean (else -1) *)
 }
 
+(* The last newline in [data] before [i] from [start], or [start - 1]. *)
+let rec last_nl data i start =
+  if i < start || Bytes.get data i = '\n' then i else last_nl data (i - 1) start
+
+(* A segment's non-empty lines in [pos, stop), each with its sequence
+   number if it is a CRC-clean record (else -1), and the count of
+   newlines the walk passed. *)
+let record_lines data ~pos ~stop =
+  let rec go acc nls pos =
+    if pos >= stop then (List.rev acc, nls)
+    else
+      let e = Linebuf.index_newline data ~pos ~stop in
+      let nls = if e < stop then nls + 1 else nls in
+      if e = pos then go acc nls (e + 1)
+      else
+        let seq = match Wal.seq_of_range data ~pos ~len:(e - pos) with Some s -> s | None -> -1 in
+        go ((pos, e - pos, seq) :: acc) nls (e + 1)
+  in
+  go [] 0 pos
+
+(* The segment checked where it sits: header, footer and every line's
+   CRC, with no copy of the file and no split of it into strings. *)
 let survey t (no, name) =
-  match Vfs.read t.vfs ~name with
-  | Error _ ->
-      { sg_header_ok = false; sg_sealed = false; sg_seal_ok = false; sg_lines = [] }
-  | Ok content ->
+  match Vfs.view t.vfs ~name with
+  | None ->
+      { sg_header_ok = false; sg_sealed = false; sg_seal_ok = false; sg_data = Bytes.empty;
+        sg_lines = [] }
+  | Some (data, len) ->
+      let nl = Linebuf.index_newline data ~pos:0 ~stop:len in
       let header_ok, rest =
-        match String.index_opt content '\n' with
-        | None -> (false, "")
-        | Some nl ->
-            ( String.sub content 0 nl = Printf.sprintf "bbr-seg v1 %d" no,
-              String.sub content (nl + 1) (String.length content - nl - 1) )
+        if nl = len then (false, len)
+        else begin
+          let h = seg_header no in
+          let rec same i = i = nl || (Bytes.get data i = Bytes.get (Linebuf.bytes h) i && same (i + 1)) in
+          (nl = Linebuf.length h && same 0, nl + 1)
+        end
       in
-      (* The footer, if any, is the last newline-terminated line. *)
-      let sealed, seal_ok, region =
-        if String.length rest = 0 || rest.[String.length rest - 1] <> '\n' then
-          (false, false, rest)
+      (* The footer, if any, is the last newline-terminated line: exactly
+         three fields, the first [seal]. *)
+      let footer =
+        if rest = len || Bytes.get data (len - 1) <> '\n' then None
         else
-          let wlen = String.length rest - 1 in
-          let last_start =
-            match String.rindex_from_opt rest (wlen - 1) '\n' with
-            | Some i -> i + 1
-            | None -> 0
-            | exception Invalid_argument _ -> 0
-          in
-          let last = String.sub rest last_start (wlen - last_start) in
-          match String.split_on_char ' ' last with
-          | [ "seal"; count_s; crc_s ] -> (
-              let region = String.sub rest 0 last_start in
-              match (int_of_string_opt count_s, Crc32.of_hex crc_s) with
-              | Some count, Some crc ->
-                  let nls =
-                    String.fold_left
-                      (fun n ch -> if ch = '\n' then n + 1 else n)
-                      0 region
-                  in
-                  (true, count = nls && crc = Crc32.string region, region)
-              | _ -> (true, false, region))
-          | _ -> (false, false, rest)
+          let last_start = last_nl data (len - 2) rest + 1 in
+          match String.split_on_char ' ' (Bytes.sub_string data last_start (len - 1 - last_start)) with
+          | [ "seal"; count_s; crc_s ] ->
+              Some (last_start, int_of_string_opt count_s, Crc32.of_hex crc_s)
+          | _ -> None
       in
-      let lines =
-        List.filter (fun l -> l <> "") (String.split_on_char '\n' region)
+      let region_end = match footer with Some (last_start, _, _) -> last_start | None -> len in
+      let lines, nls = record_lines data ~pos:rest ~stop:region_end in
+      let seal_ok =
+        match footer with
+        | Some (_, Some count, Some crc) ->
+            count = nls && crc = Crc32.bytes data ~pos:rest ~len:(region_end - rest)
+        | _ -> false
       in
-      { sg_header_ok = header_ok; sg_sealed = sealed; sg_seal_ok = seal_ok;
-        sg_lines = lines }
+      { sg_header_ok = header_ok; sg_sealed = footer <> None; sg_seal_ok = seal_ok;
+        sg_data = data; sg_lines = lines }
 
 let quarantine t name ~kind =
   ignore (Vfs.rename t.vfs ~src:name ~dst:(name ^ ".quar"));
@@ -235,10 +281,7 @@ let quarantine t name ~kind =
 
 let max_seq_of t (no, name) =
   let info = survey t (no, name) in
-  List.fold_left
-    (fun acc line ->
-      match Wal.seq_of_line line with Some s -> max acc s | None -> acc)
-    (-1) info.sg_lines
+  List.fold_left (fun acc (_, _, seq) -> max acc seq) (-1) info.sg_lines
 
 (* ----------------------------------------------------------------- *)
 (* Recovery suffix *)
@@ -250,10 +293,10 @@ type tail = {
   quarantined : string list;
 }
 
-let tail_from t ~cover =
+let fold_tail t ~cover ~init f =
   let segs = segments t in
   let last_no = match List.rev segs with (n, _) :: _ -> n | [] -> -1 in
-  let out = ref [] and nout = ref 0 in
+  let acc = ref init and nout = ref 0 in
   let truncated = ref None and quar = ref [] in
   let expected = ref cover in
   (* Corruption is not fatal at the point it is found.  Checkpoints sit
@@ -290,14 +333,9 @@ let tail_from t ~cover =
       if !truncated = None then begin
         let info = survey t (no, name) in
         let is_last = no = last_no in
-        (* Each line's CRC is checked once. *)
-        let seqs = List.map Wal.seq_of_line info.sg_lines in
-        let all_valid = List.for_all Option.is_some seqs in
-        let max_seq =
-          List.fold_left
-            (fun acc s -> match s with Some s -> max acc s | None -> acc)
-            (-1) seqs
-        in
+        (* Each line's CRC is checked once, by the survey. *)
+        let all_valid = List.for_all (fun (_, _, seq) -> seq >= 0) info.sg_lines in
+        let max_seq = List.fold_left (fun acc (_, _, seq) -> max acc seq) (-1) info.sg_lines in
         if
           info.sg_header_ok && info.sg_sealed && info.sg_seal_ok && all_valid
           && max_seq < cover
@@ -329,15 +367,15 @@ let tail_from t ~cover =
                  name)
               "footer" ~sealed:true ~name
           else
-            List.iter2
-              (fun line seq ->
+            List.iter
+              (fun (pos, len, seq) ->
                 if !truncated = None then
-                  match seq with
+                  match if seq >= 0 then Some seq else None with
                   | Some seq when seq < cover -> ()
                   | Some seq when seq = !expected ->
                       pending := None;
                       expected := seq + 1;
-                      out := line :: !out;
+                      acc := f !acc info.sg_data ~pos ~len;
                       incr nout
                   | Some seq -> (
                       match !pending with
@@ -366,15 +404,20 @@ let tail_from t ~cover =
                                    "storage: sealed segment %s holds a corrupt \
                                     record"
                                    name)))
-              info.sg_lines seqs
+              info.sg_lines
         end
       end)
     segs;
   (match (!truncated, !pending) with
   | None, Some p -> cut p
   | _ -> ());
-  { lines = List.rev !out; records = !nout; truncated = !truncated;
-    quarantined = List.rev !quar }
+  (!acc, { lines = []; records = !nout; truncated = !truncated; quarantined = List.rev !quar })
+
+let tail_from t ~cover =
+  let lines, tail =
+    fold_tail t ~cover ~init:[] (fun acc b ~pos ~len -> Bytes.sub_string b pos len :: acc)
+  in
+  { tail with lines = List.rev lines }
 
 (* ----------------------------------------------------------------- *)
 (* Checkpoints *)
@@ -490,14 +533,13 @@ let scrub t =
         let expected = ref None in
         let bad = ref false in
         List.iter
-          (fun line ->
+          (fun (_, _, seq) ->
             if not !bad then
-              match Wal.seq_of_line line with
-              | Some seq -> (
-                  match !expected with
-                  | Some e when seq <> e -> bad := true
-                  | _ -> expected := Some (seq + 1))
-              | None -> bad := true)
+              if seq < 0 then bad := true
+              else
+                match !expected with
+                | Some e when seq <> e -> bad := true
+                | _ -> expected := Some (seq + 1))
           info.sg_lines;
         if !bad then begin
           let kind = if info.sg_sealed then "record_crc" else "torn" in

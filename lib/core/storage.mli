@@ -83,7 +83,18 @@ val tail_from : t -> cover:int -> tail
 (** The longest provably intact record suffix with sequence numbers
     [cover, cover+1, ...].  Corrupt sealed segments encountered are
     quarantined (renamed [*.quar], counted, flight-recorded); a torn
-    record in the active segment just truncates.  Never raises. *)
+    record in the active segment just truncates.  Never raises.  Each
+    segment is checked where it sits (header, footer and every line's
+    CRC, with no copy of the file); only the returned lines are
+    copied. *)
+
+val fold_tail :
+  t -> cover:int -> init:'a -> ('a -> Bytes.t -> pos:int -> len:int -> 'a) -> 'a * tail
+(** {!tail_from} without the copies: [f] is handed each line of the
+    suffix, in order, as the [len] bytes of a buffer from [pos] — the
+    segment's own bytes, valid while [f] runs and the file is not
+    written — and the returned [tail] has no [lines].  Recovery decodes
+    the records there. *)
 
 type scrub_report = {
   segments_checked : int;

@@ -99,79 +99,112 @@ let text_of_lines ~header lines =
   String.concat "" (List.map (fun l -> l ^ "\n") (header :: lines))
 
 (* --------------------------------------------------------------- *)
-(* Decoding.  All helpers return options; nothing here may raise.  *)
+(* Decoding.  Each record is read once, in place, from its line's byte
+   range through {!Linebuf}'s reader; nothing here may raise.       *)
 
 (* The line's CRC field: 8 hex digits, then a space, then the body the
    checksum covers, checked in place. *)
-let crc_ok line =
-  let n = String.length line in
-  n >= 9
-  && line.[8] = ' '
+let crc_ok b ~pos ~len =
+  len >= 9
+  && Bytes.get b (pos + 8) = ' '
   &&
-  match Crc32.of_hex_at line ~pos:0 with
-  | Some crc -> crc = Crc32.substring line ~pos:9 ~len:(n - 9)
+  (* The hex digits are only read. *)
+  match Crc32.of_hex_at (Bytes.unsafe_to_string b) ~pos with
+  | Some crc -> crc = Crc32.bytes b ~pos:(pos + 9) ~len:(len - 9)
   | None -> false
 
-let checked_body line =
-  if crc_ok line then Some (String.sub line 9 (String.length line - 9)) else None
+(* The body's first field, a record number, ends at a space or the end
+   of the line. *)
+let read_seq r =
+  let seq = Linebuf.read_int r in
+  if seq < 0 then None
+  else if Linebuf.at_end r then Some seq
+  else begin
+    Linebuf.expect r ' ';
+    Some seq
+  end
 
-(* The body's first field, a decimal record number, read in place. *)
-let seq_of_line line =
-  if not (crc_ok line) then None
-  else
-    let n = String.length line in
-    let rec go i acc =
-      if i = n || line.[i] = ' ' then if i = 9 then None else Some acc
-      else
-        match line.[i] with
-        | '0' .. '9' as c when acc <= (max_int - 9) / 10 ->
-            go (i + 1) ((acc * 10) + Char.code c - 48)
-        | _ -> None
-    in
-    go 9 0
+let seq_of_range b ~pos ~len =
+  if crc_ok b ~pos ~len then Linebuf.read_bytes b ~pos:(pos + 9) ~len:(len - 9) read_seq
+  else None
 
-(* [Some (seq, at, v)] iff the line is a complete, CRC-clean record. *)
-let decode_line ~decode_payload line =
-  match checked_body line with
+(* A record's body: its number, its clock and a payload that fills the
+   rest of the line. *)
+let read_record decode_payload r =
+  match read_seq r with
   | None -> None
-  | Some body -> (
-      match String.split_on_char ' ' body with
-      | seq :: at :: rest -> (
-          match (int_of_string_opt seq, float_of_string_opt at) with
-          | Some seq, Some at ->
-              Option.map (fun v -> (seq, at, v)) (decode_payload rest)
-          | _ -> None)
+  | Some seq -> (
+      let at = Linebuf.read_hfloat r in
+      Linebuf.expect r ' ';
+      match decode_payload r with
+      | Some v when Linebuf.at_end r -> Some (seq, at, v)
       | _ -> None)
 
+(* The record chain both readers walk: line [line] (0 = the first after
+   the header) decodes to the next record, which must carry sequence
+   number [expected] (-1 = any, before the first). *)
+type 'a chain = {
+  decode_payload : Linebuf.reader -> 'a option;
+  mutable line : int;
+  mutable expected : int;
+}
+
+let chain ~decode_payload = { decode_payload; line = 0; expected = -1 }
+
+let torn c =
+  Printf.sprintf "torn or corrupt journal record at line %d; dropping the tail" (c.line + 2)
+
+(* [Ok (at, v)] for the line's record, or the warning that cuts the
+   chain there.  [crc] is false for lines whose CRC the store already
+   checked. *)
+let step c ~crc b ~pos ~len =
+  let out =
+    if crc && not (crc_ok b ~pos ~len) then Error (torn c)
+    else
+      match Linebuf.read_bytes b ~pos:(pos + 9) ~len:(len - 9) (read_record c.decode_payload) with
+      | None -> Error (torn c)
+      | Some (seq, _, _) when c.expected >= 0 && seq <> c.expected ->
+          Error
+            (Printf.sprintf
+               "journal sequence gap at line %d (record %d, expected %d); dropping the tail"
+               (c.line + 2) seq c.expected)
+      | Some (seq, at, v) ->
+          c.expected <- seq + 1;
+          Ok (at, v)
+  in
+  c.line <- c.line + 1;
+  out
+
+let next_record c b ~pos ~len = step c ~crc:false b ~pos ~len
+
+(* [String.trim]'s whitespace. *)
+let blank s ~pos ~stop =
+  let rec go i =
+    i = stop || (match String.unsafe_get s i with ' ' | '\012' | '\n' | '\r' | '\t' -> go (i + 1) | _ -> false)
+  in
+  go pos
+
 let parse ~header ~decode_payload text =
-  match String.split_on_char '\n' text with
-  | [] | [ "" ] -> Error "empty journal"
-  | first :: rest when String.trim first = header ->
-      let entries = ref [] in
-      let warning = ref None in
-      let expected_seq = ref None in
-      List.iteri
-        (fun i line ->
-          if !warning = None && String.trim line <> "" then
-            match decode_line ~decode_payload line with
-            | Some (seq, at, v) -> (
-                match !expected_seq with
-                | Some e when seq <> e ->
-                    warning :=
-                      Some
-                        (Printf.sprintf
-                           "journal sequence gap at line %d (record %d, expected %d); \
-                            dropping the tail"
-                           (i + 2) seq e)
-                | _ ->
-                    expected_seq := Some (seq + 1);
-                    entries := (at, v) :: !entries)
-            | None ->
-                warning :=
-                  Some
-                    (Printf.sprintf
-                       "torn or corrupt journal record at line %d; dropping the tail"
-                       (i + 2)))
-        rest;
-      Ok (List.rev !entries, !warning)
-  | first :: _ -> Error (Printf.sprintf "bad journal header: %S" (String.trim first))
+  let n = String.length text in
+  (* The text is only read. *)
+  let b = Bytes.unsafe_of_string text in
+  let eol pos = Linebuf.index_newline b ~pos ~stop:n in
+  let first = String.trim (String.sub text 0 (eol 0)) in
+  if n = 0 then Error "empty journal"
+  else if first <> header then Error (Printf.sprintf "bad journal header: %S" first)
+  else
+    let c = chain ~decode_payload in
+    let rec go acc pos =
+      if pos >= n then Ok (List.rev acc, None)
+      else
+        let stop = eol pos in
+        if blank text ~pos ~stop then begin
+          c.line <- c.line + 1;
+          go acc (stop + 1)
+        end
+        else
+          match step c ~crc:true b ~pos ~len:(stop - pos) with
+          | Ok entry -> go (entry :: acc) (stop + 1)
+          | Error warning -> Ok (List.rev acc, Some warning)
+    in
+    go [] (eol 0 + 1)

@@ -28,7 +28,12 @@
     whatever the sink made durable; the writer only keeps the counters
     that say where the boundaries are.  {!parse} tolerates a torn or
     corrupt tail by truncating at the first bad record and warning — it
-    never raises. *)
+    never raises.
+
+    {b Reading.}  A record is decoded once, in place, from its line's
+    byte range ({!Bbr_util.Linebuf}'s reader), with no splitting and no
+    copy of its fields; the CRC is checked once, by {!parse} over a
+    text or by the store for the lines {!next_record} reads. *)
 
 type 'a t
 
@@ -94,10 +99,11 @@ val write_line :
     with one record line (without the newline), exactly as {!append}
     writes it — exposed for {!Journal.encode}. *)
 
-val seq_of_line : string -> int option
-(** The sequence number of a record line, iff the line is complete and
-    CRC-clean — how the storage layer reads record identity without
-    knowing the payload codec.  Checks and reads the line in place.
+val seq_of_range : Bytes.t -> pos:int -> len:int -> int option
+(** The sequence number of the record line held in the [len] bytes of a
+    buffer from [pos] (newline excluded), iff the line is complete and
+    CRC-clean — how the storage layer checks a segment's lines where they
+    sit and reads record identity without knowing the payload codec.
     Never raises. *)
 
 val text_of_lines : header:string -> string list -> string
@@ -106,11 +112,31 @@ val text_of_lines : header:string -> string list -> string
 
 val parse :
   header:string ->
-  decode_payload:(string list -> 'a option) ->
+  decode_payload:(Bbr_util.Linebuf.reader -> 'a option) ->
   string ->
   ((float * 'a) list * string option, string) result
-(** Decode a log text: [header], then one record per line.  [Error] only
-    for a missing/bad header; anything wrong after that — CRC mismatch,
+(** Decode a log text: [header], then one record per line.  Each line
+    is checked against its CRC and decoded in place from its byte range:
+    its sequence number and clock, then [decode_payload] reads the
+    payload, which must fill the rest of the line.  [Error] only for a
+    missing/bad header; anything wrong after that — CRC mismatch,
     sequence gap, torn or malformed record — truncates at the first bad
     record and comes back as [Ok (prefix, Some warning)].  Never
     raises. *)
+
+type 'a chain
+(** A record chain being read: the next line's record must carry the
+    next sequence number. *)
+
+val chain : decode_payload:(Bbr_util.Linebuf.reader -> 'a option) -> 'a chain
+(** A chain yet to read its first record, whose number may be any;
+    [decode_payload] reads each record's payload. *)
+
+val next_record :
+  'a chain -> Bytes.t -> pos:int -> len:int -> (float * 'a, string) result
+(** Decode the chain's next record, in place, from the [len] bytes of a
+    buffer from [pos]: a line whose CRC the store has already checked
+    ({!Storage.fold_tail}'s), so the record is read once and not checked
+    again.  [Ok (at, v)], or the warning that cuts the chain there,
+    worded as {!parse} words it: a malformed record or a sequence gap.
+    Never raises. *)

@@ -181,8 +181,6 @@ type t = {
 (* ---------------------------------------------------------------- *)
 (* Journal codec.                                                   *)
 
-let fed_header = "bbr-fed-journal v1"
-
 let peers_str = function
   | [] -> "-"
   | ps -> String.concat "," (List.map (fun (a, b) -> a ^ ">" ^ b) ps)
@@ -214,33 +212,49 @@ let peers_of_str s =
     in
     go [] (String.split_on_char ',' s)
 
-let decode_rec fields : rec_ option =
-  match
-    match fields with
-    | [ "begin"; txn; rate; bound; domains; peers ] ->
-        Option.map
-          (fun peers ->
-            R_begin
-              {
-                txn = int_of_string txn;
-                rate = float_of_string rate;
-                bound = float_of_string bound;
-                domains = String.split_on_char ',' domains;
-                peers;
-              })
-          (peers_of_str peers)
-    | [ "booked"; txn; dom; flow ] ->
-        Some (R_booked { txn = int_of_string txn; dom; flow = int_of_string flow })
-    | [ "commit"; txn ] -> Some (R_commit (int_of_string txn))
-    | [ "abort"; txn; reason ] -> Some (R_abort { txn = int_of_string txn; reason })
-    | [ "cack"; txn; dom ] -> Some (R_cack { txn = int_of_string txn; dom })
-    | [ "rack"; txn; dom ] -> Some (R_rack { txn = int_of_string txn; dom })
-    | [ "tear"; txn ] -> Some (R_tear (int_of_string txn))
-    | [ "closed"; txn ] -> Some (R_closed (int_of_string txn))
-    | _ -> None
-  with
-  | exception _ -> None
-  | v -> v
+(* Read back in place through the journal's reader: each field after the
+   tag follows a single space. *)
+module Linebuf = Bbr_util.Linebuf
+
+let get_int r =
+  Linebuf.expect r ' ';
+  Linebuf.read_int r
+
+let get_float r =
+  Linebuf.expect r ' ';
+  Linebuf.read_hfloat r
+
+let get_word r =
+  Linebuf.expect r ' ';
+  Linebuf.read_word r
+
+let decode_rec r : rec_ option =
+  match Linebuf.read_word r with
+  | "begin" ->
+      let txn = get_int r in
+      let rate = get_float r in
+      let bound = get_float r in
+      let domains = String.split_on_char ',' (get_word r) in
+      Option.map
+        (fun peers -> R_begin { txn; rate; bound; domains; peers })
+        (peers_of_str (get_word r))
+  | "booked" ->
+      let txn = get_int r in
+      let dom = get_word r in
+      Some (R_booked { txn; dom; flow = get_int r })
+  | "commit" -> Some (R_commit (get_int r))
+  | "abort" ->
+      let txn = get_int r in
+      Some (R_abort { txn; reason = get_word r })
+  | "cack" ->
+      let txn = get_int r in
+      Some (R_cack { txn; dom = get_word r })
+  | "rack" ->
+      let txn = get_int r in
+      Some (R_rack { txn; dom = get_word r })
+  | "tear" -> Some (R_tear (get_int r))
+  | "closed" -> Some (R_closed (get_int r))
+  | _ -> None
 
 (* ---------------------------------------------------------------- *)
 (* Construction.                                                    *)
@@ -1182,8 +1196,6 @@ let decision_digest t =
 
 let journal_tail t = Storage.tail_from t.store ~cover:0
 
-let text_of_tail tail = Wal.text_of_lines ~header:fed_header tail.Storage.lines
-
 let crash_coordinator t =
   Storage.crash t.store;
   let lost = Wal.records t.journal - (journal_tail t).Storage.records in
@@ -1235,10 +1247,17 @@ type rstate = {
 }
 
 let recover_coordinator t =
-  let tail = journal_tail t in
-  match Wal.parse ~header:fed_header ~decode_payload:decode_rec (text_of_tail tail) with
-  | Error e -> Error e
-  | Ok (entries, warning) ->
+  let chain = Wal.chain ~decode_payload:decode_rec in
+  match
+    Storage.fold_tail t.store ~cover:0 ~init:([], None) (fun (acc, warning) b ~pos ~len ->
+        if warning <> None then (acc, warning)
+        else
+          match Wal.next_record chain b ~pos ~len with
+          | Ok entry -> (entry :: acc, None)
+          | Error w -> (acc, Some w))
+  with
+  | (entries, warning), tail ->
+      let entries = List.rev entries in
       let replay_warning =
         match tail.Storage.truncated with Some _ as why -> why | None -> warning
       in
@@ -1386,15 +1405,14 @@ let recover_coordinator t =
                 (fun dom -> enqueue ~compensation:true id dom Ob_release)
                 s.r_domains)
         ids;
-      Ok
-        {
-          replayed = List.length entries;
-          replay_warning;
-          recovered_flows = !recovered_flows;
-          recovery_aborts = !recovery_aborts;
-          requeued = !requeued;
-          replayed_digest;
-        }
+      {
+        replayed = List.length entries;
+        replay_warning;
+        recovered_flows = !recovered_flows;
+        recovery_aborts = !recovery_aborts;
+        requeued = !requeued;
+        replayed_digest;
+      }
 
 (* ---------------------------------------------------------------- *)
 (* Pretty-printing.                                                 *)

@@ -317,14 +317,15 @@ val crash_coordinator : t -> int
     Undelivered [on_decision] callbacks are dropped (the requesting
     edge's own COPS timeout covers that).  Domain brokers are untouched. *)
 
-val recover_coordinator : t -> (recovery, string) result
+val recover_coordinator : t -> recovery
 (** Replay the surviving journal into the crashed coordinator:
     committed transactions return with their SLA usage and legs,
     undecided ones are resolved to compensation (journaled as such), and
-    every unacknowledged obligation is re-queued and re-sent.  [Error]
-    only for an unreadable journal (bad header).  The journal is
-    rebuilt on a fresh store from the replayed records and keeps
-    appending. *)
+    every unacknowledged obligation is re-queued and re-sent.  The
+    records are read where the store holds them ({!Storage.fold_tail});
+    a torn or corrupt tail is cut and reported in [replay_warning].  The
+    journal is rebuilt on a fresh store from the replayed records and
+    keeps appending. *)
 
 val pp_report : report Fmt.t
 

@@ -84,13 +84,13 @@ let nibble c =
 
 let of_hex_at s ~pos =
   if pos < 0 || pos > String.length s - 8 then None
-  else
-    let rec go k acc =
-      if k = 8 then Some acc
-      else
-        let d = nibble (String.unsafe_get s (pos + k)) in
-        if d < 0 then None else go (k + 1) ((acc lsl 4) lor d)
-    in
-    go 0 0
+  else begin
+    let acc = ref 0 in
+    for k = 0 to 7 do
+      acc := (!acc lsl 4) lor nibble (String.unsafe_get s (pos + k))
+    done;
+    (* A non-digit's -1 sets every bit above the 32 a checksum can hold. *)
+    if !acc lsr 32 = 0 then Some !acc else None
+  end
 
 let of_hex s = if String.length s <> 8 then None else of_hex_at s ~pos:0

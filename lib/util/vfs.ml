@@ -21,10 +21,15 @@ type t = {
   prng : Prng.t;
   faults : faults;
   mutable injected : (string * int) list;
+  mutable epoch : int;  (* bumped whenever a name may map to another file *)
 }
 
 let create ?(seed = 0) ?(faults = no_faults) () =
-  { files = Hashtbl.create 16; prng = Prng.create ~seed; faults; injected = [] }
+  { files = Hashtbl.create 16; prng = Prng.create ~seed; faults; injected = [];
+    epoch = 0 }
+
+(* Handles resolve their file again once the epoch moves. *)
+let moved t = t.epoch <- t.epoch + 1
 
 let faults t = t.faults
 
@@ -49,6 +54,7 @@ let ensure t name =
   | None ->
       let f = { data = Bytes.create 256; len = 0; durable = 0 } in
       Hashtbl.replace t.files name f;
+      moved t;
       f
 
 let total_bytes t = Hashtbl.fold (fun _ f acc -> acc + f.len) t.files 0
@@ -67,7 +73,27 @@ let blit_append f b n =
   Bytes.blit b 0 f.data f.len n;
   f.len <- f.len + n
 
-let append_bytes t ~name b ~len =
+(* A name resolved to its file once, again only after the epoch moves. *)
+type handle = {
+  fs : t;
+  hname : string;
+  mutable file : file option;  (* what [hname] named at [seen] *)
+  mutable seen : int;
+}
+
+let handle t ~name = { fs = t; hname = name; file = find t name; seen = t.epoch }
+
+let resolve h =
+  if h.seen <> h.fs.epoch then begin
+    h.file <- find h.fs h.hname;
+    h.seen <- h.fs.epoch
+  end;
+  h.file
+
+let handle_exists h = resolve h <> None
+
+let handle_append h b ~len =
+  let t = h.fs in
   if roll t t.faults.write_eio_p then begin
     record_fault t "eio";
     Error Eio
@@ -78,7 +104,7 @@ let append_bytes t ~name b ~len =
         record_fault t "enospc";
         Error Enospc
     | _ ->
-        let f = ensure t name in
+        let f = match resolve h with Some f -> f | None -> ensure t h.hname in
         let n =
           if len > 1 && roll t t.faults.short_write_p then begin
             record_fault t "short_write";
@@ -88,6 +114,8 @@ let append_bytes t ~name b ~len =
         in
         blit_append f b n;
         Ok ()
+
+let append_bytes t ~name b ~len = handle_append (handle t ~name) b ~len
 
 (* Appended bytes are only read. *)
 let append t ~name s =
@@ -103,8 +131,9 @@ let write t ~name s =
   | None -> ());
   append t ~name s
 
-let fsync t ~name =
-  match find t name with
+let handle_fsync h =
+  let t = h.fs in
+  match resolve h with
   | None -> Error Eio
   | Some f ->
       if roll t t.faults.fsync_eio_p then begin
@@ -120,20 +149,27 @@ let fsync t ~name =
         Ok ()
       end
 
+let fsync t ~name = handle_fsync (handle t ~name)
+
 let rename t ~src ~dst =
   match find t src with
   | None -> Error Eio
   | Some f ->
       Hashtbl.remove t.files src;
       Hashtbl.replace t.files dst f;
+      moved t;
       Ok ()
 
-let remove t ~name = Hashtbl.remove t.files name
+let remove t ~name =
+  Hashtbl.remove t.files name;
+  moved t
 
 let read t ~name =
   match find t name with
   | None -> Error Eio
   | Some f -> Ok (Bytes.sub_string f.data 0 f.len)
+
+let view t ~name = Option.map (fun f -> (f.data, f.len)) (find t name)
 
 let exists t ~name = Hashtbl.mem t.files name
 
@@ -144,6 +180,7 @@ let list t =
   |> List.sort compare
 
 let crash t =
+  moved t;
   Hashtbl.iter
     (fun _ f ->
       if f.durable < f.len then begin
@@ -182,7 +219,7 @@ let copy t =
           durable = f.durable })
     t.files;
   { files; prng = Prng.of_state (Prng.state t.prng); faults = t.faults;
-    injected = t.injected }
+    injected = t.injected; epoch = 0 }
 
 let export t =
   list t

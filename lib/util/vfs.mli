@@ -76,6 +76,12 @@ val read : t -> name:string -> (string, error) result
 (** Current full contents (durable + volatile) — the live process view.
     After [crash], volatile bytes are gone so this is the disk truth. *)
 
+val view : t -> name:string -> (Bytes.t * int) option
+(** The file's backing buffer and its length, without a copy: its first
+    [len] bytes are {!read}'s contents.  Valid until the next write to
+    the file, which may replace the buffer; it must not be mutated.
+    [None] when absent. *)
+
 val exists : t -> name:string -> bool
 val size : t -> name:string -> int
 (** [0] when absent. *)
@@ -105,6 +111,30 @@ val bitrot : t -> name:string -> int option
 val injected : t -> (string * int) list
 (** Count of injected faults by label ("short_write", "eio", "enospc",
     "fsync_eio", "fsync_lie", "bitrot"), for reporting. *)
+
+(* ------------------------------------------------------------------ *)
+(* Handles *)
+
+type handle
+(** A file name resolved once, for a writer that appends to the same
+    file record after record: operations through it skip the name
+    lookup.  It resolves the name again after anything that may have
+    made it name another file, or none ({!rename}, {!remove}, {!crash},
+    a file created), so it always acts on the file its name names now;
+    fault draws are those of the name-based operations, which go through
+    a handle of their own.  A handle acts on the filesystem it was made
+    on: a {!copy} has files of its own. *)
+
+val handle : t -> name:string -> handle
+
+val handle_exists : handle -> bool
+(** {!exists} of the handle's name. *)
+
+val handle_append : handle -> Bytes.t -> len:int -> (unit, error) result
+(** {!append_bytes} to the handle's name. *)
+
+val handle_fsync : handle -> (unit, error) result
+(** {!fsync} of the handle's name. *)
 
 (* ------------------------------------------------------------------ *)
 (* Cloning and real-directory round trips *)

@@ -217,21 +217,19 @@ let run cfg =
       Engine.schedule eng ~at (fun () ->
           let digest = Federation.decision_digest fed in
           ignore (Federation.crash_coordinator fed);
-          match Federation.recover_coordinator fed with
-          | Error e -> failwith ("Fed_soak: unreadable coordinator journal: " ^ e)
-          | Ok r ->
-              if not (String.equal digest r.Federation.replayed_digest) then
-                Bbr_obs.Flight.trigger ~reason:"recovery-digest-mismatch";
-              digest_match := Some (String.equal digest r.Federation.replayed_digest);
-              recovered_flows := r.Federation.recovered_flows;
-              recovery_aborts := r.Federation.recovery_aborts;
-              let rec drain_watch () =
-                if Federation.obligations_pending fed = 0 then
-                  recovery_time := Some (Engine.now eng -. at)
-                else if Engine.now eng < horizon +. 60. then
-                  Engine.schedule_after eng ~delay:0.25 drain_watch
-              in
-              drain_watch ()));
+          let r = Federation.recover_coordinator fed in
+          if not (String.equal digest r.Federation.replayed_digest) then
+            Bbr_obs.Flight.trigger ~reason:"recovery-digest-mismatch";
+          digest_match := Some (String.equal digest r.Federation.replayed_digest);
+          recovered_flows := r.Federation.recovered_flows;
+          recovery_aborts := r.Federation.recovery_aborts;
+          let rec drain_watch () =
+            if Federation.obligations_pending fed = 0 then
+              recovery_time := Some (Engine.now eng -. at)
+            else if Engine.now eng < horizon +. 60. then
+              Engine.schedule_after eng ~delay:0.25 drain_watch
+          in
+          drain_watch ()));
   (* After the horizon, one last heal + pump to flush anything the fault
      windows stranded, then drain to quiescence. *)
   Engine.schedule eng ~at:horizon (fun () ->

@@ -491,14 +491,24 @@ let test_overload_batch_drain () =
 (* ------------------------------------------------------------------ *)
 (* Journal append cost *)
 
+(* Words allocated so far: minor words plus the blocks too large for the
+   minor heap, which go straight to the major heap (a segment's bytes as
+   it grows, say). *)
+let allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 (* A record is written field by field into the log's reused buffer,
    checksummed in place and appended to the store as a byte range, so an
-   [admit] append allocates a fixed handful of words whatever its
-   floats; the Printf encoder it replaced allocated about 600.  Measured:
-   20.5 words a record — the boxes of the five profile floats read out of
-   their unboxed record, the store's file lookup, and its per-segment
-   header and seal amortised over 64 records. *)
-let append_words_bound = 24.
+   [admit] append allocates a fixed count of words whatever its floats;
+   the Printf encoder it replaced allocated about 600.  Measured: 74.7
+   words a record, 14.6 of them minor — the boxes of the five profile
+   floats read out of their unboxed record, and per segment its name,
+   handle, header and footer and the bytes of its file as it grows,
+   amortised over 64 records.  The footer is computed where the
+   segment's bytes sit; the copy of the segment the seal used to read
+   out cost 30 more (104.9 in all). *)
+let append_words_bound = 78.
 
 let test_append_cost () =
   let store = Bbr_broker.Storage.create ~vfs:(Bbr_util.Vfs.create ()) () in
@@ -523,26 +533,90 @@ let test_append_cost () =
   let muts = Array.init records admit in
   (* Warm up: the record buffer and the first segments reach size. *)
   Array.iteri (fun i m -> Journal.append j ~at:(float_of_int i) m) muts;
-  let w0 = Gc.minor_words () in
+  let w0 = allocated () in
   Array.iteri (fun i m -> Journal.append j ~at:(float_of_int (records + i) *. 0.37) m) muts;
-  let words = (Gc.minor_words () -. w0) /. float_of_int records in
+  let words = (allocated () -. w0) /. float_of_int records in
   if words > append_words_bound then
-    Alcotest.failf "an admit append allocates %.1f minor words (bound %.0f)" words
+    Alcotest.failf "an admit append allocates %.1f words (bound %.0f)" words
       append_words_bound;
   Alcotest.(check int) "every record on disk" (2 * records) (Journal.records_on_disk j)
+
+(* The replay twin: the words one record costs to rebuild from the store
+   through [Failover.recover_from] — CRC check and decode where the
+   segment holds the line, then apply — measured as the difference between rebuilding [2n] records
+   and [n], so the fixed cost of a rebuild cancels.  The per-flow
+   broker books [admit] records verbatim on a rate-based chain; the
+   class broker re-runs the macroflow join of each [admitc]. *)
+let replay_words ~class_based =
+  let chain () =
+    Topo_gen.chain ~capacity:1e12
+      ~sched:(if class_based then Topology.Delay_based else Topology.Rate_based)
+      ~hops:5 ()
+  in
+  let make () =
+    let topology, _, _ = chain () in
+    if class_based then
+      Broker.create ~classes:(Dynamic.service_classes 0.24) ~method_:Aggregate.Feedback
+        topology
+    else Broker.create topology
+  in
+  let store n =
+    let _, ingress, egress = chain () in
+    let st = Bbr_broker.Storage.create ~vfs:(Bbr_util.Vfs.create ()) () in
+    let broker = make () in
+    Journal.attach (Journal.create ~storage:st ()) broker;
+    for i = 0 to n - 1 do
+      let ty = i mod 4 in
+      let req =
+        { Types.profile = Profiles.profile ty;
+          dreq = Profiles.bound ty (if i / 4 mod 2 = 0 then `Loose else `Tight); ingress;
+          egress }
+      in
+      match
+        if class_based then Result.map ignore (Broker.request_class broker req)
+        else Result.map ignore (Broker.request broker req)
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "request %d rejected: %a" i Types.pp_reject_reason e
+    done;
+    (st, Bbr_broker.Audit.mib_digest broker)
+  in
+  let rebuild n =
+    let st, digest = store n in
+    let w0 = allocated () in
+    let recovered =
+      match Bbr_broker.Failover.recover_from ~make st with
+      | Ok (b, _, r) when r.Bbr_broker.Failover.sr_replayed = n -> b
+      | Ok _ | Error _ -> Alcotest.failf "%d records did not replay" n
+    in
+    let words = allocated () -. w0 in
+    Alcotest.(check string) "replayed digest-exact" digest (Bbr_broker.Audit.mib_digest recovered);
+    words
+  in
+  let n = 512 in
+  (rebuild (2 * n) -. rebuild n) /. float_of_int n
+
+(* Measured: 257.3 words an [admit] record and 506.5 an [admitc], most
+   of them the booking or the macroflow join.  Joining the tail's lines
+   into one text and parsing it again cost 550 and 709. *)
+let admit_replay_words_bound = 270.
+let admitc_replay_words_bound = 530.
+
+let test_replay_cost () =
+  List.iter
+    (fun (what, class_based, bound) ->
+      let words = replay_words ~class_based in
+      if words > bound then
+        Alcotest.failf "replaying an %s record allocates %.1f words (bound %.0f)" what words
+          bound)
+    [ ("admit", false, admit_replay_words_bound); ("admitc", true, admitc_replay_words_bound) ]
 
 (* ------------------------------------------------------------------ *)
 (* Admission allocation *)
 
-(* Words allocated per call of [f], after one warm-up call: minor words
-   plus the arrays too large for the minor heap, which go straight to the
-   major heap. *)
+(* Words allocated per call of [f], after one warm-up call. *)
 let words_per_call f =
   let calls = 64 in
-  let allocated () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
   ignore (Sys.opaque_identity (f ()));
   let w0 = allocated () in
   for _ = 1 to calls do
@@ -733,6 +807,7 @@ let () =
           Alcotest.test_case "memo hit allocates nothing" `Quick test_routing_hit_words;
         ] );
       ( "journal",
-        [ Alcotest.test_case "admit append cost fixed" `Quick test_append_cost ] );
+        [ Alcotest.test_case "admit append cost fixed" `Quick test_append_cost;
+          Alcotest.test_case "record replay cost fixed" `Quick test_replay_cost ] );
       ("properties", props);
     ]

@@ -254,16 +254,12 @@ let test_coordinator_crash_recovery () =
       let used_before, _ = Federation.sla_usage_exn fed ~from_domain:"A" ~to_domain:"B" in
       ignore (Federation.crash_coordinator fed);
       Alcotest.(check int) "crash wipes volatile flows" 0 (Federation.flow_count fed);
-      match Federation.recover_coordinator fed with
-      | Error e -> Alcotest.failf "recovery failed: %s" e
-      | Ok r ->
-          digest_match := Some (String.equal digest r.Federation.replayed_digest);
-          recovered := r.Federation.recovered_flows;
-          aborts := r.Federation.recovery_aborts;
-          let used_after, _ =
-            Federation.sla_usage_exn fed ~from_domain:"A" ~to_domain:"B"
-          in
-          check_float "sla usage replayed exactly" used_before used_after);
+      let r = Federation.recover_coordinator fed in
+      digest_match := Some (String.equal digest r.Federation.replayed_digest);
+      recovered := r.Federation.recovered_flows;
+      aborts := r.Federation.recovery_aborts;
+      let used_after, _ = Federation.sla_usage_exn fed ~from_domain:"A" ~to_domain:"B" in
+      check_float "sla usage replayed exactly" used_before used_after);
   Engine.schedule eng ~at:3. (fun () ->
       Federation.set_reachable fed ~domain:"C" true;
       Federation.pump fed);
@@ -296,11 +292,8 @@ let test_torn_tail_tolerated () =
   Engine.schedule eng ~at:2. (fun () ->
       let lost = Federation.crash_coordinator fed in
       Alcotest.(check bool) "unsynced tail lost" true (lost > 0);
-      match Federation.recover_coordinator fed with
-      | Error e -> Alcotest.failf "recovery failed: %s" e
-      | Ok r ->
-          Alcotest.(check bool) "torn tail reported" true
-            (r.Federation.replay_warning <> None));
+      let r = Federation.recover_coordinator fed in
+      Alcotest.(check bool) "torn tail reported" true (r.Federation.replay_warning <> None));
   Engine.schedule eng ~at:3. (fun () -> Federation.pump fed);
   Engine.run eng;
   (* Whatever the journal forgot, the domains still hold: releases and
@@ -369,11 +362,9 @@ let storm_once seed =
         Engine.schedule eng ~at:now (fun () ->
             let digest = Federation.decision_digest fed in
             ignore (Federation.crash_coordinator fed);
-            match Federation.recover_coordinator fed with
-            | Error e -> Alcotest.failf "storm recovery failed: %s" e
-            | Ok r ->
-                if not (String.equal digest r.Federation.replayed_digest) then
-                  Alcotest.fail "storm: replay digest mismatch")
+            let r = Federation.recover_coordinator fed in
+            if not (String.equal digest r.Federation.replayed_digest) then
+              Alcotest.fail "storm: replay digest mismatch")
   done;
   (* Heal everything, drain, reap, and require a spotless end state. *)
   let heal_at = !at +. 1. in

@@ -97,6 +97,61 @@ let test_vfs_write_is_volatile_replace () =
   Alcotest.(check bool) "fsynced replace survives" true
     (Vfs.read v2 ~name:"f" = Ok "replacement")
 
+(* A handle acts on whatever file its name names now: across a rename
+   away and a new file under the name, a remove, and a crash. *)
+let test_vfs_handle_follows_name () =
+  let v = Vfs.create () in
+  let h = Vfs.handle v ~name:"f" in
+  let put s = ignore (Vfs.handle_append h (Bytes.of_string s) ~len:(String.length s)) in
+  Alcotest.(check bool) "absent" false (Vfs.handle_exists h);
+  Alcotest.(check bool) "fsync of an absent file" true (Vfs.handle_fsync h = Error Vfs.Eio);
+  put "one ";
+  Alcotest.(check bool) "created" true (Vfs.read v ~name:"f" = Ok "one ");
+  ignore (Vfs.append v ~name:"f" "two ");
+  put "three";
+  Alcotest.(check bool) "shares the name's file" true (Vfs.read v ~name:"f" = Ok "one two three");
+  ignore (Vfs.rename v ~src:"f" ~dst:"g");
+  Alcotest.(check bool) "gone with the rename" false (Vfs.handle_exists h);
+  put "new";
+  Alcotest.(check bool) "a new file under the name" true (Vfs.read v ~name:"f" = Ok "new");
+  Alcotest.(check bool) "the renamed file untouched" true (Vfs.read v ~name:"g" = Ok "one two three");
+  Alcotest.(check bool) "fsync through the handle" true (Vfs.handle_fsync h = Ok ());
+  put "-volatile-tail";
+  Vfs.crash v;
+  Alcotest.(check bool) "crash tears the unsynced half" true
+    (Vfs.read v ~name:"f" = Ok "new-volati");
+  Vfs.remove v ~name:"f";
+  Alcotest.(check bool) "gone with the remove" false (Vfs.handle_exists h);
+  put "again";
+  Alcotest.(check bool) "recreated" true (Vfs.read v ~name:"f" = Ok "again")
+
+(* Appends and fsyncs through a handle draw the same faults as by name:
+   two disks on one seed and plan end byte-identical. *)
+let test_vfs_handle_same_faults () =
+  let faults =
+    { Vfs.short_write_p = 0.3; write_eio_p = 0.1; fsync_eio_p = 0.1; fsync_lie_p = 0.1;
+      capacity = Some 6000 }
+  in
+  let by_name = Vfs.create ~seed:3 ~faults () and by_handle = Vfs.create ~seed:3 ~faults () in
+  let handles = Array.init 3 (fun i -> Vfs.handle by_handle ~name:(Printf.sprintf "f%d" i)) in
+  let b = Bytes.of_string (String.make 40 'r') in
+  for i = 0 to 199 do
+    let k = i mod 3 and len = 1 + (i mod 40) in
+    let name = Printf.sprintf "f%d" k in
+    let r1 = Vfs.append_bytes by_name ~name b ~len and r2 = Vfs.handle_append handles.(k) b ~len in
+    Alcotest.(check bool) "same append outcome" true (r1 = r2);
+    if i mod 7 = 0 then
+      Alcotest.(check bool) "same fsync outcome" true
+        (Vfs.fsync by_name ~name = Vfs.handle_fsync handles.(k));
+    if i = 100 then begin
+      Vfs.crash by_name;
+      Vfs.crash by_handle
+    end
+  done;
+  Alcotest.(check bool) "same files" true (Vfs.export by_name = Vfs.export by_handle);
+  Alcotest.(check bool) "same faults" true (Vfs.injected by_name = Vfs.injected by_handle);
+  Alcotest.(check bool) "faults were drawn" true (List.length (Vfs.injected by_name) >= 4)
+
 let test_vfs_fault_injection () =
   let faults =
     { Vfs.short_write_p = 0.5; write_eio_p = 0.2; fsync_eio_p = 0.2;
@@ -245,7 +300,7 @@ let test_pruning_keeps_fallback_window () =
       let min_seq =
         List.fold_left
           (fun acc l ->
-            match Bbr_broker.Wal.seq_of_line l with
+            match Bbr_broker.Wal.seq_of_range (Bytes.of_string l) ~pos:0 ~len:(String.length l) with
             | Some s -> min acc s
             | None -> acc)
           max_int tail.Storage.lines
@@ -521,6 +576,8 @@ let () =
           Alcotest.test_case "fault injection is seeded" `Quick
             test_vfs_fault_injection;
           Alcotest.test_case "copy and corrupt" `Quick test_vfs_copy_and_corrupt;
+          Alcotest.test_case "a handle follows its name" `Quick test_vfs_handle_follows_name;
+          Alcotest.test_case "a handle draws the same faults" `Quick test_vfs_handle_same_faults;
         ] );
       ( "store",
         [

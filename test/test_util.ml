@@ -258,10 +258,132 @@ let prop_int_is_string_of_int =
   QCheck.Test.make ~name:"add_int = string_of_int" ~count:2000 QCheck.int (fun n ->
       written Linebuf.add_int n = "<" ^ string_of_int n ^ ">")
 
+(* Linebuf's reader: the writers' texts read back bit-exactly, and
+   nothing else is read. *)
+
+(* [read] applied to the whole of [s], or [None]. *)
+let read_all read s =
+  Linebuf.read s ~pos:0 ~len:(String.length s) (fun r ->
+      let v = read r in
+      if Linebuf.at_end r then Some v else None)
+
+let same_float x y =
+  if Float.is_nan x then Float.is_nan y && Float.sign_bit x = Float.sign_bit y
+  else Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let float_specials =
+  [ 0.; -0.; infinity; neg_infinity; nan; Float.neg nan; Int64.float_of_bits 1L;
+    Int64.float_of_bits 0x8000_0000_0000_0001L; Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL;
+    Float.min_float; max_float; -.max_float; 1.; -1.5; 0.1; 2.19; 1e300; 60000.; 1.5e6 ]
+
+let int_specials = [ 0; 1; -1; 9; 10; -10; 99; 100; 1234567; max_int; min_int; min_int + 1 ]
+
+let test_reader_specials () =
+  List.iter
+    (fun x ->
+      let text = Printf.sprintf "%h" x in
+      match read_all Linebuf.read_hfloat text with
+      | Some y when same_float x y -> ()
+      | _ -> Alcotest.failf "%s does not read back" text)
+    float_specials;
+  Alcotest.(check (option (float 0.))) "the smallest subnormal" (Some 4.9406564584124654e-324)
+    (read_all Linebuf.read_hfloat "0x0.0000000000001p-1022");
+  List.iter
+    (fun n ->
+      Alcotest.(check (option int)) (string_of_int n) (Some n)
+        (read_all Linebuf.read_int (string_of_int n)))
+    int_specials;
+  Alcotest.(check (option (list int))) "links" (Some [ 3; 0; 17 ])
+    (read_all Linebuf.read_ints "3,0,17");
+  Alcotest.(check (option (list int))) "no links" (Some []) (read_all Linebuf.read_ints "");
+  Alcotest.(check (option string)) "a word stops at a space" (Some "ab")
+    (Linebuf.read "ab cd" ~pos:0 ~len:5 (fun r -> Some (Linebuf.read_word r)))
+
+let test_reader_refuses () =
+  List.iter
+    (fun s ->
+      if read_all Linebuf.read_int s <> None then Alcotest.failf "int %S accepted" s)
+    [ ""; "-"; "-0"; "00"; "01"; "+1"; " 1"; "1 "; "0x10"; "1_000"; "4611686018427387904";
+      "-4611686018427387905"; "99999999999999999999" ];
+  List.iter
+    (fun s ->
+      if read_all Linebuf.read_hfloat s <> None then Alcotest.failf "float %S accepted" s)
+    [ ""; "-"; "1.5"; "1e3"; "inf"; "NaN"; "Infinity"; "0x1p0"; "0x1p-0"; "0x1p+01"; "0X1p+0";
+      "0x1.0p+0"; "0x1.Ap+0"; "0x1.p+0"; "0x2p+0"; "0x0p+1"; "0x0p-0"; "0x0.8p-1021";
+      "0x1p+1024"; "0x1p-1023"; "0x1.00000000000001p+0"; "0x1.fffffffffffff0p+0"; "--0x1p+0";
+      "+0x1p+0"; "0x1p+1 " ];
+  List.iter
+    (fun s ->
+      if read_all Linebuf.read_ints s <> None then Alcotest.failf "list %S accepted" s)
+    [ ","; "1,"; ",1"; "1,,2"; "1;2"; "01" ];
+  Alcotest.(check (option int)) "a range outside the buffer" None
+    (Linebuf.read "12" ~pos:1 ~len:2 (fun r -> Some (Linebuf.read_int r)))
+
+let prop_hfloat_reads_back =
+  QCheck.Test.make ~name:"read_hfloat reads add_hfloat back on any bit pattern" ~count:2000
+    QCheck.int64
+    (fun bits ->
+      let x = Int64.float_of_bits bits in
+      match read_all Linebuf.read_hfloat (Printf.sprintf "%h" x) with
+      | Some y -> same_float x y
+      | None -> false)
+
+let prop_int_reads_back =
+  QCheck.Test.make ~name:"read_int reads add_int back" ~count:2000 QCheck.int (fun n ->
+      read_all Linebuf.read_int (string_of_int n) = Some n)
+
+(* A written number, then cut short, or with bytes replaced, inserted or
+   dropped, from an alphabet close to the writers' own. *)
+let arb_damaged =
+  let open QCheck.Gen in
+  let alphabet = "0123456789abcdefABCDEFxXp+-.,in \n" in
+  let ch = map (String.get alphabet) (int_bound (String.length alphabet - 1)) in
+  let text =
+    oneof
+      [ map (fun b -> Printf.sprintf "%h" (Int64.float_of_bits b)) ui64;
+        map (fun x -> Printf.sprintf "%h" x) (oneofl float_specials);
+        map string_of_int int;
+        map string_of_int (oneofl int_specials) ]
+  in
+  let damage s =
+    let n = String.length s in
+    oneof
+      [ map (fun k -> String.sub s 0 (k mod (n + 1))) nat;
+        map2
+          (fun k c -> String.mapi (fun i x -> if i = k mod max 1 n then c else x) s)
+          nat ch;
+        map2
+          (fun k c ->
+            let k = k mod (n + 1) in
+            String.sub s 0 k ^ String.make 1 c ^ String.sub s k (n - k))
+          nat ch;
+        map
+          (fun k ->
+            if n = 0 then s
+            else
+              let k = k mod n in
+              String.sub s 0 k ^ String.sub s (k + 1) (n - k - 1))
+          nat ]
+  in
+  QCheck.make ~print:(Printf.sprintf "%S") (text >>= fun s -> list_size (int_range 1 3) unit >>= fun l -> List.fold_left (fun g () -> g >>= damage) (return s) l)
+
+let prop_reader_refuses_the_rest =
+  QCheck.Test.make ~name:"the reader accepts only what the writers write, never raises"
+    ~count:3000 arb_damaged
+    (fun s ->
+      (match read_all Linebuf.read_hfloat s with
+      | Some x -> Printf.sprintf "%h" x = s || QCheck.Test.fail_reportf "float %S read as %h" s x
+      | None -> true)
+      &&
+      match read_all Linebuf.read_int s with
+      | Some n -> string_of_int n = s || QCheck.Test.fail_reportf "int %S read as %d" s n
+      | None -> true)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_heap_sorts; prop_heap_interleaved; prop_hfloat_is_printf; prop_int_is_string_of_int ]
+      [ prop_heap_sorts; prop_heap_interleaved; prop_hfloat_is_printf; prop_int_is_string_of_int;
+        prop_hfloat_reads_back; prop_int_reads_back; prop_reader_refuses_the_rest ]
   in
   Alcotest.run "util"
     [
@@ -303,6 +425,8 @@ let () =
         [
           Alcotest.test_case "hex floats match Printf" `Quick test_hfloat_specials;
           Alcotest.test_case "ints match string_of_int" `Quick test_int_specials;
+          Alcotest.test_case "reader reads the writers back" `Quick test_reader_specials;
+          Alcotest.test_case "reader refuses other text" `Quick test_reader_refuses;
         ] );
       ("properties", qsuite);
     ]
