@@ -14,6 +14,15 @@ type hooks = {
   rate_changed : class_id:int -> path_id:int -> total_rate:float -> unit;
 }
 
+(* A macroflow's mutable rates, in an all-float record: it is stored
+   flat, so an update writes the double in place, where a mutable float
+   field of the mixed [macroflow] record would box on every store. *)
+type rates = {
+  mutable base : float;  (* reserved rate excluding contingency *)
+  mutable conting : float;  (* total active contingency bandwidth *)
+  mutable edge_bound : float;  (* current worst-case edge-delay bound *)
+}
+
 type macroflow = {
   cls : class_def;
   path : Path_mib.info;
@@ -21,11 +30,15 @@ type macroflow = {
   members : (Types.flow_id, Traffic.t) Hashtbl.t;
   sum : Traffic.Sum.t;  (* exact sum of the members' profiles *)
   mutable profile : Traffic.t option;  (* None when empty *)
-  mutable base : float;  (* reserved rate excluding contingency *)
-  mutable conting : float;  (* total active contingency bandwidth *)
-  grants : (int, float) Hashtbl.t;  (* grant id -> amount *)
+  r : rates;
+  (* The live contingency grants, in slots [ghead, gtail) of two parallel
+     arrays: ids are issued in increasing order and appended, so the
+     slots are in id order, oldest first. *)
+  mutable gids : int array;
+  mutable gamounts : Float.Array.t;
+  mutable ghead : int;
+  mutable gtail : int;
   mutable next_grant : int;
-  mutable edge_bound : float;  (* current worst-case edge-delay bound *)
 }
 
 type macro_stats = {
@@ -86,52 +99,99 @@ let best_class t ~dreq =
 (* ------------------------------------------------------------------ *)
 (* Per-macroflow helpers.                                             *)
 
-let total mf = mf.base +. mf.conting
+let[@inline] total mf = mf.r.base +. mf.r.conting
 
 (* The macroflow appears at every delay-based scheduler of its path as one
    flow with rate = total allocation, delay = cd and the path MTU as
-   maximum packet size. *)
-let edf_update mf ~old_total ~new_total =
-  List.iter
-    (fun edf ->
-      if old_total > 0. then
-        Vtedf.remove edf ~rate:old_total ~delay:mf.cls.cd ~lmax:Topology.mtu_bits;
-      if new_total > 0. then
-        Vtedf.add edf ~rate:new_total ~delay:mf.cls.cd ~lmax:Topology.mtu_bits)
-    mf.edfs
+   maximum packet size.  A resize is one {!Vtedf.resize} a scheduler.
+   Both walks are top-level recursions passing on floats that are
+   already boxed, so a hop allocates nothing. *)
+let rec update_edfs edfs ~cd ~old_total ~new_total =
+  match edfs with
+  | [] -> ()
+  | edf :: rest ->
+      let lmax = Topology.mtu_bits in
+      if old_total > 0. && new_total > 0. then
+        Vtedf.resize edf ~delay:cd ~lmax ~old_rate:old_total ~new_rate:new_total
+      else if old_total > 0. then Vtedf.remove edf ~rate:old_total ~delay:cd ~lmax
+      else if new_total > 0. then Vtedf.add edf ~rate:new_total ~delay:cd ~lmax;
+      update_edfs rest ~cd ~old_total ~new_total
 
-let edf_can mf ~old_total ~new_total =
-  List.for_all
-    (fun edf ->
+(* A feasibility test asks each scheduler without changing it. *)
+let rec edfs_can edfs ~cd ~old_total ~new_total =
+  match edfs with
+  | [] -> true
+  | edf :: rest ->
+      let lmax = Topology.mtu_bits in
+      (new_total <= 0.
+      ||
       if old_total > 0. then
-        Vtedf.remove edf ~rate:old_total ~delay:mf.cls.cd ~lmax:Topology.mtu_bits;
-      let ok =
-        new_total <= 0.
-        || Vtedf.can_admit edf ~rate:new_total ~delay:mf.cls.cd ~lmax:Topology.mtu_bits
-      in
-      if old_total > 0. then
-        Vtedf.add edf ~rate:old_total ~delay:mf.cls.cd ~lmax:Topology.mtu_bits;
-      ok)
-    mf.edfs
+        Vtedf.can_resize edf ~delay:cd ~lmax ~old_rate:old_total ~new_rate:new_total
+      else Vtedf.can_admit edf ~rate:new_total ~delay:cd ~lmax)
+      && edfs_can rest ~cd ~old_total ~new_total
+
+let edf_update mf ~old_total ~new_total =
+  update_edfs mf.edfs ~cd:mf.cls.cd ~old_total ~new_total
+
+let edf_can mf ~old_total ~new_total = edfs_can mf.edfs ~cd:mf.cls.cd ~old_total ~new_total
 
 let reserve_links t mf amount =
-  if amount > 0. then
-    List.iter
-      (fun (l : Topology.link) ->
-        Node_mib.reserve t.node_mib ~link_id:l.Topology.link_id amount)
-      mf.path.Path_mib.links
+  if amount > 0. then Node_mib.reserve_links t.node_mib mf.path.Path_mib.links amount
 
 let release_links t mf amount =
-  if amount > 0. then
-    List.iter
-      (fun (l : Topology.link) ->
-        Node_mib.release t.node_mib ~link_id:l.Topology.link_id amount)
-      mf.path.Path_mib.links
+  if amount > 0. then Node_mib.release_links t.node_mib mf.path.Path_mib.links amount
 
 let steady_edge_bound (mf : macroflow) =
   match mf.profile with
   | None -> 0.
-  | Some p -> Delay.edge_bound p ~rate:mf.base
+  | Some p -> Delay.edge_bound p ~rate:mf.r.base
+
+(* The grant slots.  A released grant is usually the oldest (a queue-empty
+   signal releases them all, oldest first), which only advances [ghead];
+   a bounding timer may release one from the middle, which closes the
+   gap. *)
+let grant_count mf = mf.gtail - mf.ghead
+
+let clear_grants mf =
+  mf.ghead <- 0;
+  mf.gtail <- 0
+
+let push_grant mf gid amount =
+  let cap = Array.length mf.gids in
+  if mf.gtail = cap then begin
+    let live = grant_count mf in
+    let cap' = if 2 * live > cap then 2 * cap else cap in
+    let gids = if cap' = cap then mf.gids else Array.make cap' 0 in
+    let gamounts = if cap' = cap then mf.gamounts else Float.Array.make cap' 0. in
+    Array.blit mf.gids mf.ghead gids 0 live;
+    Float.Array.blit mf.gamounts mf.ghead gamounts 0 live;
+    mf.gids <- gids;
+    mf.gamounts <- gamounts;
+    mf.ghead <- 0;
+    mf.gtail <- live
+  end;
+  mf.gids.(mf.gtail) <- gid;
+  Float.Array.set mf.gamounts mf.gtail amount;
+  mf.gtail <- mf.gtail + 1
+
+(* The slot of grant [gid], or [-1] when it was released already. *)
+let find_grant mf gid =
+  let lo = ref mf.ghead and hi = ref mf.gtail in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if mf.gids.(mid) < gid then lo := mid + 1 else hi := mid
+  done;
+  if !lo < mf.gtail && mf.gids.(!lo) = gid then !lo else -1
+
+let drop_grant mf k =
+  if k = mf.ghead then mf.ghead <- k + 1
+  else begin
+    let after = mf.gtail - k - 1 in
+    Array.blit mf.gids (k + 1) mf.gids k after;
+    Float.Array.blit mf.gamounts (k + 1) mf.gamounts k after;
+    mf.gtail <- mf.gtail - 1
+  end;
+  if mf.ghead = mf.gtail then clear_grants mf
 
 let notify_rate t mf =
   if Obs_log.active () then begin
@@ -148,38 +208,41 @@ let notify_rate t mf =
   t.hooks.rate_changed ~class_id:mf.cls.class_id ~path_id:mf.path.Path_mib.path_id
     ~total_rate:(total mf)
 
+(* Release the contingency grant in slot [k]. *)
+let release_slot t mf k =
+  let amount = Float.Array.get mf.gamounts k in
+  drop_grant mf k;
+  if Obs_log.active () then begin
+    Obs_log.count "bb_agg_contingency_releases_total"
+      ~labels:[ ("class", string_of_int mf.cls.class_id) ];
+    Obs_log.event ~at:(t.hooks.now ()) "bb.agg.contingency_release"
+      ~attrs:
+        [
+          ("class", string_of_int mf.cls.class_id);
+          ("path", string_of_int mf.path.Path_mib.path_id);
+          ("amount", Printf.sprintf "%.6g" amount);
+        ]
+  end;
+  let old_total = total mf in
+  mf.r.conting <- Float.max 0. (mf.r.conting -. amount);
+  release_links t mf amount;
+  edf_update mf ~old_total ~new_total:(total mf);
+  if grant_count mf = 0 then mf.r.edge_bound <- steady_edge_bound mf;
+  notify_rate t mf
+
 (* Release one contingency grant (idempotent: the grant may have been
    swept already by a queue-empty reset). *)
 let release_grant t mf gid =
-  match Hashtbl.find_opt mf.grants gid with
-  | None -> ()
-  | Some amount ->
-      Hashtbl.remove mf.grants gid;
-      if Obs_log.active () then begin
-        Obs_log.count "bb_agg_contingency_releases_total"
-          ~labels:[ ("class", string_of_int mf.cls.class_id) ];
-        Obs_log.event ~at:(t.hooks.now ()) "bb.agg.contingency_release"
-          ~attrs:
-            [
-              ("class", string_of_int mf.cls.class_id);
-              ("path", string_of_int mf.path.Path_mib.path_id);
-              ("amount", Printf.sprintf "%.6g" amount);
-            ]
-      end;
-      let old_total = total mf in
-      mf.conting <- Float.max 0. (mf.conting -. amount);
-      release_links t mf amount;
-      edf_update mf ~old_total ~new_total:(total mf);
-      if Hashtbl.length mf.grants = 0 then mf.edge_bound <- steady_edge_bound mf;
-      notify_rate t mf
+  let k = find_grant mf gid in
+  if k >= 0 then release_slot t mf k
 
 (* Register [amount] of contingency bandwidth, already reserved on the
    links by the caller; returns the grant id. *)
 let register_grant t mf amount =
   let gid = mf.next_grant in
   mf.next_grant <- mf.next_grant + 1;
-  Hashtbl.replace mf.grants gid amount;
-  mf.conting <- mf.conting +. amount;
+  push_grant mf gid amount;
+  mf.r.conting <- mf.r.conting +. amount;
   if Obs_log.active () then begin
     Obs_log.count "bb_agg_contingency_grants_total"
       ~labels:[ ("class", string_of_int mf.cls.class_id) ];
@@ -200,7 +263,7 @@ let arm_release t (mf : macroflow) gid ~amount ~alloc_before =
   match t.method_ with
   | Feedback -> ()
   | Bounding ->
-      let tau = mf.edge_bound *. alloc_before /. amount in
+      let tau = mf.r.edge_bound *. alloc_before /. amount in
       t.hooks.after (Float.max 0. tau) (fun () -> release_grant t mf gid)
 
 let add_grant t mf ~amount ~alloc_before =
@@ -243,11 +306,12 @@ let empty_macro t cls path =
     members = Hashtbl.create 16;
     sum = Traffic.Sum.create ();
     profile = None;
-    base = 0.;
-    conting = 0.;
-    grants = Hashtbl.create 8;
+    r = { base = 0.; conting = 0.; edge_bound = 0. };
+    gids = Array.make 8 0;
+    gamounts = Float.Array.make 8 0.;
+    ghead = 0;
+    gtail = 0;
     next_grant = 0;
-    edge_bound = 0.;
   }
 
 let get_macro t ~class_id ~path =
@@ -270,14 +334,14 @@ let admit_member t mf ~class_id ~flow profile =
   (* The rate the class bound demands for the new aggregate; the core
      bound is evaluated at the pre-join rate when the macroflow already
      exists (eq. (19)). *)
-  let core_rate = if Hashtbl.length mf.members = 0 then None else Some mf.base in
+  let core_rate = if Hashtbl.length mf.members = 0 then None else Some mf.r.base in
   match min_class_rate mf new_profile ~core_rate with
   | None -> Error Types.Delay_unachievable
   | Some r_delay ->
       (* Never below the aggregate sustained rate, never decreased by a
          join. *)
-      let base' = Float.max mf.base (Float.max new_profile.Traffic.rho r_delay) in
-      let increment = base' -. mf.base in
+      let base' = Float.max mf.r.base (Float.max new_profile.Traffic.rho r_delay) in
+      let increment = base' -. mf.r.base in
       let contingency = Float.max 0. (profile.Traffic.peak -. increment) in
       let extra = increment +. contingency in
       let cres = Path_mib.residual t.path_mib mf.path in
@@ -290,13 +354,13 @@ let admit_member t mf ~class_id ~flow profile =
         Hashtbl.replace mf.members flow profile;
         Hashtbl.replace t.owners flow (class_id, mf.path.Path_mib.path_id);
         mf.profile <- Some new_profile;
-        mf.base <- base';
+        mf.r.base <- base';
         reserve_links t mf extra;
         edf_update mf ~old_total ~new_total:(old_total +. extra);
         add_grant t mf ~amount:contingency ~alloc_before;
         (* eq. (13): the edge bound after the change is at most the max
            of the old bound and the steady bound of the new aggregate. *)
-        mf.edge_bound <- Float.max mf.edge_bound (steady_edge_bound mf);
+        mf.r.edge_bound <- Float.max mf.r.edge_bound (steady_edge_bound mf);
         notify_rate t mf;
         Ok ()
       end
@@ -337,18 +401,18 @@ let leave t ~flow =
             let r_delay =
               match min_class_rate mf p ~core_rate:None with
               | Some r -> r
-              | None -> mf.base
+              | None -> mf.r.base
             in
-            Float.min mf.base (Float.max p.Traffic.rho r_delay)
+            Float.min mf.r.base (Float.max p.Traffic.rho r_delay)
       in
-      let decrement = mf.base -. base' in
+      let decrement = mf.r.base -. base' in
       mf.profile <- rest;
-      mf.base <- base';
+      mf.r.base <- base';
       (* Theorem 3: keep serving at the old allocation; the decrement
          becomes contingency bandwidth and is only released after the
          contingency period (or the queue-empty signal). *)
       add_grant t mf ~amount:decrement ~alloc_before;
-      mf.edge_bound <- Float.max mf.edge_bound (steady_edge_bound mf);
+      mf.r.edge_bound <- Float.max mf.r.edge_bound (steady_edge_bound mf);
       notify_rate t mf
 
 let evacuate t ~class_id ~path_id =
@@ -364,11 +428,11 @@ let evacuate t ~class_id ~path_id =
          contingency period applies: the path is gone, so there is no edge
          backlog left to drain through it.  Pending bounding timers find
          their grants already swept and fire as no-ops. *)
-      Hashtbl.reset mf.grants;
-      mf.conting <- 0.;
-      mf.base <- 0.;
+      clear_grants mf;
+      mf.r.conting <- 0.;
+      mf.r.base <- 0.;
       mf.profile <- None;
-      mf.edge_bound <- 0.;
+      mf.r.edge_bound <- 0.;
       release_links t mf old_total;
       edf_update mf ~old_total ~new_total:0.;
       Hashtbl.reset mf.members;
@@ -384,8 +448,12 @@ let queue_empty t ~class_id ~path_id =
       match Hashtbl.find_opt t.macros (class_id, path_id) with
       | None -> ()
       | Some mf ->
-          let gids = Hashtbl.fold (fun gid _ acc -> gid :: acc) mf.grants [] in
-          List.iter (release_grant t mf) (List.sort compare gids))
+          (* Oldest first.  A grant issued while these are released (a
+             rate-change hook that joins) waits for the next signal. *)
+          let last = mf.next_grant - 1 in
+          while mf.gtail > mf.ghead && mf.gids.(mf.ghead) <= last do
+            release_slot t mf mf.ghead
+          done)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / journal support: verbatim booking of a saved macroflow,
@@ -395,8 +463,7 @@ let grant_amounts t ~class_id ~path_id =
   match Hashtbl.find_opt t.macros (class_id, path_id) with
   | None -> []
   | Some mf ->
-      Hashtbl.fold (fun gid amount acc -> (gid, amount) :: acc) mf.grants []
-      |> List.sort compare |> List.map snd
+      List.init (grant_count mf) (fun i -> Float.Array.get mf.gamounts (mf.ghead + i))
 
 let restore_macroflow t ~class_id ~path ~members ~profile ~base ~conting ~edge_bound
     ~grants =
@@ -410,7 +477,10 @@ let restore_macroflow t ~class_id ~path ~members ~profile ~base ~conting ~edge_b
      summed twice. *)
   if List.length (List.sort_uniq compare (List.map fst members)) <> List.length members
   then fail "duplicate member";
-  let mf = { (empty_macro t cls path) with profile; base; edge_bound } in
+  let mf = empty_macro t cls path in
+  mf.profile <- profile;
+  mf.r.base <- base;
+  mf.r.edge_bound <- edge_bound;
   (* No admission test: these are the primary's bookings.  The links
      still refuse to go over capacity. *)
   reserve_links t mf (base +. conting);
@@ -425,7 +495,7 @@ let restore_macroflow t ~class_id ~path ~members ~profile ~base ~conting ~edge_b
   let gids = List.map (register_grant t mf) grants in
   (* The saved pool, not the sum of its grants: release arithmetic can
      leave a residue the primary still holds on its links. *)
-  mf.conting <- conting;
+  mf.r.conting <- conting;
   (* Release timers are armed only once the pool is whole, so a timer
      that fires at once releases from consistent state. *)
   ignore
@@ -485,9 +555,9 @@ let macroflow_stats t ~class_id ~path_id =
         path_id;
         members = Hashtbl.length mf.members;
         profile = mf.profile;
-        base_rate = mf.base;
-        contingency = mf.conting;
-        edge_bound = mf.edge_bound;
+        base_rate = mf.r.base;
+        contingency = mf.r.conting;
+        edge_bound = mf.r.edge_bound;
       })
     (Hashtbl.find_opt t.macros (class_id, path_id))
 

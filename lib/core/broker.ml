@@ -326,6 +326,25 @@ let teardown t flow =
           Node_mib.release t.node_mib ~link_id res.Types.rate)
         record.Flow_mib.path.Path_mib.links
 
+(* A caller-pinned class, refused when its bound is looser than the
+   request's. *)
+let pinned_class t ~class_id (req : Types.request) =
+  match Aggregate.find_class t.aggregate ~class_id with
+  | Some c when c.Aggregate.dreq <= req.Types.dreq +. 1e-12 -> Ok c
+  | Some _ -> Error Types.Delay_unachievable
+  | None -> Error (Types.Policy_denied "unknown service class")
+
+(* The macroflow join of an already-decided class admission on [path],
+   journaled as [Admit_class]. *)
+let rejoin t ~class_id ~flow path (req : Types.request) =
+  match Aggregate.join t.aggregate ~class_id ~path ~flow req.Types.profile with
+  | Error _ as e -> e
+  | Ok () ->
+      (match t.on_mutation with
+      | None -> ()
+      | Some f -> f (Admit_class { flow; class_id; request = req }));
+      Ok ()
+
 let request_class t ?class_id ?flow req =
   let outcome =
     match preamble t req with
@@ -333,11 +352,7 @@ let request_class t ?class_id ?flow req =
     | Ok path -> (
         let cls =
           match class_id with
-          | Some id -> (
-              match Aggregate.find_class t.aggregate ~class_id:id with
-              | Some c when c.Aggregate.dreq <= req.Types.dreq +. 1e-12 -> Ok c
-              | Some _ -> Error Types.Delay_unachievable
-              | None -> Error (Types.Policy_denied "unknown service class"))
+          | Some class_id -> pinned_class t ~class_id req
           | None -> (
               match Aggregate.best_class t.aggregate ~dreq:req.Types.dreq with
               | Some c -> Ok c
@@ -367,6 +382,18 @@ let request_class t ?class_id ?flow req =
   note_decision t ~service:Class_based req
     (Result.map (fun (flow, _) -> (flow, 0.)) outcome);
   outcome
+
+(* The replay form of an [Admit_class] record: routing, the pinned class
+   and the join, as {!request_class} runs them.  The policy check, the
+   stage timers and the decision log stay with the primary, which
+   decided; a standby whose policy differs still rebuilds its state. *)
+let book_class t ~class_id ~flow req =
+  match route_of t req with
+  | None -> Error Types.No_route
+  | Some path -> (
+      match pinned_class t ~class_id req with
+      | Error _ as e -> e
+      | Ok _ -> rejoin t ~class_id ~flow:(claim_id t (Some flow)) path req)
 
 (* Idempotent for the same reason as {!teardown}. *)
 let teardown_class t flow =
@@ -476,28 +503,14 @@ let fail_link t ~link_id =
               | Some (ingress, egress) -> (
                   match Routing.path t.routing ~ingress ~egress with
                   | None -> false
-                  | Some path -> (
-                      match
-                        Aggregate.join t.aggregate ~class_id ~path ~flow profile
-                      with
-                      | Ok () ->
-                          (* This join bypasses {!request_class}, so it
-                             must journal its own record.  The class is
-                             pinned; [dreq = infinity] replays through
-                             any class bound. *)
-                          (match t.on_mutation with
-                          | None -> ()
-                          | Some f ->
-                              f
-                                (Admit_class
-                                   {
-                                     flow;
-                                     class_id;
-                                     request =
-                                       { Types.profile; dreq = infinity; ingress; egress };
-                                   }));
-                          true
-                      | Error _ -> false))
+                  | Some path ->
+                      (* This join bypasses {!request_class}, so it
+                         journals its own record.  The class is pinned;
+                         [dreq = infinity] replays through any class
+                         bound. *)
+                      Result.is_ok
+                        (rejoin t ~class_id ~flow path
+                           { Types.profile; dreq = infinity; ingress; egress }))
             in
             if rejoined then Either.Left flow else Either.Right flow)
           members)

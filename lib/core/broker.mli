@@ -221,6 +221,18 @@ val request_class :
     otherwise the loosest class satisfying the requirement.  [flow] as in
     {!request}. *)
 
+val book_class :
+  t ->
+  class_id:int ->
+  flow:Types.flow_id ->
+  Types.request ->
+  (unit, Types.reject_reason) result
+(** The replay form of [Admit_class] journal records, journaled as
+    [Admit_class]: route the request, look the pinned class up (refused
+    as {!request_class} refuses it) and join its macroflow under the
+    recorded flow id, advancing the id space past it.  No policy check,
+    stage timer or decision log runs: the primary decided. *)
+
 val teardown_class : t -> Types.flow_id -> unit
 (** Idempotent, like {!teardown}. *)
 

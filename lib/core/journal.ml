@@ -189,8 +189,8 @@ let apply broker (m : Broker.mutation) =
             (Fmt.str "replaying admit of flow %d failed: %s" b.Broker.flow
                (Printexc.to_string exn)))
   | Broker.Admit_class { flow; class_id; request } -> (
-      match Broker.request_class broker ~class_id ~flow request with
-      | Ok _ -> Ok ()
+      match Broker.book_class broker ~class_id ~flow request with
+      | Ok () -> Ok ()
       | Error r ->
           Error
             (Fmt.str "replaying class admit of flow %d failed: %a" flow

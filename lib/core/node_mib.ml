@@ -1,12 +1,24 @@
 module Topology = Bbr_vtrs.Topology
 module Vtedf = Bbr_vtrs.Vtedf
-module Fp = Bbr_util.Fp
+
+(* {!Bbr_util.Fp.leq}, restated so that it inlines: under -opaque a call
+   into another module boxes its float arguments.  Same formula, same
+   tolerance. *)
+let[@inline] tol a b =
+  Bbr_util.Fp.default_eps *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
+
+let[@inline] leq a b = a <= b +. tol a b
 
 type entry = { link : Topology.link; edf : Vtedf.t option }
 
-type state = { entry : entry; mutable reserved : float }
-
-type t = { states : state array; mutable hooks : (link_id:int -> unit) list }
+(* The reserved bandwidth of every link sits in one [Float.Array] indexed
+   by link id, so a reservation writes its double in place; a mutable
+   float field of a per-link record would box on every store. *)
+type t = {
+  entries : entry array;
+  reserved : Float.Array.t;
+  mutable hooks : (link_id:int -> unit) list;
+}
 
 let create topology =
   let make (link : Topology.link) =
@@ -15,45 +27,88 @@ let create topology =
       | Topology.Delay_based -> Some (Vtedf.create ~capacity:link.Topology.capacity)
       | Topology.Rate_based -> None
     in
-    { entry = { link; edf }; reserved = 0. }
+    { link; edf }
   in
-  let links = Topology.links topology in
-  { states = Array.of_list (List.map make links); hooks = [] }
+  let entries = Array.of_list (List.map make (Topology.links topology)) in
+  { entries; reserved = Float.Array.make (Array.length entries) 0.; hooks = [] }
 
-let state t ~link_id =
-  if link_id < 0 || link_id >= Array.length t.states then
-    invalid_arg (Printf.sprintf "Node_mib: unknown link id %d" link_id);
-  t.states.(link_id)
+let check t ~link_id =
+  if link_id < 0 || link_id >= Array.length t.entries then
+    invalid_arg (Printf.sprintf "Node_mib: unknown link id %d" link_id)
 
-let entry t ~link_id = (state t ~link_id).entry
+let entry t ~link_id =
+  check t ~link_id;
+  t.entries.(link_id)
 
-let reserved t ~link_id = (state t ~link_id).reserved
+let reserved t ~link_id =
+  check t ~link_id;
+  Float.Array.get t.reserved link_id
+
+let[@inline] capacity t link_id = t.entries.(link_id).link.Topology.capacity
 
 let residual t ~link_id =
-  let s = state t ~link_id in
-  s.entry.link.Topology.capacity -. s.reserved
+  check t ~link_id;
+  capacity t link_id -. Float.Array.get t.reserved link_id
 
-let notify t ~link_id = List.iter (fun hook -> hook ~link_id) t.hooks
+let rec notify hooks ~link_id =
+  match hooks with
+  | [] -> ()
+  | hook :: rest ->
+      hook ~link_id;
+      notify rest ~link_id
 
 let reserve t ~link_id amount =
   if amount < 0. then invalid_arg "Node_mib.reserve: negative amount";
-  let s = state t ~link_id in
-  let next = s.reserved +. amount in
-  if not (Fp.leq next s.entry.link.Topology.capacity) then
+  check t ~link_id;
+  let next = Float.Array.get t.reserved link_id +. amount in
+  if not (leq next (capacity t link_id)) then
     invalid_arg
-      (Printf.sprintf "Node_mib.reserve: link %d over capacity (%g > %g)" link_id
-         next s.entry.link.Topology.capacity);
-  s.reserved <- next;
-  notify t ~link_id
+      (Printf.sprintf "Node_mib.reserve: link %d over capacity (%g > %g)" link_id next
+         (capacity t link_id));
+  Float.Array.set t.reserved link_id next;
+  notify t.hooks ~link_id
 
 let release t ~link_id amount =
   if amount < 0. then invalid_arg "Node_mib.release: negative amount";
-  let s = state t ~link_id in
-  if not (Fp.leq amount s.reserved) then
+  check t ~link_id;
+  let held = Float.Array.get t.reserved link_id in
+  if not (leq amount held) then
     invalid_arg
       (Printf.sprintf "Node_mib.release: link %d releasing %g of %g reserved" link_id
-         amount s.reserved);
-  s.reserved <- Float.max 0. (s.reserved -. amount);
-  notify t ~link_id
+         amount held);
+  Float.Array.set t.reserved link_id (Float.max 0. (held -. amount));
+  notify t.hooks ~link_id
+
+let rec reserve_links t (links : Topology.link list) amount =
+  match links with
+  | [] -> ()
+  | l :: rest ->
+      reserve t ~link_id:l.Topology.link_id amount;
+      reserve_links t rest amount
+
+let rec release_links t (links : Topology.link list) amount =
+  match links with
+  | [] -> ()
+  | l :: rest ->
+      release t ~link_id:l.Topology.link_id amount;
+      release_links t rest amount
+
+(* The fold [List.fold_left (fun acc l -> Float.min acc (residual l))
+   infinity], with the accumulator in a local so it is never boxed. *)
+let min_residual t links =
+  let acc = ref infinity and rest = ref links in
+  while
+    match !rest with
+    | [] -> false
+    | (l : Topology.link) :: tl ->
+        let link_id = l.Topology.link_id in
+        check t ~link_id;
+        acc := Float.min !acc (capacity t link_id -. Float.Array.get t.reserved link_id);
+        rest := tl;
+        true
+  do
+    ()
+  done;
+  !acc
 
 let on_change t hook = t.hooks <- hook :: t.hooks

@@ -35,6 +35,17 @@ val release : t -> link_id:int -> float -> unit
 (** Subtract from the link's reserved bandwidth.  Raises
     [Invalid_argument] if more than reserved would be released. *)
 
+val reserve_links : t -> Bbr_vtrs.Topology.link list -> float -> unit
+(** {!reserve} of the same amount on each link, in list order. *)
+
+val release_links : t -> Bbr_vtrs.Topology.link list -> float -> unit
+(** {!release} of the same amount on each link, in list order. *)
+
+val min_residual : t -> Bbr_vtrs.Topology.link list -> float
+(** The least {!residual} over the links, folded in list order from
+    [infinity] with [Float.min]; the loop allocates nothing.  Raises
+    [Invalid_argument] for an unknown link id. *)
+
 val on_change : t -> (link_id:int -> unit) -> unit
 (** Register a hook invoked after every {!reserve}/{!release}.  No
     product module subscribes: [C_res] is read on demand

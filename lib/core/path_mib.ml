@@ -70,10 +70,7 @@ let register_segment t links =
 let residual t info =
   if info.path_id < 0 || info.path_id >= t.next_id then
     invalid_arg "Path_mib.residual: unregistered path";
-  List.fold_left
-    (fun acc (l : Topology.link) ->
-      Float.min acc (Node_mib.residual t.node_mib ~link_id:l.Topology.link_id))
-    infinity info.links
+  Node_mib.min_residual t.node_mib info.links
 
 let find t ~path_id =
   if path_id < 0 || path_id >= t.next_id then None else t.by_id.(path_id)

@@ -18,6 +18,11 @@ type klass = {
   count : int;
 }
 
+(* The running total sits in an all-float record, stored flat, so an
+   update writes the double in place; a mutable float field of [t] (a
+   mixed record) would box on every store. *)
+type sums = { mutable total : float }
+
 (* Flat sorted parallel arrays, one slot per distinct delay class.  The
    admission hot path queries this structure once per hop per request, so
    class updates are in place and the query loops below allocate nothing.
@@ -30,7 +35,7 @@ type t = {
   mutable rates : float array;  (* total reserved rate per class *)
   mutable lmaxs : float array;  (* total max packet size per class *)
   mutable counts : int array;
-  mutable total : float;
+  sums : sums;
   mutable flows : int;
   mutable version : int;
 }
@@ -47,14 +52,14 @@ let create ~capacity =
     rates = Array.make initial_slots 0.;
     lmaxs = Array.make initial_slots 0.;
     counts = Array.make initial_slots 0;
-    total = 0.;
+    sums = { total = 0. };
     flows = 0;
     version = 0;
   }
 
 let capacity t = t.cap
 
-let total_rate t = t.total
+let total_rate t = t.sums.total
 
 let flow_count t = t.flows
 
@@ -89,16 +94,33 @@ let classes t =
    and remove of the same float can never disagree — and the class keeps
    its first member's {e raw} delay for all arithmetic, so the demand
    curve is untouched by the quantization. *)
-let canon d =
+let canon_frexp d =
   if d = 0. then 0.
   else
     let m, e = Float.frexp d in
     Float.ldexp (Float.round (m *. 0x1p36) *. 0x1p-36) e
 
+(* [canon_frexp] on the IEEE bits, without the [frexp] tuple, so it
+   allocates nothing.  Keeping 36 of the 53 significant bits drops the
+   low 17 stored ones: adding half their weight ([1 lsl 16]) and
+   clearing them rounds half away from zero, and a carry out of the
+   mantissa bumps the exponent, as [ldexp] of a mantissa rounded up to 1
+   does.  The OCaml int holds the low 63 bits, all of a positive
+   double's, and [Int64.of_int] sign-extends them, so the result is
+   masked back to a positive [Int64].  Zero, subnormals (whose [frexp]
+   mantissa is renormalised), the top exponent, negatives and NaN keep
+   the [frexp] form. *)
+let[@inline] canon d =
+  if d >= 0x1p-1022 && d < 0x1p1023 then
+    let b = Int64.to_int (Int64.bits_of_float d) in
+    Int64.float_of_bits
+      (Int64.logand (Int64.of_int ((b + 0x10000) land lnot 0x1ffff)) Int64.max_int)
+  else canon_frexp d
+
 (* [canon] is monotone and classes with equal keys merge, so the keys
    array is strictly increasing and parallel to the (also increasing) raw
    delays. *)
-let key_lower_bound t k =
+let[@inline] key_lower_bound t k =
   let lo = ref 0 and hi = ref t.n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -106,9 +128,11 @@ let key_lower_bound t k =
   done;
   !lo
 
-let locate t k =
+(* The slot of key [k], or [-1 - i] when it is absent and belongs at
+   [i]: an int, so the lookup allocates no [result]. *)
+let[@inline] locate t k =
   let i = key_lower_bound t k in
-  if i < t.n && t.keys.(i) = k then Ok i else Error i
+  if i < t.n && t.keys.(i) = k then i else -1 - i
 
 let grow t =
   let len = Array.length t.delays in
@@ -156,33 +180,62 @@ let delete_at t i =
   end;
   t.n <- t.n - 1
 
+let check_flow what ~rate ~delay ~lmax =
+  if rate <= 0. then invalid_arg (what ^ ": rate must be positive");
+  if lmax <= 0. then invalid_arg (what ^ ": lmax must be positive");
+  if delay < 0. then invalid_arg (what ^ ": delay must be non-negative")
+
 let add t ~rate ~delay ~lmax =
-  if rate <= 0. then invalid_arg "Vtedf.add: rate must be positive";
-  if lmax <= 0. then invalid_arg "Vtedf.add: lmax must be positive";
-  if delay < 0. then invalid_arg "Vtedf.add: delay must be non-negative";
-  (match locate t (canon delay) with
-  | Ok i ->
-      t.rates.(i) <- t.rates.(i) +. rate;
-      t.lmaxs.(i) <- t.lmaxs.(i) +. lmax;
-      t.counts.(i) <- t.counts.(i) + 1
-  | Error i -> insert_at t i ~key:(canon delay) ~rate ~delay ~lmax);
+  check_flow "Vtedf.add" ~rate ~delay ~lmax;
+  let k = canon delay in
+  let i = locate t k in
+  if i >= 0 then begin
+    t.rates.(i) <- t.rates.(i) +. rate;
+    t.lmaxs.(i) <- t.lmaxs.(i) +. lmax;
+    t.counts.(i) <- t.counts.(i) + 1
+  end
+  else insert_at t (-1 - i) ~key:k ~rate ~delay ~lmax;
   t.version <- t.version + 1;
-  t.total <- t.total +. rate;
+  t.sums.total <- t.sums.total +. rate;
   t.flows <- t.flows + 1
 
+let find_class what t delay =
+  let k = canon delay in
+  let i = locate t k in
+  if i < 0 then invalid_arg (what ^ ": no flow with this delay");
+  i
+
 let remove t ~rate ~delay ~lmax =
-  match locate t (canon delay) with
-  | Error _ -> invalid_arg "Vtedf.remove: no flow with this delay"
-  | Ok i ->
-      if t.counts.(i) = 1 then delete_at t i
-      else begin
-        t.rates.(i) <- t.rates.(i) -. rate;
-        t.lmaxs.(i) <- t.lmaxs.(i) -. lmax;
-        t.counts.(i) <- t.counts.(i) - 1
-      end;
-      t.version <- t.version + 1;
-      t.total <- t.total -. rate;
-      t.flows <- t.flows - 1
+  let i = find_class "Vtedf.remove" t delay in
+  if t.counts.(i) = 1 then delete_at t i
+  else begin
+    t.rates.(i) <- t.rates.(i) -. rate;
+    t.lmaxs.(i) <- t.lmaxs.(i) -. lmax;
+    t.counts.(i) <- t.counts.(i) - 1
+  end;
+  t.version <- t.version + 1;
+  t.sums.total <- t.sums.total -. rate;
+  t.flows <- t.flows - 1
+
+(* [remove] of [old_rate] then [add] of [new_rate], folded into one
+   lookup: every float comes out as the pair computes it.  A class whose
+   only flow this is would be deleted and re-inserted at the same slot
+   with the flow's own raw delay; otherwise its sums take [-. old +. new]
+   and [-. lmax +. lmax] in that order. *)
+let resize t ~delay ~lmax ~old_rate ~new_rate =
+  check_flow "Vtedf.resize" ~rate:new_rate ~delay ~lmax;
+  let i = find_class "Vtedf.resize" t delay in
+  if t.counts.(i) = 1 then begin
+    t.delays.(i) <- delay;
+    t.rates.(i) <- new_rate;
+    t.lmaxs.(i) <- lmax
+  end
+  else begin
+    t.rates.(i) <- t.rates.(i) -. old_rate +. new_rate;
+    t.lmaxs.(i) <- t.lmaxs.(i) -. lmax +. lmax
+  end;
+  t.version <- t.version + 1;
+  t.sums.total <- t.sums.total -. old_rate +. new_rate
 
 let demand t ~at =
   let acc = ref 0. in
@@ -220,7 +273,7 @@ let breakpoints_into t ~d ~s =
   t.n
 
 let schedulable t =
-  Fp.leq t.total t.cap
+  Fp.leq t.sums.total t.cap
   && begin
        let ok = ref true in
        let demand = ref 0. and rsum = ref 0. and prev = ref 0. in
@@ -256,8 +309,8 @@ let[@inline] own_ok t ~delay ~lmax demand rate_sum prev =
    at every breakpoint >= [delay].  When [delay] coincides with a
    breakpoint, that breakpoint's constraint subsumes the own constraint
    (it reads residual >= rate*0 + lmax). *)
-let can_admit t ~rate ~delay ~lmax =
-  Fp.leq (t.total +. rate) t.cap
+let[@inline] admits t ~total ~skip ~trim ~trim_rate ~trim_lmax ~rate ~delay ~lmax =
+  Fp.leq (total +. rate) t.cap
   && begin
        let demand = ref 0. and rsum = ref 0. and prev = ref 0. in
        let own_done = ref false in
@@ -265,15 +318,18 @@ let can_admit t ~rate ~delay ~lmax =
        let i = ref 0 in
        while !ok && !i < t.n do
          let dd = t.delays.(!i) in
-         if (not !own_done) && dd > delay then
+         if !i = skip then incr i
+         else if (not !own_done) && dd > delay then
            if own_ok t ~delay ~lmax !demand !rsum !prev then own_done := true
            else ok := false
          else begin
-           let dm = !demand +. (!rsum *. (dd -. !prev)) +. t.lmaxs.(!i) in
+           let lmax_i = if !i = trim then t.lmaxs.(!i) -. trim_lmax else t.lmaxs.(!i) in
+           let dm = !demand +. (!rsum *. (dd -. !prev)) +. lmax_i in
            let s = (t.cap *. dd) -. dm in
            if dd < delay || Fp.geq s ((rate *. (dd -. delay)) +. lmax) then begin
              demand := dm;
-             rsum := !rsum +. t.rates.(!i);
+             rsum :=
+               !rsum +. if !i = trim then t.rates.(!i) -. trim_rate else t.rates.(!i);
              prev := dd;
              if dd >= delay then own_done := true;
              incr i
@@ -284,8 +340,25 @@ let can_admit t ~rate ~delay ~lmax =
        !ok && (!own_done || own_ok t ~delay ~lmax !demand !rsum !prev)
      end
 
+let can_admit t ~rate ~delay ~lmax =
+  admits t ~total:t.sums.total ~skip:(-1) ~trim:(-1) ~trim_rate:0. ~trim_lmax:0. ~rate
+    ~delay ~lmax
+
+(* The state [remove] of [old_rate] would leave, read in place: the
+   class is skipped when this is its only flow, and otherwise its sums
+   are taken as [rates.(i) -. old_rate] and [lmaxs.(i) -. lmax] inside
+   the scan, the values the removal would store. *)
+let can_resize t ~delay ~lmax ~old_rate ~new_rate =
+  let i = find_class "Vtedf.can_resize" t delay in
+  let alone = t.counts.(i) = 1 in
+  admits t ~total:(t.sums.total -. old_rate)
+    ~skip:(if alone then i else -1)
+    ~trim:(if alone then -1 else i)
+    ~trim_rate:old_rate
+    ~trim_lmax:lmax ~rate:new_rate ~delay ~lmax
+
 let pp ppf t =
-  Fmt.pf ppf "@[<v>VT-EDF capacity=%g total_rate=%g flows=%d" t.cap t.total
+  Fmt.pf ppf "@[<v>VT-EDF capacity=%g total_rate=%g flows=%d" t.cap t.sums.total
     t.flows;
   for i = 0 to t.n - 1 do
     Fmt.pf ppf "@,  d=%g rate=%g lmax=%g n=%d S=%g" t.delays.(i) t.rates.(i)
@@ -307,7 +380,7 @@ let copy t =
     rates = Array.copy t.rates;
     lmaxs = Array.copy t.lmaxs;
     counts = Array.copy t.counts;
-    total = t.total;
+    sums = { total = t.sums.total };
     flows = t.flows;
     version = t.version;
   }

@@ -43,9 +43,16 @@ val class_count : t -> int
     the {!classes} list. *)
 
 val version : t -> int
-(** Mutation counter: incremented by every {!add} and {!remove}.  A cache
-    of anything computed from the population (such as a {!breakpoints_into}
-    table) is current while the version it remembers equals this one. *)
+(** Mutation counter: incremented by every {!add}, {!remove} and
+    {!resize}.  A cache of anything computed from the population (such as
+    a {!breakpoints_into} table) is current while the version it
+    remembers equals this one. *)
+
+val canon : float -> float
+(** The class key of a delay: for [d > 0], [ldexp (round (m *. 2^36) *.
+    2^-36) e] where [(m, e) = frexp d] (the mantissa rounded half away
+    from zero at 36 bits), and [0.] for [0.].  Two delays share a class
+    exactly when their keys are equal. *)
 
 val add : t -> rate:float -> delay:float -> lmax:float -> unit
 (** Registers a flow.  No schedulability check is made — callers decide via
@@ -61,6 +68,21 @@ val remove : t -> rate:float -> delay:float -> lmax:float -> unit
 (** Unregisters a flow previously added with the same parameters, matching
     its delay class by the same canonicalization as {!add}.  Raises
     [Invalid_argument] if no flow with this delay is present. *)
+
+val resize : t -> delay:float -> lmax:float -> old_rate:float -> new_rate:float -> unit
+(** Re-rates one flow in place: the state is bit for bit what {!remove}
+    of [old_rate] followed by {!add} of [new_rate] (same [delay] and
+    [lmax]) would leave, found with one class lookup and counted as one
+    {!version} step.  Raises [Invalid_argument] as that pair would, but
+    before changing anything. *)
+
+val can_resize :
+  t -> delay:float -> lmax:float -> old_rate:float -> new_rate:float -> bool
+(** Whether the flow booked at [old_rate] could be re-rated to
+    [new_rate]: the answer {!can_admit} of [new_rate] gives after
+    {!remove} of [old_rate], computed without changing the scheduler (its
+    classes, {!total_rate} and {!version} stay as they are).  Raises
+    [Invalid_argument] when no flow with this delay is present. *)
 
 val demand : t -> at:float -> float
 (** Left side of eq. (5) at time [at]:

@@ -22,6 +22,7 @@ module Topo_gen = Bbr_workload.Topo_gen
 module Profiles = Bbr_workload.Profiles
 module Dynamic = Bbr_workload.Dynamic
 module Aggregate = Bbr_broker.Aggregate
+module Policy = Bbr_broker.Policy
 module Prng = Bbr_util.Prng
 module Engine = Bbr_netsim.Engine
 module Traffic = Bbr_vtrs.Traffic
@@ -347,9 +348,18 @@ let class_churn ~members =
   let w1 = Gc.minor_words () in
   (broker, (w1 -. w0) /. float_of_int steps)
 
+(* Measured: 187.8 words a step (a teardown, a join, and a queue-empty
+   round every 32 steps); 861.3 when every ledger float was boxed and
+   each join's feasibility test removed and re-added the macroflow at
+   every scheduler of the path. *)
+let class_step_words_bound = 190.
+
 let test_class_cost_flat () =
   let costs = List.map (fun n -> (n, class_churn ~members:n)) [ 300; 30_000 ] in
   let w_small = snd (snd (List.hd costs)) in
+  if w_small > class_step_words_bound then
+    Alcotest.failf "a class churn step allocates %.1f words (bound %.0f)" w_small
+      class_step_words_bound;
   List.iter
     (fun (n, (broker, words)) ->
       Alcotest.(check bool)
@@ -546,7 +556,8 @@ let test_append_cost () =
    segment holds the line, then apply — measured as the difference between rebuilding [2n] records
    and [n], so the fixed cost of a rebuild cancels.  The per-flow
    broker books [admit] records verbatim on a rate-based chain; the
-   class broker re-runs the macroflow join of each [admitc]. *)
+   class broker re-runs the macroflow join of each [admitc]
+   ([Broker.book_class]). *)
 let replay_words ~class_based =
   let chain () =
     Topo_gen.chain ~capacity:1e12
@@ -596,11 +607,13 @@ let replay_words ~class_based =
   let n = 512 in
   (rebuild (2 * n) -. rebuild n) /. float_of_int n
 
-(* Measured: 257.3 words an [admit] record and 506.5 an [admitc], most
+(* Measured: 257.3 words an [admit] record and 169.3 an [admitc], most
    of them the booking or the macroflow join.  Joining the tail's lines
-   into one text and parsing it again cost 550 and 709. *)
+   into one text and parsing it again cost 550 and 709; replaying an
+   [admitc] through the whole [Broker.request_class] over boxed ledgers
+   cost 506.5. *)
 let admit_replay_words_bound = 270.
-let admitc_replay_words_bound = 530.
+let admitc_replay_words_bound = 175.
 
 let test_replay_cost () =
   List.iter
@@ -623,6 +636,73 @@ let words_per_call f =
     ignore (Sys.opaque_identity (f ()))
   done;
   (allocated () -. w0) /. float_of_int calls
+
+(* Words one queue-empty signal costs on a [hops]-hop VT-EDF chain whose
+   one macroflow holds the grants of [joins] joins, with the number of
+   grants it released. *)
+let queue_empty_words ~hops ~joins =
+  let topology, ingress, egress =
+    Topo_gen.chain ~capacity:1e9 ~sched:Topology.Delay_based ~hops ()
+  in
+  let broker =
+    Broker.create ~classes:(Dynamic.service_classes 0.24) ~method_:Aggregate.Feedback
+      topology
+  in
+  let req =
+    { Types.profile = Profiles.profile 1; dreq = Profiles.bound 1 `Loose; ingress; egress }
+  in
+  let signal () =
+    List.iter
+      (fun (s : Aggregate.macro_stats) ->
+        Broker.queue_empty broker ~class_id:s.Aggregate.class_id ~path_id:s.Aggregate.path_id)
+      (Aggregate.all_macroflows (Broker.aggregate broker))
+  in
+  let join () =
+    match Broker.request_class broker req with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "join rejected: %a" Types.pp_reject_reason e
+  in
+  (* Warm up: the macroflow exists and its grant slots have grown. *)
+  for _ = 1 to joins do
+    join ()
+  done;
+  signal ();
+  for _ = 1 to joins do
+    join ()
+  done;
+  let s = List.hd (Aggregate.all_macroflows (Broker.aggregate broker)) in
+  let grants =
+    List.length
+      (Aggregate.grant_amounts (Broker.aggregate broker) ~class_id:s.Aggregate.class_id
+         ~path_id:s.Aggregate.path_id)
+  in
+  let w0 = allocated () in
+  Broker.queue_empty broker ~class_id:s.Aggregate.class_id ~path_id:s.Aggregate.path_id;
+  (allocated () -. w0, grants)
+
+(* Measured: 8 words a grant, the boxes of the amount and the totals
+   handed to [Node_mib], [Vtedf] and the rate hook, on 1 hop as on 5.
+   With boxed ledgers a grant cost 37 more words a hop. *)
+let queue_empty_grant_words = 8.
+
+(* A queue-empty signal releases each grant on every link and scheduler
+   of the path without allocating per hop: its words are a fixed cost
+   plus a fixed count per grant, the same on 1 hop and on 5. *)
+let test_queue_empty_words () =
+  let cost ~joins =
+    let w1, g1 = queue_empty_words ~hops:1 ~joins
+    and w5, g5 = queue_empty_words ~hops:5 ~joins in
+    if g1 <> g5 || g1 < joins - 1 then
+      Alcotest.failf "%d joins left %d and %d grants" joins g1 g5;
+    if w1 <> w5 then
+      Alcotest.failf "%d grants: %.0f words on 1 hop, %.0f on 5" g1 w1 w5;
+    (w1, g1)
+  in
+  let w_few, g_few = cost ~joins:4 and w_many, g_many = cost ~joins:40 in
+  let per_grant = (w_many -. w_few) /. float_of_int (g_many - g_few) in
+  if per_grant > queue_empty_grant_words then
+    Alcotest.failf "a released grant allocates %.2f words (bound %.0f; %.0f for %d, %.0f for %d)"
+      per_grant queue_empty_grant_words w_few g_few w_many g_many
 
 (* [dq] 1.5 Mb/s VT-EDF hops behind [rq] rate-based ones, each holding
    the same [m] flows of 2 kb/s at distinct delays 6 ms apart. *)
@@ -756,6 +836,24 @@ let test_routing_hit_words () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Every request passes the policy stage: its rules are walked where they
+   are kept, with no closure and no reversed copy of the list. *)
+let test_policy_words () =
+  let p = Policy.create () in
+  Policy.add_ingress_rule p ~name:"block-X" ~ingress:"X" Policy.Deny;
+  Policy.add_peak_limit p ~name:"cap-peak" ~max_peak:1e9;
+  Policy.add_priority_rule p ~name:"gold" ~matches:(fun r -> r.Types.ingress = "X") ~priority:3;
+  Policy.add_priority_rule p ~name:"silver" ~matches:(fun r -> r.Types.dreq > 1.) ~priority:2;
+  let req = { Types.profile = type0; dreq = 2.; ingress = "A"; egress = "B" } in
+  Alcotest.(check bool) "allowed" true (Policy.check p req = Ok ());
+  Alcotest.(check int) "second priority rule" 2 (Policy.priority p req);
+  (* [words_per_call] itself allocates its counters' boxes. *)
+  let none = words_per_call Fun.id in
+  Alcotest.(check (float 0.)) "check allocates nothing" none
+    (words_per_call (fun () -> Policy.check p req));
+  Alcotest.(check (float 0.)) "priority allocates nothing" none
+    (words_per_call (fun () -> Policy.priority p req))
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
@@ -788,6 +886,8 @@ let () =
             test_decision_cost_flat;
           Alcotest.test_case "class decision cost flat in members" `Quick
             test_class_cost_flat;
+          Alcotest.test_case "queue-empty words fixed per grant" `Quick
+            test_queue_empty_words;
         ] );
       ( "batch",
         [
@@ -799,6 +899,7 @@ let () =
           Alcotest.test_case "overload batch drain" `Quick
             test_overload_batch_drain;
         ] );
+      ("policy", [ Alcotest.test_case "check allocates nothing" `Quick test_policy_words ]);
       ( "path_mib",
         [ Alcotest.test_case "find by id" `Quick test_path_mib_find ] );
       ( "routing",

@@ -15,6 +15,8 @@ module Storage = Bbr_broker.Storage
 module Audit = Bbr_broker.Audit
 module Flow_mib = Bbr_broker.Flow_mib
 module Node_mib = Bbr_broker.Node_mib
+module Policy = Bbr_broker.Policy
+module Metrics = Bbr_obs.Metrics
 module Scenario = Bbr_scenario.Scenario
 module Runner = Bbr_scenario.Runner
 module Fig8 = Bbr_workload.Fig8
@@ -111,6 +113,36 @@ let test_journal_replay_idempotent () =
   | Ok _, Ok _ -> ()
   | _ -> Alcotest.fail "replay failed");
   Alcotest.(check string) "identical digests" (Audit.mib_digest a) (Audit.mib_digest b)
+
+(* An [admitc] record replays as the join it records, not as a new
+   decision: a standby whose policy denies every request still rebuilds
+   the class state digest-exact, and the replay counts no admission. *)
+let test_class_replay_is_the_join () =
+  let broker, _topo, j = busy_broker () in
+  let deny_all () =
+    Broker.create ~policy:(Policy.create ~default:Policy.Deny ()) ~classes (two_path ())
+  in
+  let reg = Metrics.create () in
+  Metrics.install reg;
+  let recovered =
+    Fun.protect ~finally:Metrics.uninstall (fun () ->
+        Failover.recover_from ~make:deny_all (Journal.storage j))
+  in
+  (match recovered with
+  | Ok (standby, _, _) ->
+      Alcotest.(check string) "digest-identical under a deny-all policy"
+        (Audit.mib_digest broker) (Audit.mib_digest standby);
+      Alcotest.(check int) "every member back" (Broker.class_flow_count broker)
+        (Broker.class_flow_count standby)
+  | Error e -> Alcotest.failf "recovery failed: %s" e);
+  let admissions =
+    List.filter
+      (fun (s : Metrics.sample) ->
+        s.Metrics.s_name = "bb_admission_total"
+        && s.Metrics.s_value <> Metrics.Vcounter 0.)
+      (Metrics.snapshot reg)
+  in
+  Alcotest.(check int) "no admission counted by the replay" 0 (List.length admissions)
 
 let test_journal_detects_corruption () =
   let _broker, _topo, j = busy_broker () in
@@ -713,6 +745,7 @@ let () =
           Alcotest.test_case "encode/decode/replay round trip" `Quick
             test_journal_round_trip;
           Alcotest.test_case "replay idempotent" `Quick test_journal_replay_idempotent;
+          Alcotest.test_case "class replay is the join" `Quick test_class_replay_is_the_join;
           Alcotest.test_case "golden record text" `Quick test_journal_golden_text;
           Alcotest.test_case "CRC catches corruption" `Quick
             test_journal_detects_corruption;

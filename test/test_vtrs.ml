@@ -443,6 +443,139 @@ let prop_vtedf_remove_restores =
       Vtedf.remove s ~rate ~delay ~lmax;
       Float.abs (Vtedf.demand s ~at -. before) < 1e-6)
 
+(* The class key as [Vtedf] first computed it, through [frexp]. *)
+let canon_frexp d =
+  if d = 0. then 0.
+  else
+    let m, e = Float.frexp d in
+    Float.ldexp (Float.round (m *. 0x1p36) *. 0x1p-36) e
+
+(* Doubles built from their fields: [exp] the biased exponent, [mant]
+   the 52 stored mantissa bits. *)
+let double_gen =
+  QCheck.Gen.(
+    let mant = map (fun x -> Int64.logand x 0xF_FFFF_FFFF_FFFFL) ui64 in
+    let of_fields ~exp m =
+      Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int exp) 52) m)
+    in
+    let normal f = map2 (fun exp m -> of_fields ~exp (f m)) (int_range 1 0x7fe) mant in
+    frequency
+      [
+        (3, map Int64.float_of_bits ui64);
+        (3, normal Fun.id);
+        (* exact halfway: bit 16 set, the bits below it clear *)
+        (3, normal (fun m -> Int64.logor (Int64.logand m (-0x20000L)) 0x10000L));
+        (* every bit from 16 up set: the rounding carries into the exponent *)
+        (1, normal (fun m -> Int64.logor m 0xF_FFFF_FFFF_0000L));
+        (1, map (fun exp -> of_fields ~exp 0L) (int_range 0 0x7fe));
+        (2, map (fun m -> of_fields ~exp:0 m) mant);
+        ( 1,
+          oneofl
+            [
+              0.; -0.; max_float; min_float; 0x1p-1074; 0x1p1023;
+              0x1p-1022 *. (1. -. epsilon_float); infinity; 0.24; 1.;
+            ] );
+      ])
+
+let prop_canon_bits =
+  QCheck.Test.make ~name:"canon on the bits equals the frexp form" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") double_gen)
+    (fun d ->
+      Int64.equal
+        (Int64.bits_of_float (Vtedf.canon d))
+        (Int64.bits_of_float (canon_frexp d)))
+
+(* Every bit of a scheduler's observable state. *)
+let fingerprint s =
+  let b = Int64.bits_of_float in
+  ( List.map
+      (fun (k : Vtedf.klass) ->
+        (b k.Vtedf.delay, b k.Vtedf.sum_rate, b k.Vtedf.sum_lmax, k.Vtedf.count))
+      (Vtedf.classes s),
+    b (Vtedf.total_rate s),
+    Vtedf.flow_count s )
+
+(* A population over five delays (each drawn as is or 1e-13 off, which
+   shares its class key), admitted through [can_admit], of which some
+   leave again (a class keeps its first member's raw delay, so a lone
+   survivor may differ from it); then one booked flow is re-rated.  Both
+   the query and the resize must answer as [remove] of the old rate
+   followed by [can_admit] / [add] of the new one on a copy: the query
+   changing nothing, the resize every bit as the pair and one version
+   step. *)
+let prop_resize_is_remove_then_add =
+  let flow =
+    QCheck.Gen.(
+      pair
+        (triple (float_range 1_000. 200_000.) (pair (int_bound 4) bool)
+           (float_range 500. 12_000.))
+        bool)
+  in
+  QCheck.Test.make ~name:"resize and can_resize are remove then add" ~count:500
+    QCheck.(
+      make
+        ~print:
+          Print.(triple (list (pair (triple float (pair int bool) float) bool)) int float)
+        Gen.(
+          triple (list_size (int_range 1 30) flow) (int_bound 1_000)
+            (float_range 1. 800_000.)))
+    (fun (flows, pick, new_rate) ->
+      let s = Vtedf.create ~capacity:1.5e6 in
+      let booked =
+        List.filter_map
+          (fun ((rate, (k, noisy), lmax), leaves) ->
+            let delay = [| 0.02; 0.05; 0.1; 0.2; 0.4 |].(k) in
+            let delay = if noisy then delay *. (1. +. 1e-13) else delay in
+            if Vtedf.can_admit s ~rate ~delay ~lmax then begin
+              Vtedf.add s ~rate ~delay ~lmax;
+              Some ((rate, delay, lmax), leaves)
+            end
+            else None)
+          flows
+      in
+      let booked =
+        List.filter_map
+          (fun ((rate, delay, lmax), leaves) ->
+            if leaves then begin
+              Vtedf.remove s ~rate ~delay ~lmax;
+              None
+            end
+            else Some (rate, delay, lmax))
+          booked
+      in
+      QCheck.assume (booked <> []);
+      let old_rate, delay, lmax = List.nth booked (pick mod List.length booked) in
+      let before = fingerprint s and v = Vtedf.version s in
+      let removed () =
+        let pair = Vtedf.copy s in
+        Vtedf.remove pair ~rate:old_rate ~delay ~lmax;
+        pair
+      in
+      let check new_rate =
+        let expect = Vtedf.can_admit (removed ()) ~rate:new_rate ~delay ~lmax in
+        let got = Vtedf.can_resize s ~delay ~lmax ~old_rate ~new_rate in
+        if got <> expect then
+          QCheck.Test.fail_reportf "rate %h: can_resize %b, the pair %b" new_rate got expect;
+        expect
+      in
+      ignore (check new_rate);
+      (* The answer is monotone in the new rate: bisect for the largest
+         rate the pair admits, so the query is also asked at the edge,
+         where whichever constraint binds decides. *)
+      let lo = ref 0. and hi = ref 1.6e6 in
+      for _ = 1 to 60 do
+        let mid = (!lo +. !hi) /. 2. in
+        if check mid then lo := mid else hi := mid
+      done;
+      if fingerprint s <> before || Vtedf.version s <> v then
+        QCheck.Test.fail_report "can_resize changed the scheduler";
+      let pair = removed () in
+      Vtedf.add pair ~rate:new_rate ~delay ~lmax;
+      Vtedf.resize s ~delay ~lmax ~old_rate ~new_rate;
+      if fingerprint s <> fingerprint pair then
+        QCheck.Test.fail_report "resize differs from remove then add";
+      Vtedf.version s = v + 1)
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
@@ -459,6 +592,8 @@ let () =
         prop_vtedf_can_admit_sound;
         prop_vtedf_residual_at_breakpoints;
         prop_vtedf_remove_restores;
+        prop_canon_bits;
+        prop_resize_is_remove_then_add;
       ]
   in
   Alcotest.run "vtrs"
