@@ -689,19 +689,28 @@ let run_state () =
   done;
   let perflow_broker_state = Broker.per_flow_count broker in
   (* Aggregate BB: one class. *)
-  (* Bounding method: with the default immediate-time hooks contingency
-     timers fire synchronously, matching the sequential-arrival setting. *)
+  (* Bounding method, sequential arrivals: the engine runs out after each
+     join, so every contingency grant's hold has expired before the next
+     arrival. *)
+  let engine = Engine.create () in
   let broker_agg =
     Broker.create
       ~classes:[ { Aggregate.class_id = 0; dreq = 2.19; cd = 0.1 } ]
       ~method_:Aggregate.Bounding
+      ~time:
+        {
+          Broker.now = (fun () -> Engine.now engine);
+          after = (fun delay f -> Engine.schedule_after engine ~delay f);
+        }
       (Fig8.topology `Mixed)
   in
   let admitted_agg = ref 0 in
   let continue = ref true in
   while !continue do
     match Broker.request_class broker_agg req with
-    | Ok _ -> incr admitted_agg
+    | Ok _ ->
+        incr admitted_agg;
+        Engine.run engine
     | Error _ -> continue := false
   done;
   let macros = List.length (Aggregate.all_macroflows (Broker.aggregate broker_agg)) in

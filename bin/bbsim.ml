@@ -117,16 +117,17 @@ let exit_parse = 3
    from both full success (0) and outright failure (1). *)
 let exit_data_loss = 4
 
-(* Bounding releases contingency on timers the journal does not record,
-   and replay runs on a clock pinned at 0, so a recovered aggr-bounding
-   broker would print a digest that is not the one that ran.  Refuse the
-   whole durability path for it rather than print a wrong digest. *)
+(* Bounding releases contingency when the broker's holds on its grants
+   expire, which the journal does not record, and replay runs on a clock
+   pinned at 0, so a recovered aggr-bounding broker would print a digest
+   that is not the one that ran.  Refuse the whole durability path for
+   it rather than print a wrong digest. *)
 let refuse_bounding scheme =
   match scheme with
   | `Aggr Aggregate.Bounding ->
       Fmt.epr
         "error: aggr-bounding cannot be journaled or recovered: its contingency \
-         releases run on timers the journal does not record@.";
+         grants are held until expiries the journal does not record@.";
       exit exit_parse
   | _ -> ()
 
@@ -877,14 +878,14 @@ let lease_strict =
     & info [ "strict" ]
         ~doc:
           "Exit non-zero unless the soak held its invariants: reclaim \
-           within one lease period, zero stale leases, a clean audit.")
+           within one lease period, zero expired holds, a clean audit.")
 
 let run_lease seed strict =
   let module Lease_soak = Bbr_workload.Lease_soak in
   let o = Lease_soak.run { Lease_soak.default_config with Lease_soak.seed } in
   Fmt.pr "%a@." Lease_soak.pp_outcome o;
   let ok =
-    o.Lease_soak.reclaimed_within_period && o.Lease_soak.stale_leases = 0
+    o.Lease_soak.reclaimed_within_period && o.Lease_soak.expired_holds = 0
     && Audit.ok o.Lease_soak.audit
   in
   if strict && not ok then exit 1
@@ -892,8 +893,9 @@ let run_lease seed strict =
 let lease_cmd =
   let doc =
     "Run the lease-partition soak: two edge brokers admit from leased \
-     quota, one falls silent mid-run, and its delegated quota must return \
-     to the shared pool within one lease period."
+     quota, one falls silent mid-run, and the central broker's holds on \
+     its delegated quota expire 3/4 of a lease period after its last \
+     renewal, returning the quota to the shared pool within one period."
   in
   Cmd.v (Cmd.info "lease" ~doc) Term.(const run_lease $ seed $ lease_strict)
 

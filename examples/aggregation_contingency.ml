@@ -94,6 +94,10 @@ let broker_demo () =
     Broker.create
       ~classes:[ { Aggregate.class_id = 0; dreq = 2.44; cd = 0.1 } ]
       ~method_:Aggregate.Feedback
+      (* The engine is the broker's clock.  Under Bounding the broker
+         would hold each contingency grant on it until its period of
+         eq. (17) ends; under Feedback the queue-empty signal below
+         releases the grants, and the broker holds nothing. *)
       ~time:
         {
           Broker.now = (fun () -> Engine.now engine);

@@ -10,7 +10,7 @@ type class_def = { class_id : int; dreq : float; cd : float }
 
 type hooks = {
   now : unit -> float;
-  after : float -> (unit -> unit) -> unit;
+  hold : class_id:int -> path_id:int -> grant:int -> expires:float -> unit;
   rate_changed : class_id:int -> path_id:int -> total_rate:float -> unit;
 }
 
@@ -38,7 +38,6 @@ type macroflow = {
   mutable gamounts : Float.Array.t;
   mutable ghead : int;
   mutable gtail : int;
-  mutable next_grant : int;
 }
 
 type macro_stats = {
@@ -59,6 +58,9 @@ type t = {
   hooks : hooks;
   macros : (int * int, macroflow) Hashtbl.t;  (* (class_id, path_id) *)
   owners : (Types.flow_id, int * int) Hashtbl.t;
+  (* Grant ids are unique across macroflows, so a hold names a grant by
+     its id even after its macroflow was evacuated and re-formed. *)
+  mutable next_grant : int;
 }
 
 let create node_mib path_mib ~classes ~method_ ~hooks =
@@ -79,6 +81,7 @@ let create node_mib path_mib ~classes ~method_ ~hooks =
     hooks;
     macros = Hashtbl.create 16;
     owners = Hashtbl.create 64;
+    next_grant = 0;
   }
 
 let classes t = t.classes
@@ -148,8 +151,8 @@ let steady_edge_bound (mf : macroflow) =
 
 (* The grant slots.  A released grant is usually the oldest (a queue-empty
    signal releases them all, oldest first), which only advances [ghead];
-   a bounding timer may release one from the middle, which closes the
-   gap. *)
+   a Bounding grant whose hold expires may be released from the middle,
+   which closes the gap. *)
 let grant_count mf = mf.gtail - mf.ghead
 
 let clear_grants mf =
@@ -230,17 +233,25 @@ let release_slot t mf k =
   if grant_count mf = 0 then mf.r.edge_bound <- steady_edge_bound mf;
   notify_rate t mf
 
-(* Release one contingency grant (idempotent: the grant may have been
-   swept already by a queue-empty reset). *)
-let release_grant t mf gid =
-  let k = find_grant mf gid in
-  if k >= 0 then release_slot t mf k
+(* Grant [grant]'s slot, if it is live: a grant goes with an evacuated
+   macroflow, and a queue-empty signal releases it early. *)
+let grant_slot t ~class_id ~path_id ~grant =
+  Option.bind (Hashtbl.find_opt t.macros (class_id, path_id)) (fun mf ->
+      let k = find_grant mf grant in
+      if k >= 0 then Some (mf, k) else None)
+
+let release_grant t ~class_id ~path_id ~grant =
+  Option.iter (fun (mf, k) -> release_slot t mf k) (grant_slot t ~class_id ~path_id ~grant)
+
+let grant_amount t ~class_id ~path_id ~grant =
+  Option.fold ~none:0. ~some:(fun (mf, k) -> Float.Array.get mf.gamounts k)
+    (grant_slot t ~class_id ~path_id ~grant)
 
 (* Register [amount] of contingency bandwidth, already reserved on the
    links by the caller; returns the grant id. *)
 let register_grant t mf amount =
-  let gid = mf.next_grant in
-  mf.next_grant <- mf.next_grant + 1;
+  let gid = t.next_grant in
+  t.next_grant <- t.next_grant + 1;
   push_grant mf gid amount;
   mf.r.conting <- mf.r.conting +. amount;
   if Obs_log.active () then begin
@@ -256,18 +267,18 @@ let register_grant t mf amount =
   end;
   gid
 
-(* Under [Bounding] a release timer is armed with the period bound of
-   eq. (17); under [Feedback] the grant waits for the queue-empty
-   signal. *)
-let arm_release t (mf : macroflow) gid ~amount ~alloc_before =
+(* Under [Bounding] the grant is held for its period bound of eq. (17);
+   under [Feedback] it waits for the queue-empty signal. *)
+let hold_grant t (mf : macroflow) gid ~amount ~alloc_before =
   match t.method_ with
   | Feedback -> ()
   | Bounding ->
       let tau = mf.r.edge_bound *. alloc_before /. amount in
-      t.hooks.after (Float.max 0. tau) (fun () -> release_grant t mf gid)
+      t.hooks.hold ~class_id:mf.cls.class_id ~path_id:mf.path.Path_mib.path_id ~grant:gid
+        ~expires:(t.hooks.now () +. Float.max 0. tau)
 
 let add_grant t mf ~amount ~alloc_before =
-  if amount > 0. then arm_release t mf (register_grant t mf amount) ~amount ~alloc_before
+  if amount > 0. then hold_grant t mf (register_grant t mf amount) ~amount ~alloc_before
 
 (* Minimal aggregate reserved rate meeting the class end-to-end bound.
    [core_rate] is the rate used in the macroflow core bound (the smaller of
@@ -311,7 +322,6 @@ let empty_macro t cls path =
     gamounts = Float.Array.make 8 0.;
     ghead = 0;
     gtail = 0;
-    next_grant = 0;
   }
 
 let get_macro t ~class_id ~path =
@@ -426,8 +436,8 @@ let evacuate t ~class_id ~path_id =
       let old_total = total mf in
       (* Hard-release everything at once — base and contingency alike.  No
          contingency period applies: the path is gone, so there is no edge
-         backlog left to drain through it.  Pending bounding timers find
-         their grants already swept and fire as no-ops. *)
+         backlog left to drain through it.  Holds on its Bounding grants
+         find them gone and expire as no-ops. *)
       clear_grants mf;
       mf.r.conting <- 0.;
       mf.r.base <- 0.;
@@ -450,7 +460,7 @@ let queue_empty t ~class_id ~path_id =
       | Some mf ->
           (* Oldest first.  A grant issued while these are released (a
              rate-change hook that joins) waits for the next signal. *)
-          let last = mf.next_grant - 1 in
+          let last = t.next_grant - 1 in
           while mf.gtail > mf.ghead && mf.gids.(mf.ghead) <= last do
             release_slot t mf mf.ghead
           done)
@@ -496,12 +506,12 @@ let restore_macroflow t ~class_id ~path ~members ~profile ~base ~conting ~edge_b
   (* The saved pool, not the sum of its grants: release arithmetic can
      leave a residue the primary still holds on its links. *)
   mf.r.conting <- conting;
-  (* Release timers are armed only once the pool is whole, so a timer
-     that fires at once releases from consistent state. *)
+  (* Grants are held only once the pool is whole, so a hold released at
+     once releases from consistent state. *)
   ignore
     (List.fold_left2
        (fun alloc_before gid amount ->
-         arm_release t mf gid ~amount ~alloc_before;
+         hold_grant t mf gid ~amount ~alloc_before;
          alloc_before +. amount)
        base gids grants);
   notify_rate t mf

@@ -15,7 +15,7 @@
     are implemented:
 
     - {!Bounding}: the theoretical bound of eq. (17),
-      [tau = d_edge_old * (r + conting) / delta_r], run on a timer;
+      [tau = d_edge_old * (r + conting) / delta_r], a hold's period;
     - {!Feedback}: the edge conditioner signals when its backlog empties
       ({!queue_empty}), at which point {e all} contingency bandwidth of the
       macroflow is released (the lingering backlog is gone, eq. (13)).
@@ -36,7 +36,8 @@ type class_def = {
 
 type hooks = {
   now : unit -> float;  (** broker clock *)
-  after : float -> (unit -> unit) -> unit;  (** timer service (delay, action) *)
+  hold : class_id:int -> path_id:int -> grant:int -> expires:float -> unit;
+      (** under {!Bounding}: {!release_grant} a new grant at [expires] *)
   rate_changed : class_id:int -> path_id:int -> total_rate:float -> unit;
       (** pushed to the ingress edge conditioner (the COPS leg): fired
           whenever base + contingency changes *)
@@ -122,6 +123,13 @@ val owners_alist : t -> (Types.flow_id * (int * int)) list
 
 (** {1 Snapshot / journal support} *)
 
+val release_grant : t -> class_id:int -> path_id:int -> grant:int -> unit
+(** Release a contingency grant whose hold expired (a no-op once it is
+    gone); the edge-delay bound resets with the last one. *)
+
+val grant_amount : t -> class_id:int -> path_id:int -> grant:int -> float
+(** A live grant's amount; 0 when it is gone. *)
+
 val grant_amounts : t -> class_id:int -> path_id:int -> float list
 (** The macroflow's live contingency grants, oldest first.  Their sum is
     the macroflow's [contingency] up to release rounding. *)
@@ -143,8 +151,8 @@ val restore_macroflow :
     values (the running sum is rebuilt from [members]; the saved profile
     is booked as it is), and [base + conting] is reserved on the path links and at
     their delay-based schedulers.  [grants] (oldest first) are
-    registered as live contingency grants; under {!Bounding} each gets a
-    fresh release timer from eq. (17).  Raises [Invalid_argument] when
+    registered as live contingency grants; under {!Bounding} each is
+    held afresh from eq. (17).  Raises [Invalid_argument] when
     the class is unknown, the macroflow already exists, a member is
     listed twice, or a link would go over capacity. *)
 

@@ -7,10 +7,9 @@ type kind =
   | Orphan_flow
   | Dangling_membership
   | Aggregate_accounting
-  | Stale_lease
+  | Expired_hold
   | Sla_mismatch
   | Stranded_segment
-  | Orphan_prepare
   | Unschedulable_link
 
 let kind_label = function
@@ -19,10 +18,9 @@ let kind_label = function
   | Orphan_flow -> "orphan_flow"
   | Dangling_membership -> "dangling_membership"
   | Aggregate_accounting -> "aggregate_accounting"
-  | Stale_lease -> "stale_lease"
+  | Expired_hold -> "expired_hold"
   | Sla_mismatch -> "sla_mismatch"
   | Stranded_segment -> "stranded_segment"
-  | Orphan_prepare -> "orphan_prepare"
   | Unschedulable_link -> "unschedulable_link"
 
 type violation = { kind : kind; subject : string; detail : string }
@@ -205,43 +203,24 @@ let accounting_violations ?(eps = default_eps) broker =
       else None)
     (Aggregate.all_macroflows agg)
 
-(* Delegated quota, from the lease registry's point of view.  A live
-   lease's grants are ordinary flow-MIB pseudo-flows — leased-but-unused
-   edge bandwidth is fully accounted for and must NOT surface as a leak
-   (and cannot: the backing pseudo-flow makes the link reconcile).  What
-   {e is} a violation is the opposite: a lease past its expiry whose
-   grants still sit in the MIB — the reclaim sweep failed or never ran,
-   and the bandwidth is pinned by a holder who forfeited it. *)
-let lease_violations ?(now = 0.) leases broker =
-  let fm = Broker.flow_mib broker in
+(* A hold past its expiry that still pins bandwidth: the broker's
+   expiry timer failed or never ran. *)
+let hold_violations broker =
+  let now = Broker.now broker in
   List.filter_map
-    (fun (l : Types.lease) ->
-      if now <= l.Types.expires_at then None
+    (fun (h : Broker.hold) ->
+      let pinned = Broker.pinned broker h in
+      if h.Broker.expires >= now || pinned <= 0. then None
       else
-        let live =
-          List.filter (fun f -> Flow_mib.find fm f <> None) l.Types.granted
-        in
-        match live with
-        | [] -> None
-        | _ ->
-            let pinned =
-              List.fold_left
-                (fun acc f ->
-                  match Flow_mib.find fm f with
-                  | Some r -> acc +. r.Flow_mib.reservation.Types.rate
-                  | None -> acc)
-                0. live
-            in
-            Some
-              {
-                kind = Stale_lease;
-                subject = Printf.sprintf "lease %s" l.Types.holder;
-                detail =
-                  Printf.sprintf
-                    "expired at %.6g (now %.6g) but %d grant flow(s) still pin %.6g b/s"
-                    l.Types.expires_at now (List.length live) pinned;
-              })
-    leases
+        Some
+          {
+            kind = Expired_hold;
+            subject = Printf.sprintf "hold %d (%s)" h.Broker.id h.Broker.owner;
+            detail =
+              Printf.sprintf "expired at %.6g (now %.6g) but still pins %.6g b/s"
+                h.Broker.expires now pinned;
+          })
+    (Broker.holds broker)
 
 (* Every delay-based link must still satisfy eq. (5) over the flows booked
    on it: admission may only book a pair the exact check accepts. *)
@@ -262,7 +241,7 @@ let schedulability_violations broker =
       | _ -> None)
     (Topology.links (Broker.topology broker))
 
-let check ?(eps = default_eps) ?now ?(leases = []) broker =
+let check ?(eps = default_eps) broker =
   if Obs_log.active () then Obs_log.count "bb_audit_runs_total";
   let { delta; orphans } = reconcile ~eps broker in
   let orphan_violations =
@@ -310,7 +289,7 @@ let check ?(eps = default_eps) ?now ?(leases = []) broker =
     orphan_violations @ link_violations
     @ membership_violations broker
     @ accounting_violations ~eps broker
-    @ lease_violations ?now leases broker
+    @ hold_violations broker
     @ schedulability_violations broker
   in
   List.iter count_violation violations;
@@ -328,27 +307,14 @@ let count_repair kind =
   if Obs_log.active () then
     Obs_log.count "bb_audit_repairs_total" ~labels:[ ("kind", kind_label kind) ]
 
-let repair ?(eps = default_eps) ?now ?(leases = []) broker =
-  let found = check ~eps ?now ~leases broker in
+let repair ?(eps = default_eps) broker =
+  let found = check ~eps broker in
   let repaired = ref 0 in
   let fix kind = incr repaired; count_repair kind in
-  (* Stale leases first: tearing down the pinned grant flows releases
-     their link bandwidth through the ordinary teardown path, so the
-     bandwidth reconciliation below sees a consistent picture. *)
-  (match now with
-  | None -> ()
-  | Some now ->
-      List.iter
-        (fun (l : Types.lease) ->
-          if now > l.Types.expires_at then
-            List.iter
-              (fun f ->
-                if Flow_mib.find (Broker.flow_mib broker) f <> None then begin
-                  Broker.teardown broker f;
-                  fix Stale_lease
-                end)
-              (List.sort compare l.Types.granted))
-        leases);
+  (* Expired holds first, through the broker's own expiry path, so the
+     reconciliation below sees their bandwidth freed. *)
+  Broker.expire broker;
+  List.iter (fun v -> if v.kind = Expired_hold then fix Expired_hold) found.violations;
   (* Orphan flow records are pure MIB garbage: the link bandwidth was
      never (or is no longer) reserved, so removal must not release. *)
   let { delta; orphans } = reconcile ~eps broker in
@@ -380,7 +346,7 @@ let repair ?(eps = default_eps) ?now ?(leases = []) broker =
              Node_mib.reserve nm ~link_id (-.d);
              fix Missing_bandwidth
            with Invalid_argument _ -> ());
-  { found; repaired = !repaired; remaining = check ~eps ?now ~leases broker }
+  { found; repaired = !repaired; remaining = check ~eps broker }
 
 (* ----------------------------------------------------------------- *)
 (* Canonical digest.                                                 *)

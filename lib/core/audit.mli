@@ -29,9 +29,9 @@ type kind =
   | Aggregate_accounting
       (** a macroflow's contingency total does not match its grants, or
           is negative *)
-  | Stale_lease
-      (** a quota lease expired but its backing grant flows still pin
-          bandwidth in the MIBs — the reclaim sweep failed or never ran *)
+  | Expired_hold
+      (** a {!Broker.hold} past its expiry still pins bandwidth: the
+          broker's expiry timer failed to release it *)
   | Sla_mismatch
       (** a peering SLA's recorded usage disagrees with the sum of the
           live federation flows crossing it (see {!Bbr_interdomain.Federation.audit}) *)
@@ -39,11 +39,6 @@ type kind =
       (** a domain broker holds a reservation no live federation flow,
           in-flight transaction or prepared booking accounts for —
           bandwidth a failed compensation left behind *)
-  | Orphan_prepare
-      (** a domain-side prepared booking outlived the prepare TTL with
-          no coordinator transaction claiming it (lost BOOKED reply or a
-          coordinator crash before the begin record survived); the reap
-          sweep should have torn it down *)
   | Unschedulable_link
       (** a delay-based link whose booked flows violate eq. (5)
           ({!Bbr_vtrs.Vtedf.schedulable} is false): admission let
@@ -69,18 +64,13 @@ type report = {
 val ok : report -> bool
 (** No violations. *)
 
-val check : ?eps:float -> ?now:float -> ?leases:Types.lease list -> Broker.t -> report
+val check : ?eps:float -> Broker.t -> report
 (** Run every invariant check.  [eps] (default [1e-3] b/s) is the
     absolute tolerance on bandwidth comparisons — far above
     floating-point noise, far below any real leak.  Counts each finding
     on [bb_audit_violations_total{kind}] when metrics are installed.
-
-    [leases] (with [now], the central broker's clock) is the delegated
-    quota view (e.g. {!Edge_broker.leases}): the audit knows a live
-    lease's grant pseudo-flows are legitimate backing — leased-but-unused
-    edge bandwidth is never reported as leaked — and flags any lease past
-    its expiry whose grants still pin bandwidth as {!Stale_lease}.
-    Without [now] no lease check runs. *)
+    The broker's holds are read on its own clock: a hold past its expiry
+    that still pins bandwidth is an {!Expired_hold}. *)
 
 type repair_outcome = {
   found : report;  (** the audit that drove the repair *)
@@ -88,9 +78,8 @@ type repair_outcome = {
   remaining : report;  (** re-audit after repair — empty when all fixed *)
 }
 
-val repair : ?eps:float -> ?now:float -> ?leases:Types.lease list -> Broker.t -> repair_outcome
-(** Anti-entropy pass: tear down the grant flows of expired leases
-    (releasing the pinned bandwidth through the ordinary teardown path),
+val repair : ?eps:float -> Broker.t -> repair_outcome
+(** Anti-entropy pass: release every expired hold ({!Broker.expire}),
     drop orphan flow records, reconcile the aggregate membership tables,
     release leaked bandwidth and re-reserve missing bandwidth (when it
     still fits).  Each action counts on [bb_audit_repairs_total{kind}]. *)

@@ -1,5 +1,7 @@
 module Topology = Bbr_vtrs.Topology
 module Vtedf = Bbr_vtrs.Vtedf
+module Ids = Map.Make (Int)
+module Expiry = Map.Make (struct type t = float * int let compare = compare end)
 
 type time_hooks = { now : unit -> float; after : float -> (unit -> unit) -> unit }
 
@@ -50,6 +52,10 @@ type mutation =
   | Link_failed of int
   | Link_restored of int
 
+type pin = Flow of Types.flow_id | Grant of { class_id : int; path_id : int; grant : int }
+
+type hold = { id : int; owner : string; mutable expires : float; pin : pin }
+
 type t = {
   topology : Topology.t;
   policy : Policy.t;
@@ -67,38 +73,15 @@ type t = {
   on_edge_config : flow:Types.flow_id -> Types.reservation -> unit;
   on_decision : (decision_record -> unit) option;
   mutable on_mutation : (mutation -> unit) option;
+  (* Live holds by id, by held flow and by expiry; [armed] is the
+     target of the one timer. *)
+  mutable holds : hold Ids.t;
+  mutable held_flows : hold Ids.t;
+  mutable expiry : hold Expiry.t;
+  mutable next_hold : int;
+  mutable armed : float;
+  mutable on_expire : (hold -> unit) option;
 }
-
-let create ?policy ?(classes = []) ?(method_ = Aggregate.Feedback) ?time
-    ?(fast_path = true)
-    ?(on_edge_config = fun ~flow:_ _ -> ()) ?(on_class_rate = fun ~class_id:_ ~path_id:_ ~total_rate:_ -> ())
-    ?on_decision topology =
-  let policy = match policy with Some p -> p | None -> Policy.create () in
-  let time = Option.value ~default:immediate_time time in
-  let node_mib = Node_mib.create topology in
-  let path_mib = Path_mib.create node_mib in
-  let cache =
-    if fast_path then Some (Admission_cache.create node_mib path_mib) else None
-  in
-  let aggregate =
-    Aggregate.create node_mib path_mib ~classes ~method_
-      ~hooks:{ Aggregate.now = time.now; after = time.after; rate_changed = on_class_rate }
-  in
-  {
-    topology;
-    policy;
-    node_mib;
-    path_mib;
-    flow_mib = Flow_mib.create ();
-    routing = Routing.create topology path_mib;
-    aggregate;
-    time;
-    cache;
-    batch_wrap = None;
-    on_edge_config;
-    on_decision;
-    on_mutation = None;
-  }
 
 let set_mutation_hook t f = t.on_mutation <- Some f
 
@@ -303,10 +286,20 @@ let batched t f =
       (* The wrap always runs its body exactly once. *)
       Option.get !out
 
+(* Forget hold [h]: its booking stays as it is. *)
+let drop t h =
+  t.holds <- Ids.remove h.id t.holds;
+  t.expiry <- Expiry.remove (h.expires, h.id) t.expiry;
+  match h.pin with Flow flow -> t.held_flows <- Ids.remove flow t.held_flows | Grant _ -> ()
+
+let drop_flow_hold t flow =
+  if not (Ids.is_empty t.held_flows) then
+    match Ids.find_opt flow t.held_flows with Some h -> drop t h | None -> ()
+
 (* Idempotent: a teardown for an unknown (already-released) flow is a
    no-op, so retransmitted DRQs and departures of flows dropped by a link
-   failure are harmless. *)
-let teardown t flow =
+   failure are harmless.  [release] keeps the flow's hold. *)
+let release t flow =
   match Flow_mib.remove t.flow_mib flow with
   | None -> ()
   | Some record ->
@@ -325,6 +318,10 @@ let teardown t flow =
           | None -> ());
           Node_mib.release t.node_mib ~link_id res.Types.rate)
         record.Flow_mib.path.Path_mib.links
+
+let teardown t flow =
+  drop_flow_hold t flow;
+  release t flow
 
 (* A caller-pinned class, refused when its bound is looser than the
    request's. *)
@@ -419,6 +416,137 @@ let queue_empty t ~class_id ~path_id =
   Aggregate.queue_empty t.aggregate ~class_id ~path_id
 
 (* ------------------------------------------------------------------ *)
+(* Expiring holds.                                                    *)
+
+let release_hold t h =
+  drop t h;
+  (match h.pin with
+  | Flow flow -> release t flow
+  | Grant { class_id; path_id; grant } ->
+      Aggregate.release_grant t.aggregate ~class_id ~path_id ~grant);
+  if Obs_log.active () then begin
+    Obs_log.count "bb_holds_expired_total";
+    Obs_log.event ~at:(t.time.now ()) "bb.hold.expired"
+      ~attrs:[ ("hold", string_of_int h.id); ("owner", h.owner) ]
+  end;
+  Option.iter (fun f -> f h) t.on_expire
+
+(* Release every hold due by [upto], by expiry and then by id, and arm
+   the one timer for the earliest expiry left.  A timer whose target is
+   not [armed] was superseded.  [armed] is set once [after] returns, so
+   a timer that fires inside it, on a clock that does not advance
+   ({!immediate_time}), expires nothing. *)
+let rec expire_upto t upto =
+  match Expiry.min_binding_opt t.expiry with
+  | Some ((at, _), h) when at <= upto ->
+      release_hold t h;
+      expire_upto t upto
+  | _ -> arm t
+
+and arm t =
+  match Expiry.min_binding_opt t.expiry with
+  | Some ((at, _), _) when at < t.armed ->
+      t.time.after (Float.max 0. (at -. t.time.now ())) (fun () ->
+          if at = t.armed then begin
+            t.armed <- infinity;
+            expire_upto t (Float.max at (t.time.now ()))
+          end);
+      t.armed <- at
+  | _ -> ()
+
+let expire t =
+  t.armed <- infinity;
+  expire_upto t (t.time.now ())
+
+let add_hold t ~owner ~expires pin =
+  let h = { id = t.next_hold; owner; expires; pin } in
+  t.next_hold <- t.next_hold + 1;
+  t.holds <- Ids.add h.id h t.holds;
+  (match pin with Flow flow -> t.held_flows <- Ids.add flow h t.held_flows | Grant _ -> ());
+  t.expiry <- Expiry.add (expires, h.id) h t.expiry;
+  arm t;
+  h.id
+
+let hold t ~owner ~expires flow =
+  if Flow_mib.find t.flow_mib flow = None then invalid_arg "Broker.hold: flow not booked";
+  if Ids.mem flow t.held_flows then invalid_arg "Broker.hold: flow already held";
+  add_hold t ~owner ~expires (Flow flow)
+
+let renew t id ~expires =
+  Option.iter
+    (fun h ->
+      t.expiry <- Expiry.add (expires, h.id) h (Expiry.remove (h.expires, h.id) t.expiry);
+      h.expires <- expires;
+      arm t)
+    (Ids.find_opt id t.holds)
+
+let convert t id = Option.iter (drop t) (Ids.find_opt id t.holds)
+
+let holds t = List.map snd (Ids.bindings t.holds)
+
+let pinned t h =
+  match h.pin with
+  | Flow flow -> (
+      match Flow_mib.find t.flow_mib flow with
+      | Some r -> r.Flow_mib.reservation.Types.rate
+      | None -> 0.)
+  | Grant { class_id; path_id; grant } ->
+      Aggregate.grant_amount t.aggregate ~class_id ~path_id ~grant
+
+let set_expiry_hook t f = t.on_expire <- Some f
+
+let after t delay f = t.time.after delay f
+
+let create ?policy ?(classes = []) ?(method_ = Aggregate.Feedback) ?time
+    ?(fast_path = true)
+    ?(on_edge_config = fun ~flow:_ _ -> ()) ?(on_class_rate = fun ~class_id:_ ~path_id:_ ~total_rate:_ -> ())
+    ?on_decision topology =
+  let policy = match policy with Some p -> p | None -> Policy.create () in
+  let time = Option.value ~default:immediate_time time in
+  let node_mib = Node_mib.create topology in
+  let path_mib = Path_mib.create node_mib in
+  let cache =
+    if fast_path then Some (Admission_cache.create node_mib path_mib) else None
+  in
+  (* The aggregate holds its Bounding grants in the table of the broker
+     built around it. *)
+  let rec t =
+    lazy
+      {
+        topology;
+        policy;
+        node_mib;
+        path_mib;
+        flow_mib = Flow_mib.create ();
+        routing = Routing.create topology path_mib;
+        aggregate = Aggregate.create node_mib path_mib ~classes ~method_ ~hooks;
+        time;
+        cache;
+        batch_wrap = None;
+        on_edge_config;
+        on_decision;
+        on_mutation = None;
+        holds = Ids.empty;
+        held_flows = Ids.empty;
+        expiry = Expiry.empty;
+        next_hold = 0;
+        armed = infinity;
+        on_expire = None;
+      }
+  and hooks =
+    {
+      Aggregate.now = time.now;
+      hold =
+        (fun ~class_id ~path_id ~grant ~expires ->
+          ignore
+            (add_hold (Lazy.force t) ~owner:(Printf.sprintf "class %d" class_id) ~expires
+               (Grant { class_id; path_id; grant })));
+      rate_changed = on_class_rate;
+    }
+  in
+  Lazy.force t
+
+(* ------------------------------------------------------------------ *)
 (* Link failure handling (restore-or-preempt).                        *)
 
 type link_recovery = {
@@ -451,7 +579,7 @@ let fail_link t ~link_id =
      full remaining capacity.  Per-flow records are captured first: teardown
      removes them from the MIB. *)
   let perflow_victims = Flow_mib.crossing t.flow_mib ~link_id in
-  List.iter (fun (r : Flow_mib.record) -> teardown t r.Flow_mib.flow) perflow_victims;
+  List.iter (fun (r : Flow_mib.record) -> release t r.Flow_mib.flow) perflow_victims;
   let class_victims =
     List.filter_map
       (fun (s : Aggregate.macro_stats) ->
@@ -492,6 +620,8 @@ let fail_link t ~link_id =
         | Error _ -> Either.Right r.Flow_mib.flow)
       perflow_victims
   in
+  (* A re-admitted flow keeps its hold; a dropped one loses it. *)
+  if not (Ids.is_empty t.held_flows) then List.iter (drop_flow_hold t) perflow_dropped;
   let class_rerouted, class_dropped =
     List.concat_map
       (fun (class_id, endpoints, members) ->

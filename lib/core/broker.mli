@@ -19,7 +19,7 @@ type time_hooks = {
 
 val immediate_time : time_hooks
 (** A clock pinned at 0 whose timers fire immediately — suitable for static
-    (non-simulated) use where contingency periods play no role. *)
+    (non-simulated) use; no {!hold} expires on it. *)
 
 type t
 
@@ -238,6 +238,47 @@ val teardown_class : t -> Types.flow_id -> unit
 
 val queue_empty : t -> class_id:int -> path_id:int -> unit
 (** Forwarded edge-conditioner feedback (see {!Aggregate.queue_empty}). *)
+
+(** {1 Expiring holds}
+
+    One table holds every time-bounded reservation: a lease's grant
+    pseudo-flows, a federation domain's prepared segments and, under
+    {!Aggregate.Bounding}, each contingency grant until its period bound
+    of eq. (17).  The broker arms one timer, for the earliest expiry;
+    when it fires, every due hold is released by expiry, then id: a held
+    flow is torn down, a held grant released.  A teardown of a held flow
+    drops its hold; a flow {!fail_link} re-admits keeps it.  Holds are
+    not journaled: a replayed broker has none. *)
+
+type pin = Flow of Types.flow_id | Grant of { class_id : int; path_id : int; grant : int }
+
+type hold = private { id : int; owner : string; mutable expires : float; pin : pin }
+(** [owner] names the holder, e.g. ["I1->E1"]; [expires] is broker time. *)
+
+val hold : t -> owner:string -> expires:float -> Types.flow_id -> int
+(** Hold a booked flow until [expires]; returns the hold id.  Raises
+    [Invalid_argument] when the flow is not booked or is held already. *)
+
+val renew : t -> int -> expires:float -> unit
+(** Move a hold's expiry; a no-op on a hold that is gone. *)
+
+val convert : t -> int -> unit
+(** Keep the booking and drop the hold; a no-op on a hold that is gone. *)
+
+val holds : t -> hold list
+(** The live holds, ascending id. *)
+
+val pinned : t -> hold -> float
+(** The bandwidth a hold keeps booked, 0 once its flow or grant is gone. *)
+
+val expire : t -> unit
+(** Release every hold past its expiry now, as the timer does. *)
+
+val set_expiry_hook : t -> (hold -> unit) -> unit
+(** The (single) hook told of each hold released at its expiry. *)
+
+val after : t -> float -> (unit -> unit) -> unit
+(** Run an action after a delay on the broker's timer service. *)
 
 (** {1 Link failure handling}
 

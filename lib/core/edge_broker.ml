@@ -5,7 +5,9 @@ module Fp = Bbr_util.Fp
 
 module Metrics = Bbr_obs.Metrics
 
-type grant = { central_flow : Types.flow_id; amount : float }
+(* A grant's central pseudo-flow is held under a leased edge's lease;
+   [hold] is -1 on an unleased edge. *)
+type grant = { central_flow : Types.flow_id; amount : float; hold : int }
 
 type t = {
   central : Broker.t;
@@ -21,22 +23,17 @@ type t = {
   mutable next_id : int;
   mutable transactions : int;
   mutable returning : bool;  (* a quota return is in flight *)
-  mutable lease : lease option;
-}
-
-and lease = {
-  edge : t;
-  mgr : manager;
-  mutable expires_at : float;  (* central clock *)
-  mutable connected : bool;  (* the edge is heartbeating *)
-  mutable reclaimed : bool;  (* central tore the grants down after expiry *)
+  mutable lease : manager option;  (* None: an unleased edge *)
+  (* The edge is heartbeating.  A partitioned leased edge cannot reach
+     the central broker: quota acquisitions and returns fail locally
+     instead of pretending the exchange happened. *)
+  mutable connected : bool;
 }
 
 and manager = {
   m_central : Broker.t;
-  m_time : Broker.time_hooks;
   period : float;
-  mutable members : lease list;
+  mutable members : t list;
   mutable m_stopped : bool;
 }
 
@@ -84,16 +81,12 @@ let create ~central ~ingress ~egress ~chunk =
             transactions = 0;
             returning = false;
             lease = None;
+            connected = true;
           }
 
 let available t = t.quota -. t.used
 
 let holder t = t.ingress ^ "->" ^ t.egress
-
-(* A partitioned leased edge cannot reach the central broker: quota
-   acquisitions and returns fail locally instead of pretending the
-   exchange happened. *)
-let offline t = match t.lease with Some l -> not l.connected | None -> false
 
 (* Every exchange with the central broker funnels through here, so the
    transaction tally and the [bb_edge_transactions_total] counter cannot
@@ -103,17 +96,40 @@ let central_transaction t f =
   Obs_log.count "bb_edge_transactions_total";
   f t.central
 
+(* The lease TTL: 3/4 of the nominal period after the edge's last
+   contact with the central broker (a heartbeat or an acquisition). *)
+let ttl m = 0.75 *. m.period
+
+(* A contact renews the whole lease: its grants expire together. *)
+let renew_lease t =
+  match t.lease with
+  | None -> ()
+  | Some m ->
+      let expires = Broker.now t.central +. ttl m in
+      List.iter (fun g -> Broker.renew t.central g.hold ~expires) t.grants
+
+let add_grant t central_flow amount =
+  let hold =
+    match t.lease with
+    | None -> -1
+    | Some m ->
+        Broker.hold t.central ~owner:(holder t) ~expires:(Broker.now t.central +. ttl m)
+          central_flow
+  in
+  t.grants <- { central_flow; amount; hold } :: t.grants;
+  t.quota <- t.quota +. amount;
+  renew_lease t
+
 (* Acquire at least [shortfall] more quota: chunk-sized first, then the
    exact remainder if the chunk is refused. *)
 let rec acquire_loop t shortfall =
   if shortfall <= 0. then true
-  else if offline t then false
+  else if not t.connected then false
   else begin
     let ask = Float.max t.chunk shortfall in
     match central_transaction t (fun c -> Broker.request c (quota_request t ask)) with
     | Ok (central_flow, res) ->
-        t.grants <- { central_flow; amount = res.Types.rate } :: t.grants;
-        t.quota <- t.quota +. res.Types.rate;
+        add_grant t central_flow res.Types.rate;
         acquire_loop t (shortfall -. res.Types.rate)
     | Error _ ->
         if ask > shortfall +. 1e-9 then begin
@@ -123,8 +139,7 @@ let rec acquire_loop t shortfall =
                 Broker.request c (quota_request t shortfall))
           with
           | Ok (central_flow, res) ->
-              t.grants <- { central_flow; amount = res.Types.rate } :: t.grants;
-              t.quota <- t.quota +. res.Types.rate;
+              add_grant t central_flow res.Types.rate;
               true
           | Error _ -> false
         end
@@ -184,7 +199,7 @@ let teardown t flow =
    [central_transactions] and double-decrementing the quota.  The
    [returning] guard additionally makes any such nested call a no-op. *)
 let return_idle_quota t =
-  if not (t.returning || offline t) then begin
+  if t.connected && not t.returning then begin
     t.returning <- true;
     let rec give_back () =
       match t.grants with
@@ -207,68 +222,32 @@ let local_flows t = Hashtbl.length t.flows
 let central_transactions t = t.transactions
 
 (* ------------------------------------------------------------------ *)
-(* Lease-based delegation: quota held by an edge broker is only valid
-   while the edge keeps renewing its lease.  A silent edge (crashed or
-   partitioned) loses the lease at expiry: the central-side sweep tears
-   the backing grant pseudo-flows down, returning the bandwidth to the
-   shared pool.  The edge's own view of its quota is then stale — which
-   is fine, because being silent it cannot spend it centrally — and is
-   reconciled when it comes back ({!reconnect}). *)
+(* Lease-based delegation: a silent edge (crashed or partitioned) stops
+   renewing its grants' holds, and the central broker tears the grants
+   down when they expire.  The edge's own view of its quota is then
+   stale — which is fine, because being silent it cannot spend it
+   centrally — and is reconciled when it comes back ({!reconnect}). *)
 
 let note_lease_gauge m =
   Metrics.set_gauge "bb_lease_active"
-    (float_of_int (List.length (List.filter (fun l -> l.connected) m.members)))
-
-let m_now m = m.m_time.Broker.now ()
-
-(* The lease TTL is 3/4 of the nominal period, measured from the last
-   heartbeat; heartbeats run every period/4 and the sweep every period/8,
-   so a silent edge's quota is provably back in the pool within
-   3/4 + 1/8 < 1 lease period of its last renewal. *)
-let ttl m = 0.75 *. m.period
-
-(* Central-initiated reclaim: NOT a [central_transaction] — the edge did
-   not send anything (it is silent; that is the point). *)
-let reclaim m l =
-  let e = l.edge in
-  let amount = List.fold_left (fun a g -> a +. g.amount) 0. e.grants in
-  List.sort (fun a b -> compare a.central_flow b.central_flow) e.grants
-  |> List.iter (fun g -> Broker.teardown m.m_central g.central_flow);
-  l.reclaimed <- true;
-  Metrics.count "bb_lease_reclaims_total";
-  Obs_log.event ~at:(m_now m) "bb.lease.expired"
-    ~attrs:[ ("holder", holder e); ("reclaimed_bps", Printf.sprintf "%.6g" amount) ]
-
-let rec sweep_loop m =
-  if not m.m_stopped then begin
-    let now = m_now m in
-    List.iter
-      (fun l ->
-        if (not l.reclaimed) && (not l.connected) && now > l.expires_at then
-          reclaim m l)
-      m.members;
-    m.m_time.Broker.after (m.period /. 8.) (fun () -> sweep_loop m)
-  end
+    (float_of_int (List.length (List.filter (fun e -> e.connected) m.members)))
 
 (* One renewal timer per lease, alive until the manager stops; it only
    heartbeats while the edge is connected, so a partition silently lets
    the lease age out. *)
-let rec renew_loop l =
-  let m = l.mgr in
+let rec renew_loop m t =
   if not m.m_stopped then begin
-    if l.connected && not l.reclaimed then begin
-      central_transaction l.edge (fun _ -> ());
-      l.expires_at <- m_now m +. ttl m;
+    if t.connected then begin
+      central_transaction t (fun _ -> ());
+      renew_lease t;
       Metrics.count "bb_lease_renewals_total"
     end;
-    m.m_time.Broker.after (m.period /. 4.) (fun () -> renew_loop l)
+    Broker.after m.m_central (m.period /. 4.) (fun () -> renew_loop m t)
   end
 
-let lease_manager ~central ~time ~period =
+let lease_manager ~central ~period =
   if period <= 0. then invalid_arg "Edge_broker.lease_manager: period must be positive";
-  let m = { m_central = central; m_time = time; period; members = []; m_stopped = false } in
-  sweep_loop m;
-  m
+  { m_central = central; period; members = []; m_stopped = false }
 
 let stop_manager m = m.m_stopped <- true
 
@@ -276,33 +255,24 @@ let create_leased m ~ingress ~egress ~chunk =
   match create ~central:m.m_central ~ingress ~egress ~chunk with
   | Error e -> Error e
   | Ok t ->
-      let l =
-        {
-          edge = t;
-          mgr = m;
-          expires_at = m_now m +. ttl m;
-          connected = true;
-          reclaimed = false;
-        }
-      in
-      t.lease <- Some l;
-      m.members <- m.members @ [ l ];
+      t.lease <- Some m;
+      m.members <- m.members @ [ t ];
       note_lease_gauge m;
-      renew_loop l;
+      renew_loop m t;
       Ok t
 
 let leased t = t.lease <> None
 
-let connected t = match t.lease with Some l -> l.connected | None -> true
+let connected t = t.connected
 
 let disconnect t =
   match t.lease with
   | None -> invalid_arg "Edge_broker.disconnect: not a leased edge broker"
-  | Some l ->
-      if l.connected then begin
-        l.connected <- false;
-        note_lease_gauge l.mgr;
-        Obs_log.event ~at:(m_now l.mgr) "bb.lease.disconnected"
+  | Some m ->
+      if t.connected then begin
+        t.connected <- false;
+        note_lease_gauge m;
+        Obs_log.event ~at:(Broker.now t.central) "bb.lease.disconnected"
           ~attrs:[ ("holder", holder t) ]
       end
 
@@ -316,23 +286,24 @@ type reconcile = {
 let reconnect t =
   match t.lease with
   | None -> invalid_arg "Edge_broker.reconnect: not a leased edge broker"
-  | Some l ->
-      let m = l.mgr in
+  | Some m ->
       let quota_before = t.quota in
       let live_ids () =
         Hashtbl.fold (fun f _ acc -> f :: acc) t.flows [] |> List.sort compare
       in
+      let fm = Broker.flow_mib t.central in
       let result =
-        if not l.reclaimed then begin
-          (* Back before the sweep noticed: the grants are intact, the
+        if List.for_all (fun g -> Flow_mib.find fm g.central_flow <> None) t.grants
+        then begin
+          (* Back before the holds expired: the grants are intact, the
              lease just needs a fresh heartbeat — nothing to re-register. *)
-          l.connected <- true;
-          l.expires_at <- m_now m +. ttl m;
+          t.connected <- true;
+          renew_lease t;
           central_transaction t (fun _ -> ());
           { re_registered = []; surrendered = []; quota_before; quota_after = t.quota }
         end
         else begin
-          (* The central broker reclaimed everything at expiry.  The old
+          (* The central broker released the grants at expiry.  The old
              grant list is dead paper: drop the local view, then re-earn
              backing for each still-live local flow, ascending flow id —
              flows the shrunken pool can no longer carry are surrendered.
@@ -340,9 +311,7 @@ let reconnect t =
           t.grants <- [];
           t.quota <- 0.;
           t.used <- 0.;
-          l.reclaimed <- false;
-          l.connected <- true;
-          l.expires_at <- m_now m +. ttl m;
+          t.connected <- true;
           (* The whole re-registration sweep is one batch: each flow still
              decides against the state the previous ones left behind, but
              the journal group-commits the lot at one boundary. *)
@@ -356,9 +325,7 @@ let reconnect t =
                           Broker.request c (quota_request t rate))
                     with
                     | Ok (central_flow, res) ->
-                        t.grants <-
-                          { central_flow; amount = res.Types.rate } :: t.grants;
-                        t.quota <- t.quota +. res.Types.rate;
+                        add_grant t central_flow res.Types.rate;
                         t.used <- t.used +. rate;
                         Either.Left f
                     | Error _ ->
@@ -371,7 +338,7 @@ let reconnect t =
       in
       note_lease_gauge m;
       Metrics.count "bb_lease_reconciles_total";
-      Obs_log.event ~at:(m_now m) "bb.lease.reconciled"
+      Obs_log.event ~at:(Broker.now t.central) "bb.lease.reconciled"
         ~attrs:
           [
             ("holder", holder t);
@@ -379,14 +346,3 @@ let reconnect t =
             ("surrendered", string_of_int (List.length result.surrendered));
           ];
       result
-
-let leases m =
-  List.map
-    (fun l ->
-      {
-        Types.holder = holder l.edge;
-        expires_at = l.expires_at;
-        granted =
-          List.map (fun g -> g.central_flow) l.edge.grants |> List.sort compare;
-      })
-    m.members

@@ -62,29 +62,26 @@ val central_transactions : t -> int
     Unleased delegation has a robustness hole: an edge broker that
     crashes or partitions strands its delegated quota at the central
     broker forever.  Under a {!lease_manager}, every delegation is a
-    renewable lease: the edge heartbeats every [period/4] (one central
-    transaction each), each heartbeat pushing the expiry to [3/4 period]
-    later; a silent edge lets the lease age out and the central-side
-    sweep (every [period/8]) tears the backing grant pseudo-flows down —
-    so the quota is provably back in the shared pool within
-    [3/4 + 1/8 < 1] lease period of the edge falling silent.  A reconnecting edge
-    {!reconnect}s: if it returned before the sweep fired nothing was
-    lost; otherwise it re-registers each still-live local flow with the
-    central broker (ascending flow id) and surrenders the flows — and all
-    idle quota — the shrunken pool can no longer carry.
-
-    All timing runs on the injected {!Broker.time_hooks}; the sweep and
-    renewal timers stop when {!stop_manager} is called, so a simulation
-    drains. *)
+    renewable lease: each backing grant pseudo-flow is a {!Broker.hold}
+    at the central broker.  Every heartbeat (one central transaction
+    every [period/4]) and every quota acquisition moves all the grants'
+    expiry to [3/4 period] later, so a silent edge's quota is back in the
+    shared pool exactly [3/4] of a period after its last contact.  A
+    reconnecting edge {!reconnect}s: if it returned before the holds
+    expired nothing was lost; otherwise it re-registers each still-live
+    local flow with the central broker (ascending flow id) and
+    surrenders the flows — and all idle quota — the shrunken pool can no
+    longer carry.  Timing runs on the central broker's clock; the
+    renewal timers stop at {!stop_manager}, so a simulation drains. *)
 
 type manager
 
-val lease_manager : central:Broker.t -> time:Broker.time_hooks -> period:float -> manager
-(** Start the central-side lease registry and its expiry sweep.  Raises
-    [Invalid_argument] when [period <= 0]. *)
+val lease_manager : central:Broker.t -> period:float -> manager
+(** The central-side lease registry.  Raises [Invalid_argument] when
+    [period <= 0]. *)
 
 val stop_manager : manager -> unit
-(** Stop the sweep and all renewal timers (idempotent). *)
+(** Stop all renewal timers (idempotent). *)
 
 val create_leased :
   manager -> ingress:string -> egress:string -> chunk:float -> (t, Types.reject_reason) result
@@ -116,7 +113,3 @@ val reconnect : t -> reconcile
 (** Rejoin after a partition and reconcile with the central broker (see
     the section doc).  Raises [Invalid_argument] on an unleased
     broker. *)
-
-val leases : manager -> Types.lease list
-(** The delegation view for {!Audit.check}: one {!Types.lease} per
-    enrolled edge broker, grant flow ids ascending. *)

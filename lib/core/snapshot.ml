@@ -215,13 +215,9 @@ let restore broker text =
   | Ok entries -> (
       (* Book the whole snapshot into a scratch broker over the same
          topology and classes before touching the target, so a failure
-         leaves the target as it was.  The scratch uses Feedback so that
-         no Bounding timer fires during the dry run. *)
+         leaves the target as it was. *)
       let scratch =
-        Broker.create
-          ~classes:(Aggregate.classes (Broker.aggregate broker))
-          ~method_:Aggregate.Feedback ~time:Broker.immediate_time
-          (Broker.topology broker)
+        Broker.create ~classes:(Aggregate.classes (Broker.aggregate broker)) (Broker.topology broker)
       in
       match replay scratch entries with
       | Error e -> Error e

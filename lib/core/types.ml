@@ -66,16 +66,3 @@ let pp_decision ppf = function
   | Rejected reason -> Fmt.pf ppf "rejected: %a" pp_reject_reason reason
 
 let is_admitted = function Admitted _ -> true | Rejected _ -> false
-
-(** A quota lease, as delegated by a central broker to an edge broker
-    (hierarchical brokering): the delegated bandwidth is backed by
-    pseudo-flow reservations [granted] at the central broker, and the
-    delegation is valid until [expires_at] on the central broker's clock.
-    An edge broker that falls silent past [expires_at] forfeits the quota:
-    the central broker reclaims the grants.  {!Audit} consumes this view
-    to flag leases that expired without being reclaimed. *)
-type lease = {
-  holder : string;  (** who holds the delegation, e.g. ["I1->E1"] *)
-  expires_at : float;  (** central-broker clock; [infinity] = never *)
-  granted : flow_id list;  (** central pseudo-flows backing the quota *)
-}

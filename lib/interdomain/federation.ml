@@ -43,8 +43,9 @@ type peering = {
   mutable used : float;
 }
 
-(* A prepared-but-uncommitted segment booking held inside a domain. *)
-type prep = { p_flow : Types.flow_id; p_rate : float; mutable p_at : float }
+(* A segment booked inside a domain.  A prepared one is held on the
+   domain's broker ([s_hold]) until the COMMIT converts it (-1). *)
+type seg = { s_flow : Types.flow_id; mutable s_hold : int }
 
 (* One domain's broker agent: its reservation state survives a crash
    ([up = false] merely stops it reacting to messages); [released] is the
@@ -55,8 +56,7 @@ type agent = {
   broker : Broker.t;
   mutable up : bool;
   mutable reachable : bool;
-  prepared : (int, prep) Hashtbl.t;
-  committed_segs : (int, Types.flow_id) Hashtbl.t;
+  segs : (int, seg) Hashtbl.t;  (* by transaction *)
   released : (int, unit) Hashtbl.t;
 }
 
@@ -307,24 +307,6 @@ let create ?(time = Broker.immediate_time) ?(config = default_config) () =
 
 let set_faults t f = t.faults <- f
 
-let add_domain t ~name topology =
-  if Hashtbl.mem t.domains name then
-    invalid_arg (Printf.sprintf "Federation.add_domain: duplicate domain %s" name);
-  if name = "" || String.exists (fun c -> c = ' ' || c = ',' || c = '>') name then
-    invalid_arg "Federation.add_domain: domain names must not contain spaces, ',' or '>'";
-  let broker = Broker.create ~time:t.time topology in
-  Hashtbl.replace t.domains name
-    {
-      name;
-      broker;
-      up = true;
-      reachable = true;
-      prepared = Hashtbl.create 8;
-      committed_segs = Hashtbl.create 16;
-      released = Hashtbl.create 16;
-    };
-  broker
-
 let agent_exn t name =
   match Hashtbl.find_opt t.domains name with Some a -> a | None -> raise Not_found
 
@@ -416,53 +398,81 @@ let note_compensation t =
   t.storm_count <- t.storm_count + 1;
   if t.storm_count = storm_threshold then Flight.trigger ~reason:"compensation-storm"
 
+(* A prepared booking's hold expired and its broker tore it down; the
+   tombstone refuses a later COMMIT or duplicate PREPARE. *)
+let prepare_expired t agent (h : Broker.hold) =
+  match
+    Hashtbl.fold
+      (fun txn s acc -> if s.s_hold = h.Broker.id then Some txn else acc)
+      agent.segs None
+  with
+  | None -> ()
+  | Some txn ->
+      Hashtbl.remove agent.segs txn;
+      Hashtbl.replace agent.released txn ();
+      t.s_reaped <- t.s_reaped + 1;
+      metric "bb_fed_reaped_total";
+      Trace.event ~sim_time:(t.time.now ()) ~parent:(txn_span t txn)
+        ~attrs:[ ("domain", agent.name); ("txn", string_of_int txn) ]
+        "bb.fed.reap"
+
+let add_domain t ~name topology =
+  if Hashtbl.mem t.domains name then
+    invalid_arg (Printf.sprintf "Federation.add_domain: duplicate domain %s" name);
+  if name = "" || String.exists (fun c -> c = ' ' || c = ',' || c = '>') name then
+    invalid_arg "Federation.add_domain: domain names must not contain spaces, ',' or '>'";
+  let broker = Broker.create ~time:t.time topology in
+  Hashtbl.replace t.domains name
+    {
+      name;
+      broker;
+      up = true;
+      reachable = true;
+      segs = Hashtbl.create 16;
+      released = Hashtbl.create 16;
+    };
+  Broker.set_expiry_hook broker (prepare_expired t (agent_exn t name));
+  broker
+
 (* ---------------------------------------------------------------- *)
 (* Domain-side handlers.  All idempotent: duplicates re-acknowledge.  *)
 
 let rec dom_prepare t agent ~txn ~(req : Types.request) ~rate =
   if Hashtbl.mem agent.released txn then () (* tombstoned: compensated already *)
   else
-    match Hashtbl.find_opt agent.prepared txn with
-    | Some p ->
-        p.p_at <- t.time.now ();
-        (* duplicate PREPARE: re-acknowledge the booking we hold *)
-        channel t agent (fun () -> coord_booked t ~txn ~dom:agent.name ~flow:p.p_flow)
+    match Hashtbl.find_opt agent.segs txn with
+    | Some s ->
+        (* duplicate PREPARE: renew a prepared booking, re-acknowledge *)
+        Broker.renew agent.broker s.s_hold ~expires:(t.time.now () +. t.config.prepare_ttl);
+        channel t agent (fun () -> coord_booked t ~txn ~dom:agent.name ~flow:s.s_flow)
     | None -> (
-        match Hashtbl.find_opt agent.committed_segs txn with
-        | Some flow ->
+        match Broker.request_fixed agent.broker req ~rate () with
+        | Ok flow ->
+            let s_hold =
+              Broker.hold agent.broker
+                ~owner:(Printf.sprintf "transaction %d" txn)
+                ~expires:(t.time.now () +. t.config.prepare_ttl)
+                flow
+            in
+            Hashtbl.replace agent.segs txn { s_flow = flow; s_hold };
             channel t agent (fun () -> coord_booked t ~txn ~dom:agent.name ~flow)
-        | None -> (
-            match Broker.request_fixed agent.broker req ~rate () with
-            | Ok flow ->
-                Hashtbl.replace agent.prepared txn
-                  { p_flow = flow; p_rate = rate; p_at = t.time.now () };
-                channel t agent (fun () -> coord_booked t ~txn ~dom:agent.name ~flow)
-            | Error reason ->
-                channel t agent (fun () -> coord_refused t ~txn ~reason)))
+        | Error reason -> channel t agent (fun () -> coord_refused t ~txn ~reason))
 
 and dom_commit t agent ~txn =
-  if Hashtbl.mem agent.committed_segs txn then
-    channel t agent (fun () -> coord_cack t ~txn ~dom:agent.name)
-  else
-    match Hashtbl.find_opt agent.prepared txn with
-    | Some p ->
-        Hashtbl.remove agent.prepared txn;
-        Hashtbl.replace agent.committed_segs txn p.p_flow;
-        channel t agent (fun () -> coord_cack t ~txn ~dom:agent.name)
-    | None ->
-        (* reaped or compensated before the commit landed *)
-        channel t agent (fun () -> coord_cnack t ~txn ~dom:agent.name)
+  match Hashtbl.find_opt agent.segs txn with
+  | Some s ->
+      Broker.convert agent.broker s.s_hold;
+      s.s_hold <- -1;
+      channel t agent (fun () -> coord_cack t ~txn ~dom:agent.name)
+  | None ->
+      (* expired or compensated before the commit landed *)
+      channel t agent (fun () -> coord_cnack t ~txn ~dom:agent.name)
 
 and dom_release t agent ~txn =
-  (match Hashtbl.find_opt agent.prepared txn with
-  | Some p ->
-      Broker.teardown agent.broker p.p_flow;
-      Hashtbl.remove agent.prepared txn
-  | None -> ());
-  (match Hashtbl.find_opt agent.committed_segs txn with
-  | Some flow ->
-      Broker.teardown agent.broker flow;
-      Hashtbl.remove agent.committed_segs txn
+  (match Hashtbl.find_opt agent.segs txn with
+  | Some s ->
+      Broker.teardown agent.broker s.s_flow;
+      Hashtbl.remove agent.segs txn
   | None -> ());
   Hashtbl.replace agent.released txn ();
   channel t agent (fun () -> coord_rack t ~txn ~dom:agent.name)
@@ -604,8 +614,8 @@ and coord_rack t ~txn ~dom =
       jrec t (R_rack { txn; dom });
       close_if_drained t txn
 
-(* A domain refused the commit notification: it reaped the prepared
-   booking before the notification landed.  The flow cannot stand on a
+(* A domain refused the commit notification: its prepared booking
+   expired before the notification landed.  The flow cannot stand on a
    missing segment — compensate it whole. *)
 and coord_cnack t ~txn ~dom:_ =
   t.s_commit_nacks <- t.s_commit_nacks + 1;
@@ -1012,38 +1022,6 @@ let stats t =
   }
 
 (* ---------------------------------------------------------------- *)
-(* Orphan reaping (domain-side TTL sweep).                          *)
-
-let reap t =
-  let now = t.time.now () in
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun _ agent ->
-      if agent.up then begin
-        let victims =
-          Hashtbl.fold
-            (fun txn p acc ->
-              if now -. p.p_at >= t.config.prepare_ttl -. 1e-9 then (txn, p) :: acc
-              else acc)
-            agent.prepared []
-        in
-        List.iter
-          (fun (txn, p) ->
-            Broker.teardown agent.broker p.p_flow;
-            Hashtbl.remove agent.prepared txn;
-            Hashtbl.replace agent.released txn ();
-            incr n;
-            t.s_reaped <- t.s_reaped + 1;
-            metric "bb_fed_reaped_total";
-            Trace.event ~sim_time:now ~parent:(txn_span t txn)
-              ~attrs:[ ("domain", agent.name); ("txn", string_of_int txn) ]
-              "bb.fed.reap")
-          victims
-      end)
-    t.domains;
-  !n
-
-(* ---------------------------------------------------------------- *)
 (* Cross-domain audit.                                              *)
 
 type report = {
@@ -1109,46 +1087,31 @@ let audit ?(eps = 1e-3) ?(exclusive = true) t =
                          dom rec_.Flow_mib.reservation.Types.rate b.b_rate)))
         b.b_legs)
     t.flows;
-  (* 3. Domain-side bookkeeping: strays, forgotten segments, orphans. *)
-  let now = t.time.now () in
+  (* 3. Domain-side bookkeeping: strays and forgotten segments.  A
+     prepared booking past its TTL is an expired hold, which the domain
+     audit below reports. *)
   let prepared_total = ref 0 in
   Hashtbl.iter
     (fun _ agent ->
-      prepared_total := !prepared_total + Hashtbl.length agent.prepared;
       (* committed segment whose federation flow is gone and nothing in
          flight will release it *)
       Hashtbl.iter
-        (fun txn leg ->
-          if
+        (fun txn s ->
+          if s.s_hold >= 0 then incr prepared_total
+          else if
             (not (Hashtbl.mem t.flows txn))
             && not (Hashtbl.mem t.obligations (okey Ob_release txn agent.name))
           then
             add Audit.Stranded_segment
-              (Printf.sprintf "domain %s flow %d" agent.name leg)
+              (Printf.sprintf "domain %s flow %d" agent.name s.s_flow)
               (Printf.sprintf
                  "committed segment of federation flow %d has no live flow and no \
                   pending release"
                  txn))
-        agent.committed_segs;
-      (* prepared booking past TTL with nothing claiming it *)
-      Hashtbl.iter
-        (fun txn p ->
-          if
-            (not (Hashtbl.mem t.txns txn))
-            && (not (Hashtbl.mem t.obligations (okey Ob_release txn agent.name)))
-            && (not (Hashtbl.mem t.obligations (okey Ob_commit txn agent.name)))
-            && now -. p.p_at > t.config.prepare_ttl
-          then
-            add Audit.Orphan_prepare
-              (Printf.sprintf "domain %s flow %d" agent.name p.p_flow)
-              (Printf.sprintf
-                 "prepared booking of transaction %d aged %g s past its %g s TTL"
-                 txn (now -. p.p_at) t.config.prepare_ttl))
-        agent.prepared;
+        agent.segs;
       if exclusive then begin
         let accounted = Hashtbl.create 16 in
-        Hashtbl.iter (fun _ p -> Hashtbl.replace accounted p.p_flow ()) agent.prepared;
-        Hashtbl.iter (fun _ leg -> Hashtbl.replace accounted leg ()) agent.committed_segs;
+        Hashtbl.iter (fun _ s -> Hashtbl.replace accounted s.s_flow ()) agent.segs;
         Flow_mib.fold (Broker.flow_mib agent.broker) ~init:()
           ~f:(fun () (r : Flow_mib.record) ->
             if not (Hashtbl.mem accounted r.Flow_mib.flow) then

@@ -27,7 +27,7 @@
 
     {v PREPARE --> BOOKED --> COMMITTED
                    |             |
-                   v             v (commit refused: segment reaped)
+                   v             v (commit refused: segment expired)
               COMPENSATED <------+ v}
 
     - {b PREPARE}: the coordinator sends each domain a booking for its
@@ -49,9 +49,9 @@
 
     Failure isolation, concretely: one domain's crash mid-prepare costs
     exactly that transaction (compensated once retries are exhausted)
-    plus one orphaned prepared booking in the crashed domain, which the
-    TTL {!reap} sweep releases after recovery.  Nothing any other flow
-    committed is touched.
+    plus one orphaned prepared booking in the crashed domain, which its
+    broker releases when the booking's hold expires.  Nothing any other
+    flow committed is touched.
 
     {2 Crash-recoverable coordinator}
 
@@ -89,9 +89,9 @@ type config = {
           and teardowns retry {e without bound} (idempotently) until the
           domain confirms. *)
   prepare_ttl : float;
-      (** domain-side age past which a prepared-but-never-committed
-          booking is an orphan: {!reap} releases it, and a COMMIT
-          arriving later is refused (the coordinator then compensates) *)
+      (** a prepared booking is a {!Bbr_broker.Broker.hold} that expires
+          this long after its last PREPARE: a COMMIT arriving later is
+          refused (the coordinator then compensates) *)
   jitter : (unit -> float) option;
       (** sampled per timer, must return a value in [\[0, 1)]; every
           retransmission delay [d] becomes [d * (1 + jitter ())]
@@ -240,8 +240,8 @@ type stats = {
   compensations : int;  (** compensating teardowns enqueued *)
   commit_nacks : int;
       (** commit notifications a domain refused because the prepared
-          booking was already reaped — each compensates its whole flow *)
-  reaped : int;  (** orphaned prepared bookings released by {!reap} *)
+          booking had already expired — each compensates its whole flow *)
+  reaped : int;  (** prepared bookings released when their hold expired *)
   messages : int;  (** inter-domain message copies sent *)
   dropped : int;
   duplicated : int;
@@ -249,21 +249,14 @@ type stats = {
 
 val stats : t -> stats
 
-(** {1 Housekeeping, audit, recovery} *)
-
-val reap : t -> int
-(** Domain-side orphan sweep: release every prepared-but-uncommitted
-    booking older than [prepare_ttl] in every {e up} domain (a COMMIT
-    arriving later for a reaped booking is refused and the coordinator
-    compensates).  Returns the number reaped. *)
+(** {1 Audit, recovery} *)
 
 type report = {
   domain_audits : (string * Bbr_broker.Audit.report) list;
       (** per-domain MIB audits *)
   violations : Bbr_broker.Audit.violation list;
       (** cross-domain findings: {!Bbr_broker.Audit.Sla_mismatch},
-          {!Bbr_broker.Audit.Stranded_segment},
-          {!Bbr_broker.Audit.Orphan_prepare} *)
+          {!Bbr_broker.Audit.Stranded_segment} *)
   checked_flows : int;
   checked_segments : int;
   checked_segments_rate : float;
@@ -277,13 +270,12 @@ type report = {
 val audit : ?eps:float -> ?exclusive:bool -> t -> report
 (** Cross-domain invariant audit: every SLA byte is backed by a live
     committed flow crossing the peering; every committed flow's every
-    segment is live in its domain's broker at the committed rate; every
-    domain-side prepared booking belongs to a live transaction or a
-    pending obligation (older orphans are {!Bbr_broker.Audit.Orphan_prepare});
+    segment is live in its domain's broker at the committed rate;
     and — with [exclusive] (default [true], i.e. the federation owns all
     reservations in its domains) — every broker reservation is accounted
     for by a committed segment, a prepared booking or an in-flight
-    teardown.  Each domain's own MIB audit rides along.  Findings count
+    teardown.  Each domain's own MIB audit rides along (an expired
+    prepared booking shows there).  Findings count
     on [bb_audit_violations_total{kind}]. *)
 
 val audit_ok : report -> bool

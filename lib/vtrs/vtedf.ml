@@ -214,14 +214,16 @@ let remove t ~rate ~delay ~lmax =
     t.counts.(i) <- t.counts.(i) - 1
   end;
   t.version <- t.version + 1;
-  t.sums.total <- t.sums.total -. rate;
+  (* The last flow out leaves an exact 0, not a subtraction residue. *)
+  t.sums.total <- (if t.flows = 1 then 0. else t.sums.total -. rate);
   t.flows <- t.flows - 1
 
 (* [remove] of [old_rate] then [add] of [new_rate], folded into one
    lookup: every float comes out as the pair computes it.  A class whose
    only flow this is would be deleted and re-inserted at the same slot
    with the flow's own raw delay; otherwise its sums take [-. old +. new]
-   and [-. lmax +. lmax] in that order. *)
+   and [-. lmax +. lmax] in that order.  The scheduler's only flow leaves
+   a total of exactly [new_rate], as removal leaves exactly 0. *)
 let resize t ~delay ~lmax ~old_rate ~new_rate =
   check_flow "Vtedf.resize" ~rate:new_rate ~delay ~lmax;
   let i = find_class "Vtedf.resize" t delay in
@@ -235,7 +237,7 @@ let resize t ~delay ~lmax ~old_rate ~new_rate =
     t.lmaxs.(i) <- t.lmaxs.(i) -. lmax +. lmax
   end;
   t.version <- t.version + 1;
-  t.sums.total <- t.sums.total -. old_rate +. new_rate
+  t.sums.total <- (if t.flows = 1 then new_rate else t.sums.total -. old_rate +. new_rate)
 
 let demand t ~at =
   let acc = ref 0. in
@@ -351,7 +353,8 @@ let can_admit t ~rate ~delay ~lmax =
 let can_resize t ~delay ~lmax ~old_rate ~new_rate =
   let i = find_class "Vtedf.can_resize" t delay in
   let alone = t.counts.(i) = 1 in
-  admits t ~total:(t.sums.total -. old_rate)
+  admits t
+    ~total:(if t.flows = 1 then 0. else t.sums.total -. old_rate)
     ~skip:(if alone then i else -1)
     ~trim:(if alone then -1 else i)
     ~trim_rate:old_rate

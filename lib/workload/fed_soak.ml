@@ -29,7 +29,6 @@ type config = {
   domain_crash_from : float;
   domain_crash_until : float;
   crash_coordinator_at : float option;
-  reap_every : float;
   fed : Federation.config;
 }
 
@@ -54,7 +53,6 @@ let default_config =
     domain_crash_from = 30.;
     domain_crash_until = 50.;
     crash_coordinator_at = Some 70.;
-    reap_every = 10.;
     fed = { Federation.default_config with prepare_ttl = 10. };
   }
 
@@ -198,14 +196,7 @@ let run cfg =
       Federation.set_domain_up fed ~domain:crashed false);
   Engine.schedule eng ~at:cfg.domain_crash_until (fun () ->
       Federation.set_domain_up fed ~domain:crashed true);
-  (* Periodic orphan sweep while the run is hot. *)
   let horizon = cfg.duration +. (4. *. cfg.mean_holding) in
-  let rec reaper () =
-    Engine.schedule_after eng ~delay:cfg.reap_every (fun () ->
-        ignore (Federation.reap fed);
-        if Engine.now eng < horizon then reaper ())
-  in
-  reaper ();
   (* Coordinator crash and recovery, with the digest oracle. *)
   let digest_match = ref None in
   let recovery_time = ref None in
@@ -238,15 +229,14 @@ let run cfg =
       Federation.set_domain_up fed ~domain:crashed true;
       Federation.pump fed);
   Engine.run eng;
-  ignore (Federation.reap fed);
   let audit = Federation.audit fed in
   if not (Federation.audit_ok audit) then
     Bbr_obs.Flight.trigger ~reason:"audit-violation";
   let stats = Federation.stats fed in
   (* Stranded bandwidth: broker-side reserved rate the live federation
      flows (rate × segment count) cannot account for.  After the drain
-     and the final reap no prepared bookings remain, so any residue is a
-     failed compensation. *)
+     every prepared booking has expired or committed, so any residue is
+     a failed compensation. *)
   let lat = Array.of_list !latencies in
   let stranded =
     let total_held =

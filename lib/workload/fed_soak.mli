@@ -14,7 +14,7 @@
     - a coordinator crash at a chosen instant, journal truncated to the
       last fsync boundary, followed by immediate recovery — the replayed
       decision digest is compared against the dying coordinator's;
-    - periodic orphan reaping.
+    - orphaned prepared bookings, released as their holds expire.
 
     After the fault window every process heals and the run drains to
     quiescence.  The acceptance criteria for {b bbsim federation} and CI:
@@ -44,7 +44,6 @@ type config = {
   domain_crash_until : float;
   crash_coordinator_at : float option;
       (** crash + recover the coordinator at this instant *)
-  reap_every : float;  (** orphan sweep period *)
   fed : Bbr_interdomain.Federation.config;
 }
 
@@ -52,8 +51,8 @@ val default_config : config
 (** Seed 1: 12 domains, 6 extra peerings, 2-hop domains at 10 Mb/s,
     2 Mb/s SLAs, 3 arrivals/s for 120 s, 5% loss / 2% duplication /
     up to 20 ms extra delay during [20, 80), a partition in [40, 60), a
-    domain crash in [30, 50), a coordinator crash at 70 s, reap every
-    10 s with a 10 s prepare TTL and jittered retries. *)
+    domain crash in [30, 50), a coordinator crash at 70 s, a 10 s
+    prepare TTL and jittered retries. *)
 
 type outcome = {
   offered : int;

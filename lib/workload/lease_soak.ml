@@ -43,7 +43,7 @@ type outcome = {
   reclaimed_within_period : bool;
   re_registered : int;
   surrendered : int;
-  stale_leases : int;  (** [Stale_lease] findings in the final audit *)
+  expired_holds : int;  (** [Expired_hold] findings in the final audit *)
   audit : Audit.report;
   central_transactions : int;
 }
@@ -53,11 +53,11 @@ let pp_outcome ppf o =
     "@[<v>offered %d  admitted %d  rejected %d@,\
      disconnect: %.6g b/s delegated%a, within one period: %b@,\
      reconnect: %d re-registered, %d surrendered@,\
-     stale leases %d  audit %s  central transactions %d@]"
+     expired holds %d  audit %s  central transactions %d@]"
     o.offered o.admitted o.rejected o.quota_at_disconnect
     (Fmt.option (fun ppf t -> Fmt.pf ppf ", reclaimed in %.2f s" t))
     o.reclaim_time o.reclaimed_within_period o.re_registered o.surrendered
-    o.stale_leases
+    o.expired_holds
     (if Audit.ok o.audit then "clean" else "VIOLATIONS")
     o.central_transactions
 
@@ -83,9 +83,7 @@ let run config =
     }
   in
   let central = Broker.create ~time topo in
-  let mgr =
-    Edge_broker.lease_manager ~central ~time ~period:config.lease_period
-  in
+  let mgr = Edge_broker.lease_manager ~central ~period:config.lease_period in
   let edge ingress egress =
     match Edge_broker.create_leased mgr ~ingress ~egress ~chunk:config.chunk with
     | Ok e -> e
@@ -122,35 +120,18 @@ let run config =
   in
   drive (e1, Fig8.ingress1, Fig8.egress1);
   drive (e2, Fig8.ingress2, Fig8.egress2);
-  (* Watch the partitioned edge's grant flows at the central broker: the
-     reclaim instant is when the last one disappears. *)
+  (* The reclaim instant: the partitioned edge's grants are held to one
+     expiry, so its first hold to expire is the whole delegation back in
+     the pool. *)
   let quota_at_disconnect = ref 0. in
-  let grant_flows_at_disconnect = ref [] in
   let reclaim_time = ref None in
-  let poll_every = config.lease_period /. 20. in
-  let polling = ref false in
-  let rec poll () =
-    if !polling then begin
-      let fm = Broker.flow_mib central in
-      if
-        !reclaim_time = None
-        && List.for_all (fun f -> Flow_mib.find fm f = None) !grant_flows_at_disconnect
-      then begin
-        reclaim_time := Some (Engine.now engine -. config.disconnect_at);
-        polling := false
-      end
-      else Engine.schedule_after engine ~delay:poll_every poll
-    end
-  in
+  Broker.set_expiry_hook central (fun h ->
+      if h.Broker.owner = Fig8.ingress1 ^ "->" ^ Fig8.egress1 && !reclaim_time = None then
+        reclaim_time := Some (Engine.now engine -. config.disconnect_at));
   Engine.schedule engine ~at:config.disconnect_at (fun () ->
       quota_at_disconnect := Edge_broker.quota_total e1;
-      grant_flows_at_disconnect :=
-        (match Edge_broker.leases mgr with
-        | l1 :: _ -> l1.Types.granted
-        | [] -> []);
-      Edge_broker.disconnect e1;
-      polling := true;
-      poll ());
+      if !quota_at_disconnect = 0. then reclaim_time := Some 0.;
+      Edge_broker.disconnect e1);
   let re_registered = ref 0 and surrendered = ref 0 in
   (match config.reconnect_at with
   | None -> ()
@@ -161,18 +142,13 @@ let run config =
           surrendered := List.length r.Edge_broker.surrendered));
   Engine.run ~until:config.horizon engine;
   Edge_broker.stop_manager mgr;
-  polling := false;
+  (* The drain runs the holding-time teardowns, and the holds of the
+     stopped leases expire in it. *)
   Engine.run engine;
-  (* Audit as of the horizon — the last instant leases were being
-     renewed and swept.  (The drain above runs holding-time teardowns
-     arbitrarily far past the horizon, where every lease would look
-     expired only because its manager was stopped.) *)
-  let audit =
-    Audit.check ~now:config.horizon ~leases:(Edge_broker.leases mgr) central
-  in
-  let stale =
+  let audit = Audit.check central in
+  let expired =
     List.length
-      (List.filter (fun v -> v.Audit.kind = Audit.Stale_lease) audit.Audit.violations)
+      (List.filter (fun v -> v.Audit.kind = Audit.Expired_hold) audit.Audit.violations)
   in
   {
     offered = !offered;
@@ -186,7 +162,7 @@ let run config =
       | None -> false);
     re_registered = !re_registered;
     surrendered = !surrendered;
-    stale_leases = stale;
+    expired_holds = expired;
     audit = audit;
     central_transactions =
       Edge_broker.central_transactions e1 + Edge_broker.central_transactions e2;

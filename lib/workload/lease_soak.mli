@@ -2,8 +2,8 @@
 
     Two lease-holding edge brokers admit local flows from delegated
     quota, with no COPS, overload pipeline or failover in between; one
-    partitions mid-run, its lease expires, and the central sweep must
-    return the full delegation to the shared pool within one lease
+    partitions mid-run, its grants' holds expire, and the central broker
+    must return the full delegation to the shared pool within one lease
     period; on reconnect the edge reconciles (re-registering still-live
     flows, surrendering the rest).  A pure function of its seed. *)
 
@@ -33,7 +33,7 @@ type outcome = {
   reclaimed_within_period : bool;  (** the acceptance criterion *)
   re_registered : int;
   surrendered : int;
-  stale_leases : int;  (** [Stale_lease] findings in the final audit *)
+  expired_holds : int;  (** [Expired_hold] findings in the final audit *)
   audit : Bbr_broker.Audit.report;
   central_transactions : int;
 }

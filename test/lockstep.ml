@@ -249,9 +249,11 @@ let check_empty lane =
             (fun (l : Topology.link) ->
               let link_id = l.Topology.link_id in
               match (Node_mib.entry (Broker.node_mib b) ~link_id).Node_mib.edf with
-              | Some edf when Vtedf.flow_count edf <> 0 || Vtedf.class_count edf <> 0 ->
-                  failf "%s: link %d keeps %d flows in %d classes" what link_id
-                    (Vtedf.flow_count edf) (Vtedf.class_count edf)
+              | Some edf
+                when Vtedf.flow_count edf <> 0 || Vtedf.class_count edf <> 0
+                     || Vtedf.total_rate edf <> 0. ->
+                  failf "%s: link %d keeps %d flows in %d classes, %h b/s" what link_id
+                    (Vtedf.flow_count edf) (Vtedf.class_count edf) (Vtedf.total_rate edf)
               | _ -> ())
             (Topology.links (Broker.topology b)))
         brokers)

@@ -9,6 +9,7 @@ module Types = Bbr_broker.Types
 module Aggregate = Bbr_broker.Aggregate
 module Node_mib = Bbr_broker.Node_mib
 module Path_mib = Bbr_broker.Path_mib
+module Broker = Bbr_broker.Broker
 module Engine = Bbr_netsim.Engine
 
 let check_float = Alcotest.(check (float 1e-6))
@@ -24,26 +25,34 @@ type fixture = {
   rate_events : (int * int * float) list ref;  (* class, path, total *)
 }
 
+(* The aggregate of a broker on an engine clock, whose hold table
+   releases the Bounding grants as the engine runs. *)
 let fixture ?(setting = `Rate_only) ?(classes = [ { Aggregate.class_id = 0; dreq = 2.44; cd = 0.1 } ])
     ~method_ () =
   let topo = Bbr_workload.Fig8.topology setting in
   let engine = Engine.create () in
-  let node_mib = Node_mib.create topo in
-  let path_mib = Path_mib.create node_mib in
-  let path = Path_mib.register path_mib (Bbr_workload.Fig8.path1 topo) in
   let rate_events = ref [] in
-  let agg =
-    Aggregate.create node_mib path_mib ~classes ~method_
-      ~hooks:
+  let broker =
+    Broker.create ~classes ~method_
+      ~time:
         {
-          Aggregate.now = (fun () -> Engine.now engine);
+          Broker.now = (fun () -> Engine.now engine);
           after = (fun delay f -> Engine.schedule_after engine ~delay f);
-          rate_changed =
-            (fun ~class_id ~path_id ~total_rate ->
-              rate_events := (class_id, path_id, total_rate) :: !rate_events);
         }
+      ~on_class_rate:(fun ~class_id ~path_id ~total_rate ->
+        rate_events := (class_id, path_id, total_rate) :: !rate_events)
+      topo
   in
-  { engine; node_mib; path_mib; path; agg; rate_events }
+  let path_mib = Broker.path_mib broker in
+  let path = Path_mib.register path_mib (Bbr_workload.Fig8.path1 topo) in
+  {
+    engine;
+    node_mib = Broker.node_mib broker;
+    path_mib;
+    path;
+    agg = Broker.aggregate broker;
+    rate_events;
+  }
 
 let stats fx = Option.get (Aggregate.macroflow_stats fx.agg ~class_id:0 ~path_id:fx.path.Path_mib.path_id)
 
@@ -56,7 +65,7 @@ let test_create_validation () =
   let hooks =
     {
       Aggregate.now = (fun () -> 0.);
-      after = (fun _ f -> f ());
+      hold = (fun ~class_id:_ ~path_id:_ ~grant:_ ~expires:_ -> ());
       rate_changed = (fun ~class_id:_ ~path_id:_ ~total_rate:_ -> ());
     }
   in
@@ -122,7 +131,7 @@ let test_bounding_contingency_expires () =
   | Ok () -> ()
   | Error _ -> Alcotest.fail "join rejected");
   (* First join: no prior edge backlog, tau = 0, released as soon as the
-     timer fires. *)
+     hold's timer fires. *)
   Engine.run fx.engine;
   check_float "contingency released" 0. (stats fx).Aggregate.contingency;
   (* Second join: edge bound is now positive, tau > 0. *)

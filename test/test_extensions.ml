@@ -559,14 +559,17 @@ let test_snapshot_per_flow_round_trip () =
 let test_snapshot_class_round_trip () =
   let module Aggregate = Bbr_broker.Aggregate in
   let classes = [ { Aggregate.class_id = 0; dreq = 2.44; cd = 0.1 } ] in
-  (* Release timers are collected, not fired, so the Bounding grants are
-     still live when the snapshot is taken. *)
+  (* Each broker runs on its own engine, which runs only when told to,
+     so the Bounding grants are still held when the snapshot is taken. *)
   let mk () =
-    let timers = ref [] in
+    let engine = Engine.create () in
     let time =
-      { Broker.now = (fun () -> 0.); after = (fun _ f -> timers := f :: !timers) }
+      {
+        Broker.now = (fun () -> Engine.now engine);
+        after = (fun delay f -> Engine.schedule_after engine ~delay f);
+      }
     in
-    (Broker.create ~classes ~method_:Aggregate.Bounding ~time (Fig8.topology `Rate_only), timers)
+    (Broker.create ~classes ~method_:Aggregate.Bounding ~time (Fig8.topology `Rate_only), engine)
   in
   let broker, _ = mk () in
   let flows =
@@ -578,7 +581,7 @@ let test_snapshot_class_round_trip () =
   (* A leave turns the rate decrement into one more grant. *)
   Broker.teardown_class broker (List.nth flows 2);
   let snap = Snapshot.save broker in
-  let standby, timers = mk () in
+  let standby, engine = mk () in
   (match Snapshot.restore standby snap with
   | Ok n -> Alcotest.(check int) "restored all members" 6 n
   | Error e -> Alcotest.failf "restore failed: %s" e);
@@ -604,27 +607,29 @@ let test_snapshot_class_round_trip () =
       ("same edge bounds", fun s -> s.Aggregate.edge_bound);
     ];
   Alcotest.(check (list (list (float 0.)))) "same grants" (grants broker) (grants standby);
-  (* Every restored grant has its own release timer; firing them all
-     returns the standby to its steady allocation. *)
-  Alcotest.(check int) "one timer per grant"
+  (* Every restored grant is held for its own period; once the clock
+     passes them all the standby is back at its steady allocation. *)
+  Alcotest.(check int) "one hold per grant"
     (List.length (List.concat (grants standby)))
-    (List.length !timers);
-  List.iter (fun f -> f ()) !timers;
+    (List.length (Broker.holds standby));
+  Engine.run engine;
+  Alcotest.(check int) "every hold expired" 0 (List.length (Broker.holds standby));
   Alcotest.(check (list (float 0.))) "contingency released" [ 0. ]
     (List.map (fun (s : Aggregate.macro_stats) -> s.Aggregate.contingency) (macros standby));
   Alcotest.(check bool) "audit clean after release" true
     (Bbr_broker.Audit.ok (Bbr_broker.Audit.check standby));
-  (* On a standby whose timers fire at once, each grant is released as it
-     is restored, from consistent state. *)
+  (* On a standby whose clock never advances, nothing expires: every
+     restored grant stays held, and the held pool audits clean. *)
   let immediate =
     Broker.create ~classes ~method_:Aggregate.Bounding (Fig8.topology `Rate_only)
   in
   (match Snapshot.restore immediate snap with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "restore failed: %s" e);
-  Alcotest.(check (list string)) "released at once" (exact (fun s -> s.Aggregate.contingency) standby)
+  Alcotest.(check (list string)) "held on a frozen clock"
+    (exact (fun s -> s.Aggregate.contingency) broker)
     (exact (fun s -> s.Aggregate.contingency) immediate);
-  Alcotest.(check bool) "audit clean when released at once" true
+  Alcotest.(check bool) "audit clean on a frozen clock" true
     (Bbr_broker.Audit.ok (Bbr_broker.Audit.check immediate))
 
 let test_snapshot_rejects_garbage () =

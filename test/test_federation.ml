@@ -166,7 +166,9 @@ let test_domain_crash_and_reap () =
   (* Domain C crashes before the PREPARE lands: it consumes every
      retransmission without reacting, the transaction gives up with
      Peer_unreachable, and the compensating releases — retried while C
-     is down — reconcile everything once C comes back. *)
+     is down — reconcile everything once C comes back.  The segments A
+     and B prepared are held: whatever the compensation leaves, their
+     holds release at the TTL. *)
   let eng = Engine.create () in
   let config = { Federation.default_config with prepare_ttl = 5. } in
   let fed, names, gates = linear_fed ~config eng 3 in
@@ -180,7 +182,6 @@ let test_domain_crash_and_reap () =
   Engine.schedule eng ~at:40. (fun () ->
       Federation.set_domain_up fed ~domain:"C" true;
       Federation.pump fed);
-  Engine.schedule eng ~at:50. (fun () -> ignore (Federation.reap fed));
   Engine.run eng;
   (match !decided with
   | Some (Error (Types.Peer_unreachable _)) -> ()
@@ -205,10 +206,12 @@ let test_commit_nack_compensates_whole_flow () =
      C never learns of the commit. *)
   Engine.schedule eng ~at:0.112 (fun () ->
       Federation.set_reachable fed ~domain:"C" false);
-  (* While C is dark, its TTL reaper clears the prepared, never-committed
-     segment. *)
+  (* While C is dark, the hold on its prepared, never-committed segment
+     expires at the 2 s TTL and its broker releases it. *)
   Engine.schedule eng ~at:4. (fun () ->
-      Alcotest.(check int) "one orphan reaped" 1 (Federation.reap fed));
+      Alcotest.(check int) "one orphan reaped" 1 (Federation.stats fed).Federation.reaped;
+      Alcotest.(check int) "C holds nothing" 0
+        (Broker.per_flow_count (Federation.broker_exn fed ~domain:"C")));
   Engine.schedule eng ~at:8. (fun () ->
       Federation.set_reachable fed ~domain:"C" true;
       Federation.pump fed);
@@ -356,8 +359,7 @@ let storm_once seed =
         Engine.schedule eng ~at:now (fun () ->
             if Prng.bool rng then Federation.set_reachable fed ~domain:d (not down)
             else Federation.set_domain_up fed ~domain:d (not down))
-    | 8 ->
-        Engine.schedule eng ~at:now (fun () -> ignore (Federation.reap fed))
+    | 8 -> Engine.schedule eng ~at:now (fun () -> Federation.pump fed)
     | _ ->
         Engine.schedule eng ~at:now (fun () ->
             let digest = Federation.decision_digest fed in
@@ -366,7 +368,8 @@ let storm_once seed =
             if not (String.equal digest r.Federation.replayed_digest) then
               Alcotest.fail "storm: replay digest mismatch")
   done;
-  (* Heal everything, drain, reap, and require a spotless end state. *)
+  (* Heal everything, drain (every prepared booking expires or commits
+     in it), and require a spotless end state. *)
   let heal_at = !at +. 1. in
   Engine.schedule eng ~at:heal_at (fun () ->
       Federation.set_faults fed Exchange.no_faults;
@@ -376,9 +379,7 @@ let storm_once seed =
           Federation.set_domain_up fed ~domain:d true)
         names;
       Federation.pump fed);
-  Engine.schedule eng ~at:(heal_at +. 30.) (fun () -> ignore (Federation.reap fed));
   Engine.run eng;
-  ignore (Federation.reap fed);
   let audit = Federation.audit fed in
   Federation.audit_ok audit
   && Federation.obligations_pending fed = 0
@@ -419,10 +420,12 @@ let test_soak_smoke () =
   Alcotest.(check (option bool)) "digest-exact recovery" (Some true)
     o.Fed_soak.digest_match;
   (* Every counter at its pinned value: a change to the channel, the
-     retry schedule or the order of their draws moves one of them. *)
+     retry schedule or the order of their draws moves one of them.  The
+     two reaped bookings are compensated transactions' prepares in the
+     crashed domain, whose holds expire at their TTL while it is down. *)
   let s = o.Fed_soak.stats in
   Alcotest.(check string) "soak counters"
-    "committed 70 compensated 15 prepares 378 retries 286 compensations 64 reaped 0 \
+    "committed 70 compensated 15 prepares 378 retries 286 compensations 64 reaped 2 \
      messages 1872 dropped 189 duplicated 20 recovered 13"
     (Printf.sprintf
        "committed %d compensated %d prepares %d retries %d compensations %d reaped %d \

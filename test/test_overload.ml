@@ -432,7 +432,7 @@ let test_cops_jitter_stretches_backoff () =
 let lease_env ~period f =
   let engine = Engine.create () in
   let central = Broker.create ~time:(hooks engine) (Fig8.topology `Rate_only) in
-  let mgr = Edge_broker.lease_manager ~central ~time:(hooks engine) ~period in
+  let mgr = Edge_broker.lease_manager ~central ~period in
   Fun.protect
     ~finally:(fun () ->
       Edge_broker.stop_manager mgr;
@@ -459,8 +459,11 @@ let test_lease_reclaim_within_period () =
       | Error e -> Alcotest.failf "local admit: %a" Types.pp_reject_reason e);
       Alcotest.(check int) "one grant pseudo-flow" 1 (Broker.per_flow_count central);
       Engine.schedule engine ~at:5. (fun () -> Edge_broker.disconnect eb);
-      Engine.run ~until:13. engine;
-      (* 5 s disconnect + 3/4 period TTL + 1/8 period sweep lag = 12 s. *)
+      (* The last renewal before the disconnect ran at 4 s: its holds
+         expire 3/4 of a period later, at 10 s, and not before. *)
+      Engine.run ~until:9.99 engine;
+      Alcotest.(check int) "grant held until its expiry" 1 (Broker.per_flow_count central);
+      Engine.run ~until:10. engine;
       Alcotest.(check int) "grant reclaimed within one period" 0
         (Broker.per_flow_count central);
       Alcotest.(check bool) "edge still holds its stale local view" true
@@ -523,14 +526,19 @@ let test_lease_reconnect_after_reclaim () =
             (List.length r.Edge_broker.surrendered);
           Alcotest.(check bool) "edge usable again" true
             (Edge_broker.connected eb);
-          let report =
-            Audit.check ~now:(Engine.now engine) ~leases:(Edge_broker.leases mgr)
-              central
-          in
-          Alcotest.(check bool) "audit clean after reconcile" true (Audit.ok report))
+          Alcotest.(check bool) "audit clean after reconcile" true
+            (Audit.ok (Audit.check central)))
 
+(* A grant held by a lease whose expiry timer never fires (the clock is
+   moved by hand, and its timers are dropped): the audit finds the hold
+   past its expiry, and the repair releases it through the broker. *)
 let test_stale_lease_audit_and_repair () =
-  let central = Broker.create (Fig8.topology `Rate_only) in
+  let now = ref 0. in
+  let central =
+    Broker.create
+      ~time:{ Broker.now = (fun () -> !now); after = (fun _ _ -> ()) }
+      (Fig8.topology `Rate_only)
+  in
   let flow =
     match
       Broker.request central
@@ -539,21 +547,23 @@ let test_stale_lease_audit_and_repair () =
     | Ok (flow, _) -> flow
     | Error e -> Alcotest.failf "grant admit: %a" Types.pp_reject_reason e
   in
-  let lease holder expires_at =
-    { Types.holder; expires_at; granted = [ flow ] }
-  in
-  let live = Audit.check ~now:3. ~leases:[ lease "edge-x" 5. ] central in
-  Alcotest.(check bool) "live lease is legitimate backing" true (Audit.ok live);
-  let stale = Audit.check ~now:10. ~leases:[ lease "edge-x" 5. ] central in
+  ignore (Broker.hold central ~owner:"edge-x" ~expires:5. flow);
+  now := 3.;
+  Alcotest.(check bool) "live hold is legitimate backing" true
+    (Audit.ok (Audit.check central));
+  now := 10.;
+  let stale = Audit.check central in
   Alcotest.(check int) "one stale-lease violation" 1
     (List.length stale.Audit.violations);
   (match stale.Audit.violations with
   | [ v ] ->
-      Alcotest.(check string) "kind label" "stale_lease" (Audit.kind_label v.Audit.kind)
+      Alcotest.(check string) "kind label" "expired_hold" (Audit.kind_label v.Audit.kind)
   | _ -> Alcotest.fail "expected exactly one violation");
-  let outcome = Audit.repair ~now:10. ~leases:[ lease "edge-x" 5. ] central in
+  let outcome = Audit.repair central in
+  Alcotest.(check int) "one repair" 1 outcome.Audit.repaired;
   Alcotest.(check bool) "repair cleans up" true (Audit.ok outcome.Audit.remaining);
-  Alcotest.(check int) "pinned grant torn down" 0 (Broker.per_flow_count central)
+  Alcotest.(check int) "pinned grant torn down" 0 (Broker.per_flow_count central);
+  Alcotest.(check int) "hold gone" 0 (List.length (Broker.holds central))
 
 let test_return_idle_quota_idempotent () =
   let central = Broker.create (Fig8.topology `Rate_only) in
@@ -630,7 +640,7 @@ let test_soak_partition_reclaim () =
   let o = Lease_soak.run Lease_soak.default_config in
   Alcotest.(check bool) "reclaimed within one lease period" true
     o.Lease_soak.reclaimed_within_period;
-  Alcotest.(check int) "no stale leases at the horizon" 0 o.Lease_soak.stale_leases;
+  Alcotest.(check int) "no expired holds at the end" 0 o.Lease_soak.expired_holds;
   Alcotest.(check bool) "audit clean" true (Audit.ok o.Lease_soak.audit);
   Alcotest.(check bool) "reconnect re-registered live flows" true
     (o.Lease_soak.re_registered > 0)
